@@ -8,7 +8,8 @@ Two layouts are recognized::
     {"alpha": "1/3", "bands": {"grid": [64, 64]}}
 
 Canonical serialization (sorted keys, fixed separators) of the normalized
-config defines the cache key, so identical configs hash identically.
+config, together with the package version, defines the cache key, so
+identical configs hash identically and a new version never replays old bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import __version__
 from .errors import ConfigError
 from .model import ModelParams
 
@@ -57,7 +59,7 @@ TASK_DEFAULTS = {
     "edge_states": {"count": 1},
     "tones": {"units": "t0"},
     "rwa_check": {},
-    "lindblad": {"gammas": [0.0, 1.0 / 600.0, 1.0 / 300.0], "t_us": 2.0, "dt": 0.0025},
+    "lindblad": {"gammas": [0.0, 1.0 / 600.0, 1.0 / 300.0], "t_us": 2.0},
 }
 
 
@@ -75,7 +77,8 @@ class RunConfig:
         return json.dumps(self.normalized, sort_keys=True, separators=(",", ":"))
 
     def cache_key(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        text = f"qshsim {__version__}\n{self.canonical_json()}"
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _parse_alpha(value) -> Fraction:
@@ -149,6 +152,10 @@ def normalize(data: dict) -> RunConfig:
     model = _model_from(data)
     merged = dict(TASK_DEFAULTS.get(task, {}))
     merged.update(params)
+    if task == "lindblad" and "dt" in merged:
+        # the master equation is propagated exactly; there is no time step
+        log.warning("lindblad.dt is deprecated and ignored by exact propagation")
+        del merged["dt"]
     for key, val in DEFAULTS.items():
         merged.setdefault(key, val)
 

@@ -13,19 +13,24 @@ Per site three jump channels act at a common rate gamma:
 
 Because every dressed excitation carries mean photon and qubit occupation
 1/2 and dephasing conserves excitation, the total excited population decays
-exactly as exp(-gamma*t); the integrator is tested against that law.
+exactly as exp(-gamma*t).  The master equation is time independent, so it is
+solved exactly: the Liouvillian is built once as a sparse matrix and its
+exponential applied to vec(rho) with ``scipy.sparse.linalg.expm_multiply``
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); the decay law above
+is a test of that propagation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
-from .errors import ParameterError, StepSizeError
+from .errors import ParameterError
 from .model import HermitianOperator, ModelParams, open_hamiltonian
 
 #: t0/(2*pi) of the reference device in MHz (for physical-time conversion)
@@ -38,6 +43,8 @@ POSITIVITY_TOL = -1e-8
 
 def duration_from_us(t_us: float, t0_mhz: float = T0_MHZ) -> float:
     """Convert microseconds to dimensionless time t0*T (t0 = 2*pi * t0_mhz)."""
+    if not math.isfinite(t_us) or t_us < 0:
+        raise ParameterError(f"duration must be finite and nonnegative, got {t_us} us")
     return 2.0 * math.pi * t0_mhz * t_us
 
 
@@ -82,16 +89,18 @@ class LindbladSpec:
     dephasing: bool = True
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ParameterError("decay rate gamma must be nonnegative")
+        if not math.isfinite(self.gamma) or self.gamma < 0:
+            raise ParameterError(
+                f"decay rate gamma must be finite and nonnegative, got {self.gamma}"
+            )
 
 
 def subspace_jump_operators(
     basis: SubspaceBasis, spec: LindbladSpec
-) -> List[np.ndarray]:
-    """Explicit jump operators (already scaled by sqrt(gamma)) on the subspace."""
+) -> List[sp.csr_matrix]:
+    """Explicit sparse jump operators (already scaled by sqrt(gamma))."""
     dim = basis.dim
-    ops: List[np.ndarray] = []
+    ops: List[sp.csr_matrix] = []
     root = math.sqrt(spec.gamma)
     r = 1.0 / math.sqrt(2.0)
     for n in range(basis.ny):
@@ -102,19 +111,19 @@ def subspace_jump_operators(
                 op = np.zeros((dim, dim))
                 op[0, iu] = r
                 op[0, idn] = -r
-                ops.append(root * op)
+                ops.append(sp.csr_matrix(root * op))
             if spec.transmon_loss:
                 op = np.zeros((dim, dim))
                 op[0, iu] = r
                 op[0, idn] = r
-                ops.append(root * op)
+                ops.append(sp.csr_matrix(root * op))
             if spec.dephasing:
                 op = -np.eye(dim)
                 op[iu, iu] = 0.0
                 op[idn, idn] = 0.0
                 op[iu, idn] = 1.0
                 op[idn, iu] = 1.0
-                ops.append(root * op)
+                ops.append(sp.csr_matrix(root * op))
     return ops
 
 
@@ -137,7 +146,9 @@ def embed_excited_hamiltonian(h, basis: SubspaceBasis) -> np.ndarray:
 
 
 def validate_density_matrix(rho: np.ndarray, check_positivity: bool = True):
-    """Enforce Hermiticity / unit trace / positivity tolerances."""
+    """Enforce finiteness / Hermiticity / unit trace / positivity tolerances."""
+    if not np.all(np.isfinite(rho)):
+        raise ParameterError("density matrix has non-finite entries")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > HERM_TOL:
         raise ParameterError(f"density matrix not Hermitian: defect {herm:.2e}")
@@ -150,77 +161,53 @@ def validate_density_matrix(rho: np.ndarray, check_positivity: bool = True):
             raise ParameterError(f"density matrix has eigenvalue {evmin:.2e}")
 
 
-class _Dissipator:
-    """Structured application of the three channels; matches the literal operators.
-
-    Loss channels: both loss types together give sum Gamma^dag Gamma = N (the
-    excitation projector), and all quantum jumps land on the vacuum, so their
-    contribution is gamma*(tr(N rho)|G><G| - {N, rho}/2) when both are active.
-    Dephasing operators are unitary; their action is expanded with rank-one
-    site projectors (columns of V below).
-    """
-
-    def __init__(self, basis: SubspaceBasis, spec: LindbladSpec):
-        self.basis = basis
-        self.spec = spec
-        dim = basis.dim
-        n_sites = basis.nx * basis.ny
-        self.n_exc = np.zeros(dim)
-        self.n_exc[1:] = 1.0
-        # |+_r> columns: (|up>_r + |down>_r)/sqrt(2)
-        v = np.zeros((dim, n_sites))
-        for n in range(basis.ny):
-            for m in range(basis.nx):
-                r_idx = n * basis.nx + m
-                v[basis.state_index(m, n, 0), r_idx] = 1.0 / math.sqrt(2.0)
-                v[basis.state_index(m, n, 1), r_idx] = 1.0 / math.sqrt(2.0)
-        self.v = v
-        self.sum_y = 2.0 * (v @ v.T)  # sum_r Y_r, Y_r = 2|+_r><+_r|
-        self.n_sites = n_sites
-        # per-site loss structure (needed when only one loss channel is on)
-        self.single_loss = None
-        if spec.photon_loss != spec.transmon_loss:
-            sgn = -1.0 if spec.photon_loss else 1.0
-            w = np.zeros((dim, n_sites))
-            for n in range(basis.ny):
-                for m in range(basis.nx):
-                    r_idx = n * basis.nx + m
-                    w[basis.state_index(m, n, 0), r_idx] = 1.0 / math.sqrt(2.0)
-                    w[basis.state_index(m, n, 1), r_idx] = sgn / math.sqrt(2.0)
-            self.single_loss = w
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        g = self.spec.gamma
-        if g == 0.0:
-            return np.zeros_like(rho)
-        out = np.zeros_like(rho)
-        if self.spec.photon_loss and self.spec.transmon_loss:
-            pop = float(np.real(np.sum(self.n_exc * np.diag(rho))))
-            out[0, 0] += g * pop
-            out -= 0.5 * g * (self.n_exc[:, None] * rho + rho * self.n_exc[None, :])
-        elif self.single_loss is not None:
-            w = self.single_loss
-            # Gamma_r = |G><w_r|: jumps land on vacuum, Gamma^dag Gamma = |w_r><w_r|
-            m = w.conj().T @ rho @ w
-            out[0, 0] += g * float(np.real(np.trace(m)))
-            p = w @ (w.conj().T @ rho)
-            out -= 0.5 * g * (p + p.conj().T)
-        if self.spec.dephasing:
-            sy = self.sum_y
-            m = self.v.T @ rho @ self.v  # Hermitian, so diag(m) is real
-            out += g * (
-                -(sy @ rho) - (rho @ sy) + 4.0 * (self.v * np.diag(m).real) @ self.v.T
-            )
-        return out
-
-
 def _lindblad_rhs_reference(rho, h_full, jump_ops):
-    """Direct textbook right-hand side; oracle for the structured path."""
+    """Direct textbook right-hand side; oracle for the Liouvillian."""
     out = -1j * (h_full @ rho - rho @ h_full)
     for op in jump_ops:
         od = op.conj().T
         out += op @ rho @ od - 0.5 * (od @ op @ rho + rho @ od @ op)
     return out
+
+
+def liouvillian(h_full, jump_ops) -> sp.csr_matrix:
+    """Sparse superoperator L with ``L @ rho.ravel() == rhs(rho).ravel()``.
+
+    rhs = -i(H rho - rho H) + sum_k (J_k rho J_k^dag - {J_k^dag J_k, rho}/2),
+    vectorized row-major: vec(A X B) = (A kron B^T) vec(X).
+    """
+    h = sp.csr_matrix(h_full)
+    eye = sp.identity(h.shape[0], format="csr")
+    jumps = [sp.csr_matrix(op) for op in jump_ops]
+    loss = sum((j.conj().T @ j for j in jumps), sp.csr_matrix(h.shape))
+    left, right = -1j * h - 0.5 * loss, 1j * h - 0.5 * loss
+    drift = sp.kron(left, eye) + sp.kron(eye, right.T)
+    return sum((sp.kron(j, j.conj()) for j in jumps), drift).tocsr()
+
+
+#: Al-Mohy & Higham (2011), eq. (3.13): for one vector, m_max = 55 and
+#: p_max = 8, expm_multiply takes its exact-1-norm branch while
+#: ||A - tr(A)/n I||_1 <= 2*2*8*11 * theta_55 / 55 = 63.36.  Beyond it scipy
+#: estimates norms with ``onenormest``, which draws from the global
+#: ``np.random`` and is not reproducible.
+_EXACT_NORM_BOUND = 63.36
+
+
+def _chunk_count(step: sp.csr_matrix) -> int:
+    """Equal chunks of ``step`` that each stay on the exact-1-norm branch."""
+    n = step.shape[0]
+    shifted = step - (step.diagonal().sum() / n) * sp.identity(n, format="csr")
+    norm = float(abs(shifted).sum(axis=0).max())
+    return max(1, math.ceil(norm / (0.9 * _EXACT_NORM_BOUND)))
+
+
+class Trajectory(NamedTuple):
+    """Snapshots of one ``lindblad_evolve`` run."""
+
+    times: np.ndarray
+    rhos: np.ndarray
+    #: expm_multiply calls made over the whole run
+    chunks: int
 
 
 def lindblad_evolve(
@@ -231,59 +218,34 @@ def lindblad_evolve(
     t_final: float,
     dt: float = 0.0025,
     sample_count: int = 20,
-    _halved: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 integration of the master equation.
+) -> Trajectory:
+    """Exact propagation of the master equation: rho(t) = exp(L t) rho0.
 
-    Returns ``(times, rhos)`` with ``sample_count`` snapshots including t=0 and
-    t_final.  Density-matrix invariants are re-validated at every snapshot; on
-    violation the step is halved once and the run restarted, then the failure
-    is raised.
+    Returns ``(times, rhos, chunks)`` with ``sample_count`` equally spaced
+    snapshots including t=0 and t_final; density-matrix invariants are
+    validated at every snapshot.  ``dt`` is deprecated and ignored: the
+    propagation has no time step.
     """
+    if not math.isfinite(t_final) or t_final < 0:
+        raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0)
-    h_full = embed_excited_hamiltonian(h_eff, basis)
-    h_norm = float(np.linalg.norm(h_full, 2))
-    bound = 0.05 / max(h_norm, spec.gamma, 1e-12)
-    if dt > bound:
-        raise ParameterError(
-            f"dt={dt} exceeds stability bound {bound:.4f} = 0.05/max(|H|, gamma)"
-        )
-    diss = _Dissipator(basis, spec)
-
-    def rhs(rho):
-        return -1j * (h_full @ rho - rho @ h_full) + diss.apply(rho)
-
-    steps = max(1, int(math.ceil(t_final / dt)))
-    step = t_final / steps if t_final > 0 else 0.0
-    sample_at = np.unique(
-        np.round(np.linspace(0, steps, max(2, sample_count))).astype(int)
+    lv = liouvillian(
+        embed_excited_hamiltonian(h_eff, basis), subspace_jump_operators(basis, spec)
     )
-    times, rhos = [], []
-    rho = rho0.copy()
-    try:
-        if 0 in sample_at:
-            times.append(0.0)
-            rhos.append(rho.copy())
-        for k in range(steps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * step * k1)
-            k3 = rhs(rho + 0.5 * step * k2)
-            k4 = rhs(rho + step * k3)
-            rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if (k + 1) in sample_at:
-                validate_density_matrix(rho)
-                times.append((k + 1) * step)
-                rhos.append(rho.copy())
-    except ParameterError as exc:
-        if _halved:
-            raise StepSizeError(
-                f"integration inaccurate even after halving dt: {exc}"
-            ) from exc
-        return lindblad_evolve(
-            rho0, h_eff, spec, basis, t_final, dt / 2.0, sample_count, _halved=True
-        )
-    return np.array(times), np.array(rhos)
+    times = np.linspace(0.0, t_final, max(2, sample_count))
+    step = lv * (t_final / (len(times) - 1))
+    chunks = _chunk_count(step)
+    step = step / chunks
+    vec = rho0.ravel()
+    rhos = [rho0]
+    for _ in times[1:]:
+        for _ in range(chunks):
+            vec = expm_multiply(step, vec)
+        rho = vec.reshape(rho0.shape)
+        validate_density_matrix(rho)
+        rhos.append(rho)
+    return Trajectory(times, np.array(rhos), chunks * (len(times) - 1))
 
 
 def edge_site_mask(nx: int, ny: int) -> np.ndarray:
@@ -319,6 +281,10 @@ class DecayScanRow:
     p1: float
     p2: float
     p3: float
+    #: solver diagnostics of the final state (not part of the output table)
+    chunks: int
+    trace_defect: float
+    min_eigenvalue: float
 
 
 def corner_up_state(basis: SubspaceBasis) -> np.ndarray:
@@ -333,40 +299,38 @@ def decay_scan(
     gammas: Sequence[float],
     params: Optional[ModelParams] = None,
     t_us: float = 2.0,
-    dt: float = 0.0025,
-    threads: int = 1,
 ) -> List[DecayScanRow]:
     """Final edge/inner/total populations after ``t_us`` for each decay rate.
 
     Protocol: 6x6 lattice (flux 1/3, no spin mixing or staggering unless
     overridden), initial |up> excitation at the (1,1) corner site.
     """
-    if any(g < 0 for g in gammas):
-        raise ParameterError("decay rates must be nonnegative")
+    specs = [LindbladSpec(gamma=float(g)) for g in gammas]
+    t_final = duration_from_us(t_us)
     if params is None:
         params = ModelParams(alpha="1/3", nx=6, ny=6)
     if params.nx * params.ny > 64:
         raise ParameterError("master-equation lattice capped at 8x8 sites")
     basis = SubspaceBasis(params.nx, params.ny)
     h_exc = open_hamiltonian(params)
-    t_final = duration_from_us(t_us)
     rho0 = corner_up_state(basis)
-
-    def run(gamma):
-        spec = LindbladSpec(gamma=float(gamma))
-        _, rhos = lindblad_evolve(
-            rho0, h_exc, spec, basis, t_final, dt=dt, sample_count=2
+    rows = []
+    for spec in specs:
+        _, rhos, chunks = lindblad_evolve(
+            rho0, h_exc, spec, basis, t_final, sample_count=2
         )
-        p1, p2, p3 = populations(rhos[-1], basis)
-        return DecayScanRow(
-            gamma_t0=float(gamma),
-            gamma_khz=gamma_to_khz(float(gamma)),
-            p1=p1,
-            p2=p2,
-            p3=p3,
+        rho = rhos[-1]
+        p1, p2, p3 = populations(rho, basis)
+        rows.append(
+            DecayScanRow(
+                gamma_t0=spec.gamma,
+                gamma_khz=gamma_to_khz(spec.gamma),
+                p1=p1,
+                p2=p2,
+                p3=p3,
+                chunks=chunks,
+                trace_defect=abs(float(rho.trace().real) - 1.0),
+                min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
+            )
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, gammas))
-    return [run(g) for g in gammas]
+    return rows

@@ -2,9 +2,9 @@
 
 Data files are byte-deterministic: fixed column order, fixed row order and
 floats printed with 12 significant digits.  Results are cached under a
-SHA-256 of the canonical config (QSH_CACHE_DIR overrides the location); a
-cache hit replays the stored bytes.  One run at a time per output directory,
-enforced with an exclusive lock file.
+SHA-256 of the package version and the canonical config (QSH_CACHE_DIR
+overrides the location); a cache hit replays the stored bytes.  One run at a
+time per output directory, enforced with an exclusive lock file.
 """
 
 from __future__ import annotations
@@ -225,18 +225,25 @@ def _task_lindblad(cfg: RunConfig):
         [float(g) for g in p["gammas"]],
         params=cfg.model,
         t_us=float(p["t_us"]),
-        dt=float(p["dt"]),
-        threads=cfg.threads,
     )
     rows = [
         (r.gamma_t0, r.gamma_khz, r.p1, r.p2, r.p3) for r in rows_out
     ]
     meta = {
         "frame": "rotating (static effective Hamiltonian, secular dissipators)",
-        "dt_t0": float(p["dt"]),
+        "method": "expm_multiply",
         "T_t0": dynamics.duration_from_us(float(p["t_us"])),
         "t_us": float(p["t_us"]),
         "t0_mhz": dynamics.T0_MHZ,
+        "diagnostics": [
+            {
+                "gamma_t0": r.gamma_t0,
+                "chunks": r.chunks,
+                "trace_defect": r.trace_defect,
+                "min_eigenvalue": r.min_eigenvalue,
+            }
+            for r in rows_out
+        ],
     }
     return {
         "decay_scan": (("gamma_t0", "gamma_kHz_over_2pi", "P1", "P2", "P3"), rows)

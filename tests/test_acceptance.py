@@ -188,7 +188,7 @@ def test_criterion_7_rwa_validation():
 def test_criterion_8_lindblad_decay_law():
     with criterion("criterion 8: detection-protocol decay law") as c:
         gammas = [0.0, 1.0 / 600.0, 1.0 / 300.0]
-        rows = decay_scan(gammas, threads=3)
+        rows = decay_scan(gammas)
         T = duration_from_us(2.0)
         p3s = []
         for row in rows:

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from qshsim import config
 from qshsim.cli import main
 from qshsim.config import normalize, parse_config
 from qshsim.errors import ConfigError, QshError
@@ -69,6 +70,13 @@ def test_cache_key_stable_under_key_order():
 
 
 BANDS_CFG = {"alpha": "1/3", "task": "bands", "grid": [16, 16]}
+
+
+def test_cache_key_includes_version(monkeypatch):
+    key = normalize(BANDS_CFG).cache_key()
+    assert normalize(BANDS_CFG).cache_key() == key
+    monkeypatch.setattr(config, "__version__", "0.1.0")
+    assert normalize(BANDS_CFG).cache_key() != key
 
 
 def test_run_bands_and_cache(tmp_path, monkeypatch):
@@ -210,18 +218,27 @@ def test_rwa_check_task(tmp_path, monkeypatch):
     assert manifest["meta"]["detuned_population_change"] < 0.01
 
 
-def test_lindblad_task_csv(tmp_path, monkeypatch):
+def test_lindblad_task_csv(tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
-    cfg = normalize(
-        {
-            "alpha": "1/3",
-            "nx": 2,
-            "ny": 2,
-            "lindblad": {"gammas": [0.0, 0.05], "t_us": 0.2, "dt": 0.002},
-        }
-    )
+    with caplog.at_level(logging.WARNING, logger="qshsim"):
+        cfg = normalize(
+            {
+                "alpha": "1/3",
+                "nx": 2,
+                "ny": 2,
+                "lindblad": {"gammas": [0.0, 0.05], "t_us": 0.2, "dt": 0.002},
+            }
+        )
+    assert "lindblad.dt is deprecated and ignored" in caplog.text
+    assert "dt" not in cfg.task_params
     cfg.out_dir = str(tmp_path / "lb")
     manifest = run(cfg)
+    meta = manifest["meta"]
+    assert meta["method"] == "expm_multiply"
+    assert [d["gamma_t0"] for d in meta["diagnostics"]] == [0.0, 0.05]
+    for d in meta["diagnostics"]:
+        assert d["chunks"] >= 1
+        assert d["trace_defect"] < 1e-12 and d["min_eigenvalue"] > -1e-12
     lines = (tmp_path / "lb" / "decay_scan.csv").read_text().splitlines()
     assert lines[0] == "gamma_t0,gamma_kHz_over_2pi,P1,P2,P3"
     assert len(lines) == 3

@@ -9,7 +9,6 @@ import pytest
 from qshsim.dynamics import (
     LindbladSpec,
     SubspaceBasis,
-    _Dissipator,
     _lindblad_rhs_reference,
     corner_up_state,
     decay_scan,
@@ -18,6 +17,7 @@ from qshsim.dynamics import (
     embed_excited_hamiltonian,
     gamma_to_khz,
     lindblad_evolve,
+    liouvillian,
     populations,
     subspace_jump_operators,
     validate_density_matrix,
@@ -60,10 +60,10 @@ def test_jump_operator_examples():
     assert np.allclose(dephase @ vac, -vac)
 
     zeros = subspace_jump_operators(basis, LindbladSpec(gamma=0.0))
-    assert all(np.all(op == 0) for op in zeros)
+    assert all(op.nnz == 0 for op in zeros)
 
 
-def test_structured_dissipator_matches_reference():
+def test_liouvillian_matches_reference():
     basis = SubspaceBasis(2, 2)
     h = embed_excited_hamiltonian(
         open_hamiltonian(ModelParams(alpha=A13, beta=0.1, nx=2, ny=2)), basis
@@ -80,8 +80,8 @@ def test_structured_dissipator_matches_reference():
             dephasing=bool(flags[2]),
         )
         ops = subspace_jump_operators(basis, spec)
-        ref = _lindblad_rhs_reference(rho, h, ops)
-        fast = -1j * (h @ rho - rho @ h) + _Dissipator(basis, spec).apply(rho)
+        ref = _lindblad_rhs_reference(rho, h, [op.toarray() for op in ops])
+        fast = (liouvillian(h, ops) @ rho.ravel()).reshape(rho.shape)
         assert np.max(np.abs(fast - ref)) < 1e-12
 
 
@@ -90,8 +90,8 @@ def test_single_cell_analytic_decay():
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[1, 1] = 1.0
     g = 0.25
-    ts, rhos = lindblad_evolve(
-        rho0, np.zeros((2, 2)), LindbladSpec(gamma=g), basis, 8.0, dt=0.002
+    ts, rhos, _ = lindblad_evolve(
+        rho0, np.zeros((2, 2)), LindbladSpec(gamma=g), basis, 8.0
     )
     for t, rho in zip(ts, rhos):
         _, _, p3 = populations(rho, basis)
@@ -103,8 +103,8 @@ def test_closed_system_matches_schroedinger():
     h = open_hamiltonian(ModelParams(alpha=A13, nx=6, ny=6))
     rho0 = corner_up_state(basis)
     t = 2.0
-    ts, rhos = lindblad_evolve(
-        rho0, h, LindbladSpec(gamma=0.0), basis, t, dt=0.001, sample_count=2
+    _, rhos, _ = lindblad_evolve(
+        rho0, h, LindbladSpec(gamma=0.0), basis, t, sample_count=2
     )
     purity = np.trace(rhos[-1] @ rhos[-1]).real
     assert abs(purity - 1.0) < 1e-8
@@ -160,8 +160,8 @@ def test_decay_law_and_monotonicity_small_lattice():
     t = 5.0
     p3s = []
     for g in (0.0, 0.02, 0.05, 0.1):
-        _, rhos = lindblad_evolve(
-            rho0, h, LindbladSpec(gamma=g), basis, t, dt=0.002, sample_count=2
+        _, rhos, _ = lindblad_evolve(
+            rho0, h, LindbladSpec(gamma=g), basis, t, sample_count=2
         )
         _, _, p3 = populations(rhos[-1], basis)
         assert abs(p3 - math.exp(-g * t)) < 1e-3 * max(math.exp(-g * t), 1e-9)
@@ -173,8 +173,8 @@ def test_dephasing_only_preserves_excitation():
     basis = SubspaceBasis(2, 2)
     h = open_hamiltonian(ModelParams(alpha=A13, nx=2, ny=2))
     spec = LindbladSpec(gamma=0.05, photon_loss=False, transmon_loss=False)
-    _, rhos = lindblad_evolve(
-        corner_up_state(basis), h, spec, basis, 5.0, dt=0.002, sample_count=4
+    _, rhos, _ = lindblad_evolve(
+        corner_up_state(basis), h, spec, basis, 5.0, sample_count=4
     )
     for rho in rhos:
         _, _, p3 = populations(rho, basis)
@@ -184,9 +184,9 @@ def test_dephasing_only_preserves_excitation():
 def test_trace_and_positivity_along_trajectory():
     basis = SubspaceBasis(2, 2)
     h = open_hamiltonian(ModelParams(alpha=A13, beta=0.1, nx=2, ny=2))
-    _, rhos = lindblad_evolve(
+    _, rhos, _ = lindblad_evolve(
         corner_up_state(basis), h, LindbladSpec(gamma=0.08), basis, 8.0,
-        dt=0.002, sample_count=9,
+        sample_count=9,
     )
     for rho in rhos:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
@@ -194,36 +194,76 @@ def test_trace_and_positivity_along_trajectory():
 
 
 def test_step_guards():
-    basis = SubspaceBasis(2, 2)
-    h = open_hamiltonian(ModelParams(alpha=A13, nx=2, ny=2))
-    with pytest.raises(ParameterError):
-        lindblad_evolve(
-            corner_up_state(basis), h, LindbladSpec(gamma=0.0), basis, 1.0, dt=0.5
-        )
     with pytest.raises(ParameterError):
         LindbladSpec(gamma=-0.1)
     with pytest.raises(ParameterError):
         decay_scan([-1.0])
 
 
-def test_step_halving_then_failure():
-    # a step at the stability bound accumulates enough positivity defect over
-    # a long run that even the automatic one-time halving cannot save it
-    from qshsim.errors import StepSizeError
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_non_finite_gamma_rejected(gamma):
+    with pytest.raises(ParameterError, match="finite"):
+        LindbladSpec(gamma=gamma)
+    with pytest.raises(ParameterError, match="finite"):
+        decay_scan([0.0, gamma])
 
-    basis = SubspaceBasis(2, 2)
-    h = open_hamiltonian(ModelParams(alpha=A13, nx=2, ny=2))
-    bound = 0.05 / np.linalg.norm(h.toarray(), 2)
-    with pytest.raises(StepSizeError, match="after halving"):
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_duration_rejected(t):
+    basis = SubspaceBasis(1, 1)
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        duration_from_us(t)
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        decay_scan([0.0], t_us=t)
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
         lindblad_evolve(
-            corner_up_state(basis),
-            h,
-            LindbladSpec(gamma=0.0),
-            basis,
-            30.0,
-            dt=bound * 0.999,
+            corner_up_state(basis), np.zeros((2, 2)), LindbladSpec(gamma=0.0),
+            basis, t,
+        )
+
+
+@pytest.mark.parametrize("check_positivity", [False, True])
+def test_non_finite_density_matrix_rejected(check_positivity):
+    rho = np.full((3, 3), np.nan, dtype=complex)
+    with pytest.raises(ParameterError, match="non-finite"):
+        validate_density_matrix(rho, check_positivity=check_positivity)
+
+
+def test_snapshot_validation_raises():
+    basis = SubspaceBasis(2, 2)
+    h = open_hamiltonian(ModelParams(alpha=A13, nx=2, ny=2)).toarray()
+    broken = h.copy()
+    broken[0, 1] += 0.5  # not Hermitian: rho(t) leaves the Hermitian matrices
+    with pytest.raises(ParameterError, match="not Hermitian"):
+        lindblad_evolve(
+            corner_up_state(basis), broken, LindbladSpec(gamma=0.0), basis, 1.0,
             sample_count=3,
         )
+    with pytest.raises(ParameterError, match="trace"):
+        lindblad_evolve(
+            2.0 * corner_up_state(basis), h, LindbladSpec(gamma=0.0), basis, 1.0
+        )
+
+
+def test_decay_scan_bit_identical_under_global_rng():
+    # at 2 us one step exceeds the exact-1-norm bound of expm_multiply, so
+    # the run is chunked; an unchunked run would call onenormest, which
+    # draws from (and advances) the global np.random state
+    gammas = [0.0, 1.0 / 300.0]
+    t = duration_from_us(2.0)
+    results = []
+    for seed in (0, 7, 2024):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        rows = decay_scan(gammas, t_us=2.0)
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+        assert all(r.chunks > 1 for r in rows)
+        for r in rows:
+            assert abs(r.p3 - math.exp(-r.gamma_t0 * t)) <= 1e-12
+        results.append([(r.p1, r.p2, r.p3) for r in rows])
+    assert results[0] == results[1] == results[2]
 
 
 def test_decay_scan_lattice_guard():
@@ -312,13 +352,12 @@ def test_lab_frame_cross_check():
 
     basis = SubspaceBasis(2, 2)
     params = ModelParams(alpha=A13, beta=beta, nx=2, ny=2)
-    _, rhos = lindblad_evolve(
+    _, rhos, _ = lindblad_evolve(
         rho_d0,
         open_hamiltonian(params),
         LindbladSpec(gamma=gamma),
         basis,
         t_final,
-        dt=0.001,
         sample_count=2,
     )
     pops_rot = site_pops(rhos[-1])
