@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, ParameterError, StepSizeError
+from .model import ModelParams, x_hop_block, y_hop_block
 
 SPIN_LABELS = ("up", "down")
 #: +1 for the |up>, -1 for the |down> photon component <0g|a|eta>
@@ -425,23 +426,6 @@ def rwa_fidelity(
     return float(abs(np.trace(u_eff.conj().T @ u_rot)) / dim)
 
 
-# ---------------------------------------------------------------------------
-# lattice tone planning (x and y hop blocks of the target model)
-# ---------------------------------------------------------------------------
-
-def x_target_block(alpha, n: int, t0: float = 1.0) -> np.ndarray:
-    """Effective x-hop block at row n: -t0*diag(e^{i*2*pi*alpha*n}, e^{-i...})."""
-    theta = 2.0 * math.pi * float(alpha) * n
-    return -t0 * np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-
-
-def y_target_block(beta: float, t0: float = 1.0) -> np.ndarray:
-    """Effective y-hop block: -t0*exp(i*2*pi*beta*sigma_x)."""
-    ang = 2.0 * math.pi * beta
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return -t0 * (math.cos(ang) * np.eye(2) + 1j * math.sin(ang) * sx)
-
-
 def plaquette_plans(
     alpha, beta: float, cells: Sequence[CellParams] = DEVICE_CELLS, n0: int = 0
 ) -> List[TonePlan]:
@@ -449,14 +433,14 @@ def plaquette_plans(
 
     Cell list order matches the sublattice layout: index 0 at (0, n0),
     1 at (1, n0), 2 at (0, n0+1), 3 at (1, n0+1).  Bonds: two x bonds and two
-    y bonds, open (no wrap).
+    y bonds, open (no wrap), with the target model's hop blocks at t0 = 1.
     """
     if len(cells) != 4:
         raise ParameterError("a plaquette needs exactly four cells")
-    plans = [
-        tone_plan(Bond(1, 0, "x"), cells, x_target_block(alpha, n0)),
-        tone_plan(Bond(3, 2, "x"), cells, x_target_block(alpha, n0 + 1)),
-        tone_plan(Bond(2, 0, "y"), cells, y_target_block(beta)),
-        tone_plan(Bond(3, 1, "y"), cells, y_target_block(beta)),
+    target = ModelParams(alpha, beta)
+    return [
+        tone_plan(Bond(1, 0, "x"), cells, x_hop_block(target, n0)),
+        tone_plan(Bond(3, 2, "x"), cells, x_hop_block(target, n0 + 1)),
+        tone_plan(Bond(2, 0, "y"), cells, y_hop_block(target)),
+        tone_plan(Bond(3, 1, "y"), cells, y_hop_block(target)),
     ]
-    return plans

@@ -27,7 +27,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(cmd, help=f"run the {task} task")
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=None, help="worker count")
+        sp.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="phase-diagram worker threads (other tasks run single-threaded)",
+        )
         sp.add_argument(
             "--force", action="store_true", help="recompute even on a cache hit"
         )

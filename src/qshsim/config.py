@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
+from .circuit import T0_MHZ
 from .errors import ConfigError
 from .model import ModelParams
 
@@ -44,7 +45,7 @@ DEFAULTS = {
     "e_f": 1.5,
     "gap_threshold": 0.05,
     "ring_depth": 2,
-    "t0_mhz": 3.0,
+    "t0_mhz": T0_MHZ,
 }
 
 TASK_DEFAULTS = {
@@ -99,6 +100,14 @@ def _parse_alpha(value) -> Fraction:
     return frac
 
 
+def _object(data: dict, key: str) -> dict:
+    """The JSON object under ``key`` (empty when absent)."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"field {key!r}: must be an object")
+    return value
+
+
 def _find_task(data: dict):
     block_tasks = [t for t in TASKS if isinstance(data.get(t), dict)]
     named = data.get("task")
@@ -110,7 +119,7 @@ def _find_task(data: dict):
             raise ConfigError(
                 f"config names task {named!r} but also carries block(s) {extra}"
             )
-        params = dict(data.get(named, {}))
+        params = dict(_object(data, named))
         if not params:
             # minimal layout: task parameters live at the top level
             skip = set(COMMON_KEYS) | set(TASKS)
@@ -124,7 +133,7 @@ def _find_task(data: dict):
 
 
 def _model_from(data: dict) -> ModelParams:
-    src = dict(data.get("model", {}))
+    src = dict(_object(data, "model"))
     for key in MODEL_KEYS:
         if key in data:
             src.setdefault(key, data[key])
@@ -159,15 +168,13 @@ def normalize(data: dict) -> RunConfig:
     for key, val in DEFAULTS.items():
         merged.setdefault(key, val)
 
-    output = data.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("field 'output': must be an object")
+    output = _object(data, "output")
     fmt = output.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"field 'output.format': must be csv or json, got {fmt!r}")
-    threads = int(data.get("threads", 1))
-    if threads < 1:
-        raise ConfigError("field 'threads': must be >= 1")
+    threads = data.get("threads", 1)
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"field 'threads': must be an integer >= 1, got {threads!r}")
 
     normalized = {
         "model": {

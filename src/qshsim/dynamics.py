@@ -30,11 +30,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from .circuit import T0_MHZ
 from .errors import ParameterError
 from .model import HermitianOperator, ModelParams, open_hamiltonian
-
-#: t0/(2*pi) of the reference device in MHz (for physical-time conversion)
-T0_MHZ = 3.0
 
 TRACE_TOL = 1e-8
 HERM_TOL = 1e-10

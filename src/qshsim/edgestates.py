@@ -9,13 +9,12 @@ the detection protocol.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import GaplessError, ParameterError
 from .model import ModelParams, open_hamiltonian
 from .spectra import eig_hermitian
 from .topology import DEFAULT_FERMI_ENERGY, bulk_gap_at
@@ -110,7 +109,6 @@ def size_effect_scan(
     params: ModelParams,
     e_f: float = DEFAULT_FERMI_ENERGY,
     ring_depth: int = DEFAULT_RING_DEPTH,
-    threads: int = 1,
 ) -> List[SizeScanRow]:
     """Edge weight and midgap isolation of the nearest-``e_f`` state per lattice size.
 
@@ -125,7 +123,7 @@ def size_effect_scan(
             raise ParameterError("size scan needs lattices of at least 4x4")
     try:
         g_lo, g_hi = bulk_gap_at(params, e_f)
-    except Exception:
+    except GaplessError:
         g_lo, g_hi = np.nan, np.nan
 
     def work(size):
@@ -144,7 +142,4 @@ def size_effect_scan(
             reliable=min(nx, ny) >= RELIABLE_MIN_SIDE,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, sizes))
     return [work(s) for s in sizes]

@@ -4,12 +4,18 @@ The model is a nearest-neighbor tight-binding Hamiltonian for a two-component
 (pseudo-spin 1/2) particle.  Hops in x carry opposite Peierls phases for the
 two spins (flux +/-2*pi*alpha per plaquette), hops in y mix the spins through
 exp(i*2*pi*beta*sigma_x), and an on-site potential alternates sign between
-adjacent rows.  Three representations are provided:
+adjacent rows.  There is one builder per representation:
 
-* ``open_hamiltonian``   -- finite lattice, open boundaries in x and y;
-* ``ribbon_hamiltonian`` -- periodic in x (momentum kx), open in y;
-* ``bloch_hamiltonian``  -- fully periodic, magnetic unit cell of height
-  ``lcm(q, 2)`` so that both the flux and the row-alternating potential fit.
+* ``open_hamiltonian`` -- finite lattice, open boundaries in x and y, dense or
+  CSR by size;
+* ``ribbon_stack``     -- periodic in x, open in y, one matrix per kx;
+* ``bloch_stack``      -- fully periodic, magnetic unit cell of height
+  ``lcm(q, 2)`` so that both the flux and the row-alternating potential fit,
+  one matrix per (kx, ky).  ``spin_bloch_stack`` is its single-spin slice at
+  beta = 0.
+
+The ribbon and the Bloch cell share one row-chain kernel; the Bloch cell adds
+the wrap bond.
 
 All energies are expressed in units of the hopping strength ``t0``.
 """
@@ -17,7 +23,7 @@ All energies are expressed in units of the hopping strength ``t0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +63,10 @@ class ModelParams:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha.denominator < 1:
             raise ParameterError("alpha must have positive denominator")
+        for name in ("beta", "lam", "t0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.t0 <= 0:
             raise ParameterError(f"t0 must be positive, got {self.t0}")
         if int(self.nx) != self.nx or int(self.ny) != self.ny:
@@ -85,18 +95,6 @@ class ModelParams:
         return replace(self, nx=nx, ny=ny)
 
 
-@dataclass(frozen=True)
-class SiteIndex:
-    """Basis label (column m, row n, spin) of one real-space orbital."""
-
-    m: int
-    n: int
-    spin: int  # SPIN_UP or SPIN_DOWN
-
-    def linear(self, nx: int) -> int:
-        return 2 * (self.n * nx + self.m) + self.spin
-
-
 def site_linear_index(m: int, n: int, spin: int, nx: int) -> int:
     """Linearized orbital index; bijection onto [0, 2*nx*ny)."""
     return 2 * (n * nx + m) + spin
@@ -104,16 +102,10 @@ def site_linear_index(m: int, n: int, spin: int, nx: int) -> int:
 
 @dataclass
 class HermitianOperator:
-    """Hermitian matrix plus basis-label metadata.
-
-    ``matrix`` is a dense ndarray or a scipy CSR matrix (large real-space
-    builds). ``basis`` holds SiteIndex labels for real-space operators or
-    (row, spin) tuples for ribbon/Bloch blocks.
-    """
+    """Hermitian matrix: a dense ndarray or, for large real-space builds, CSR."""
 
     dim: int
     matrix: object
-    basis: list = field(default_factory=list)
 
     @property
     def is_sparse(self) -> bool:
@@ -158,221 +150,84 @@ def onsite_energy(params: ModelParams, n: int) -> float:
     return ((-1) ** n) * params.lam * params.t0
 
 
-def _assemble(dim: int, rows, cols, vals, basis) -> HermitianOperator:
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    if dim > DENSE_DIM_LIMIT:
-        mat = coo.tocsr()
-    else:
-        mat = coo.toarray()
-    return HermitianOperator(dim=dim, matrix=mat, basis=basis).validate()
-
-
 def open_hamiltonian(params: ModelParams) -> HermitianOperator:
-    """Finite-lattice Hamiltonian with open boundaries (no wrap bonds)."""
+    """Finite-lattice Hamiltonian with open boundaries (no wrap bonds).
+
+    Dense up to ``DENSE_DIM_LIMIT``, CSR above; zero entries are not stored.
+    """
     params.require_lattice()
     nx, ny = params.nx, params.ny
+    eps = [onsite_energy(params, n) for n in range(ny)]
+    onsite = sp.diags(np.repeat(eps, 2 * nx))
+    # (m, n) -> (m+1, n) inside each row, (m, n) -> (m, n+1) between rows
+    hop_x = sp.block_diag(
+        [sp.kron(sp.eye(nx, k=-1), x_hop_block(params, n)) for n in range(ny)]
+    )
+    hop_y = sp.kron(sp.eye(ny, k=-1), sp.kron(sp.eye(nx), y_hop_block(params)))
+    hops = hop_x + hop_y
+    mat = (onsite + hops + hops.conj().T).tocsr()
+    mat.eliminate_zeros()
     dim = 2 * nx * ny
-    rows, cols, vals = [], [], []
+    if dim <= DENSE_DIM_LIMIT:
+        mat = mat.toarray()
+    return HermitianOperator(dim=dim, matrix=mat).validate()
 
-    def add_block(i_to, i_from, block):
-        for a in range(2):
-            for b in range(2):
-                v = block[a, b]
-                if v != 0:
-                    rows.append(i_to + a)
-                    cols.append(i_from + b)
-                    vals.append(v)
 
+def _chain(params: ModelParams, rows: int, kxs) -> np.ndarray:
+    """On-site terms, x hops at momentum kx and the y bonds of an open chain of rows.
+
+    Shape (len(kxs), 2*rows, 2*rows); the ribbon and the magnetic Bloch cell
+    are both built from it.
+    """
+    kxs = np.asarray(kxs, dtype=float)
+    h = np.zeros((kxs.size, 2 * rows, 2 * rows), dtype=complex)
     by = y_hop_block(params)
-    for n in range(ny):
-        bx = x_hop_block(params, n)
+    for n in range(rows):
+        theta = _x_phase(params, n)
         eps = onsite_energy(params, n)
-        for m in range(nx):
-            i = site_linear_index(m, n, 0, nx)
-            if eps != 0.0:
-                add_block(i, i, eps * np.eye(2))
-            if m + 1 < nx:
-                j = site_linear_index(m + 1, n, 0, nx)
-                add_block(j, i, bx)
-                add_block(i, j, bx.conj().T)
-            if n + 1 < ny:
-                j = site_linear_index(m, n + 1, 0, nx)
-                add_block(j, i, by)
-                add_block(i, j, by.conj().T)
-
-    basis = [SiteIndex(m, n, s) for n in range(ny) for m in range(nx) for s in (0, 1)]
-    return _assemble(dim, rows, cols, vals, basis)
-
-
-def _wrap_angle(k: float) -> float:
-    """Map k into [-pi, pi)."""
-    return (k + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def ribbon_hamiltonian(params: ModelParams, kx: float) -> HermitianOperator:
-    """Ribbon Hamiltonian: periodic in x at momentum kx, open in y (params.ny rows)."""
-    if params.ny < 2:
-        raise ParameterError("ribbon needs ny >= 2")
-    kx = _wrap_angle(kx)
-    ny = params.ny
-    dim = 2 * ny
-    h = np.zeros((dim, dim), dtype=complex)
-    by = y_hop_block(params)
-    for n in range(ny):
-        theta = _x_phase(params, n)
         i = 2 * n
-        h[i, i] += -2.0 * params.t0 * math.cos(kx + theta) + onsite_energy(params, n)
-        h[i + 1, i + 1] += -2.0 * params.t0 * math.cos(kx - theta) + onsite_energy(
-            params, n
-        )
-        if n + 1 < ny:
+        h[:, i, i] = -2.0 * params.t0 * np.cos(kxs + theta) + eps
+        h[:, i + 1, i + 1] = -2.0 * params.t0 * np.cos(kxs - theta) + eps
+        if n + 1 < rows:
             j = 2 * (n + 1)
-            h[j : j + 2, i : i + 2] += by
-            h[i : i + 2, j : j + 2] += by.conj().T
-    basis = [(n, s) for n in range(ny) for s in (0, 1)]
-    return HermitianOperator(dim=dim, matrix=h, basis=basis).validate()
-
-
-def bloch_hamiltonian(
-    params: ModelParams, kx: float, ky: float, ky_gauge: str = "wrap"
-) -> HermitianOperator:
-    """Magnetic-Bloch Hamiltonian on the reduced zone.
-
-    The magnetic cell holds Q = lcm(q, 2) rows; kx runs over [-pi, pi) and ky
-    over the reduced interval [-pi/Q, pi/Q).  With ``ky_gauge='wrap'`` the full
-    phase exp(i*ky*Q) sits on the wrap bond; ``'spread'`` distributes exp(i*ky)
-    over every y bond.  The two choices are gauge-equivalent (same spectrum).
-    """
-    Q = params.magnetic_height
-    kx = _wrap_angle(kx)
-    ky = _wrap_angle(ky * Q) / Q
-    dim = 2 * Q
-    h = np.zeros((dim, dim), dtype=complex)
-    by = y_hop_block(params)
-    if ky_gauge == "wrap":
-        bond_phase, wrap_phase = 1.0, np.exp(1j * ky * Q)
-    elif ky_gauge == "spread":
-        bond_phase = np.exp(1j * ky)
-        wrap_phase = bond_phase
-    else:
-        raise ParameterError(f"unknown ky_gauge {ky_gauge!r}")
-    for n in range(Q):
-        theta = _x_phase(params, n)
-        i = 2 * n
-        h[i, i] += -2.0 * params.t0 * math.cos(kx + theta) + onsite_energy(params, n)
-        h[i + 1, i + 1] += -2.0 * params.t0 * math.cos(kx - theta) + onsite_energy(
-            params, n
-        )
-        j = 2 * ((n + 1) % Q)
-        phase = wrap_phase if n == Q - 1 else bond_phase
-        block = by * phase
-        h[j : j + 2, i : i + 2] += block
-        h[i : i + 2, j : j + 2] += block.conj().T
-    basis = [(n, s) for n in range(Q) for s in (0, 1)]
-    return HermitianOperator(dim=dim, matrix=h, basis=basis).validate()
-
-
-def spin_bloch_hamiltonian(
-    params: ModelParams, kx: float, ky: float, spin: int
-) -> np.ndarray:
-    """Single-spin Q x Q Bloch block; only meaningful at beta = 0.
-
-    Spin up sees flux +2*pi*alpha, spin down -2*pi*alpha; the staggered
-    potential is spin independent.
-    """
-    if params.beta != 0.0:
-        raise ParameterError("spin sectors are decoupled only at beta = 0")
-    Q = params.magnetic_height
-    kx = _wrap_angle(kx)
-    ky = _wrap_angle(ky * Q) / Q
-    sgn = 1.0 if spin == SPIN_UP else -1.0
-    h = np.zeros((Q, Q), dtype=complex)
-    for n in range(Q):
-        theta = _x_phase(params, n)
-        h[n, n] += -2.0 * params.t0 * math.cos(kx + sgn * theta) + onsite_energy(
-            params, n
-        )
-        j = (n + 1) % Q
-        phase = np.exp(1j * ky * Q) if n == Q - 1 else 1.0
-        h[j, n] += -params.t0 * phase
-        h[n, j] += -params.t0 * np.conj(phase)
+            h[:, j : j + 2, i : i + 2] = by
+            h[:, i : i + 2, j : j + 2] = by.conj().T
     return h
 
 
-def bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
-    """Vectorized magnetic-Bloch stack, shape (len(kxs), len(kys), 2Q, 2Q).
+def ribbon_stack(params: ModelParams, ny: int, kxs: np.ndarray) -> np.ndarray:
+    """Ribbon Hamiltonians, periodic in x, open in y: shape (len(kxs), 2*ny, 2*ny)."""
+    return _chain(params, ny, kxs)
 
-    Wrap gauge; slices reproduce :func:`bloch_hamiltonian` exactly.  Building
-    the whole stack with broadcasting keeps momentum grids out of Python
-    loops (the row loop runs over the Q rows of the magnetic cell only).
+
+def bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
+    """Magnetic-Bloch Hamiltonians, shape (len(kxs), len(kys), 2Q, 2Q).
+
+    The cell holds Q = lcm(q, 2) rows; kx runs over [-pi, pi) and ky over the
+    reduced interval [-pi/Q, pi/Q).  The whole phase exp(i*ky*Q) sits on the
+    wrap bond from row Q-1 to row 0, so H is periodic in ky with period 2pi/Q.
     """
     Q = params.magnetic_height
-    kxs = np.asarray(kxs, dtype=float)
     kys = np.asarray(kys, dtype=float)
-    h = np.zeros((kxs.size, kys.size, 2 * Q, 2 * Q), dtype=complex)
-    by = y_hop_block(params)
-    wrap = np.exp(1j * kys * Q)
-    for n in range(Q):
-        theta = _x_phase(params, n)
-        eps = onsite_energy(params, n)
-        i = 2 * n
-        h[:, :, i, i] = (-2.0 * params.t0 * np.cos(kxs + theta) + eps)[:, None]
-        h[:, :, i + 1, i + 1] = (-2.0 * params.t0 * np.cos(kxs - theta) + eps)[
-            :, None
-        ]
-        j = 2 * ((n + 1) % Q)
-        if n == Q - 1:
-            block = by[None, None] * wrap[None, :, None, None]
-            h[:, :, j : j + 2, i : i + 2] += block
-            h[:, :, i : i + 2, j : j + 2] += block.conj().transpose(0, 1, 3, 2)
-        else:
-            h[:, :, j : j + 2, i : i + 2] += by
-            h[:, :, i : i + 2, j : j + 2] += by.conj().T
+    h = np.repeat(_chain(params, Q, kxs)[:, None], kys.size, axis=1)
+    wrap = y_hop_block(params) * np.exp(1j * kys * Q)[:, None, None]
+    # add: at Q = 2 the wrap bond and the in-chain bond share a block
+    h[:, :, 0:2, -2:] += wrap
+    h[:, :, -2:, 0:2] += wrap.conj().transpose(0, 2, 1)
     return h
 
 
 def spin_bloch_stack(
     params: ModelParams, kxs: np.ndarray, kys: np.ndarray, spin: int
 ) -> np.ndarray:
-    """Vectorized single-spin Bloch stack (beta = 0), shape (nkx, nky, Q, Q)."""
+    """Single-spin Bloch stack (beta = 0), shape (nkx, nky, Q, Q).
+
+    Spin up sees flux +2*pi*alpha, spin down -2*pi*alpha; the staggered
+    potential is spin independent.
+    """
     if params.beta != 0.0:
         raise ParameterError("spin sectors are decoupled only at beta = 0")
-    Q = params.magnetic_height
-    kxs = np.asarray(kxs, dtype=float)
-    kys = np.asarray(kys, dtype=float)
-    sgn = 1.0 if spin == SPIN_UP else -1.0
-    h = np.zeros((kxs.size, kys.size, Q, Q), dtype=complex)
-    wrap = np.exp(1j * kys * Q)
-    for n in range(Q):
-        theta = _x_phase(params, n)
-        eps = onsite_energy(params, n)
-        h[:, :, n, n] = (-2.0 * params.t0 * np.cos(kxs + sgn * theta) + eps)[:, None]
-        j = (n + 1) % Q
-        if n == Q - 1:
-            h[:, :, j, n] += -params.t0 * wrap[None, :]
-            h[:, :, n, j] += -params.t0 * wrap.conj()[None, :]
-        else:
-            h[:, :, j, n] += -params.t0
-            h[:, :, n, j] += -params.t0
-    return h
-
-
-def ribbon_stack(params: ModelParams, ny: int, kxs: np.ndarray) -> np.ndarray:
-    """Vectorized ribbon stack over momenta, shape (len(kxs), 2*ny, 2*ny)."""
-    kxs = np.asarray(kxs, dtype=float)
-    h = np.zeros((kxs.size, 2 * ny, 2 * ny), dtype=complex)
-    by = y_hop_block(params)
-    for n in range(ny):
-        theta = _x_phase(params, n)
-        eps = onsite_energy(params, n)
-        i = 2 * n
-        h[:, i, i] = -2.0 * params.t0 * np.cos(kxs + theta) + eps
-        h[:, i + 1, i + 1] = -2.0 * params.t0 * np.cos(kxs - theta) + eps
-        if n + 1 < ny:
-            j = 2 * (n + 1)
-            h[:, j : j + 2, i : i + 2] = by
-            h[:, i : i + 2, j : j + 2] = by.conj().T
-    return h
+    return bloch_stack(params, kxs, kys)[..., spin::2, spin::2]
 
 
 def time_reversal_matrix(n_cells: int) -> np.ndarray:
@@ -408,11 +263,7 @@ def time_reversal_check(
         kxs = np.linspace(-math.pi, math.pi, side, endpoint=False)
         kys = np.linspace(-math.pi / Q, math.pi / Q, side, endpoint=False)
         s = time_reversal_matrix(Q)
-        worst = 0.0
-        for kx in kxs:
-            for ky in kys:
-                h = bloch_hamiltonian(params, kx, ky).matrix
-                h_rev = bloch_hamiltonian(params, -kx, -ky).matrix
-                worst = max(worst, float(np.max(np.abs(s @ h.conj() @ s.T - h_rev))))
-        return worst
+        h = bloch_stack(params, kxs, kys)
+        h_rev = bloch_stack(params, -kxs, -kys)
+        return float(np.max(np.abs(s @ h.conj() @ s.T - h_rev)))
     raise ParameterError(f"unknown representation {representation!r}")

@@ -23,7 +23,7 @@ import scipy
 from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, QshError
-from . import circuit, dynamics, edgestates, spectra, topology
+from . import circuit, dynamics, edgestates, model, spectra, topology
 
 MANIFEST_NAME = "run_manifest.json"
 LOCK_NAME = ".qshsim.lock"
@@ -73,7 +73,7 @@ def _ext(fmt: str) -> str:
 
 def _task_bands(cfg: RunConfig):
     grid = tuple(cfg.task_params["grid"])
-    bands = spectra.bulk_bands(cfg.model, grid, threads=cfg.threads)
+    bands = spectra.bulk_bands(cfg.model, grid)
     rows = []
     for i, kx in enumerate(bands.kx):
         for j, ky in enumerate(bands.ky):
@@ -91,7 +91,7 @@ def _task_bands(cfg: RunConfig):
 def _task_ribbon(cfg: RunConfig):
     ny = int(cfg.task_params["ny"])
     kx_points = int(cfg.task_params["kx_points"])
-    bands = spectra.ribbon_bands(cfg.model, ny, kx_points, threads=cfg.threads)
+    bands = spectra.ribbon_bands(cfg.model, ny, kx_points)
     rows, loc_rows = [], []
     for i, kx in enumerate(bands.kx):
         for b in range(bands.nbands):
@@ -198,8 +198,9 @@ def _task_rwa_check(cfg: RunConfig):
     p = cfg.task_params
     t_final = float(p.get("t_final", math.pi / 2.0))
     cells = [circuit.DEVICE_CELLS[0], circuit.DEVICE_CELLS[1]]
+    target = model.ModelParams(cfg.model.alpha, cfg.model.beta)
     plan = circuit.tone_plan(
-        circuit.Bond(1, 0, "x"), cells, circuit.x_target_block(cfg.model.alpha, 0)
+        circuit.Bond(1, 0, "x"), cells, model.x_hop_block(target, 0)
     )
     u_full = circuit.full_evolve(cells, [plan], t_final, dt=p.get("dt"))
     h_eff = circuit.effective_hamiltonian(cells, [plan])

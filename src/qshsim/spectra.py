@@ -10,7 +10,6 @@ invariant momenta are sampled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
 from .model import (
+    DENSE_DIM_LIMIT,
     HermitianOperator,
     ModelParams,
     bloch_stack,
@@ -87,13 +87,14 @@ def eig_hermitian(
     given; with neither, the full spectrum is returned.  ``method`` is one of
     ``auto`` (dense below the sparse threshold, shift-invert above), ``dense``
     or ``sparse``.  Shift-invert runs with a fixed start vector so repeated
-    solves are reproducible.
+    solves are reproducible.  A sparse ``window`` solve that cannot reach
+    past both window edges within its eigenpair cap raises SolverError.
     """
     if window is not None and nearest is not None:
         raise ParameterError("pass at most one of window / nearest")
     mat = _as_matrix(h)
     dim = mat.shape[0]
-    use_sparse = method == "sparse" or (method == "auto" and dim > 2000)
+    use_sparse = method == "sparse" or (method == "auto" and dim > DENSE_DIM_LIMIT)
     if not use_sparse:
         vals, vecs = _dense_eigh(mat)
         if window is not None:
@@ -118,11 +119,22 @@ def eig_hermitian(
             lo, hi = window
             sigma = 0.5 * (lo + hi)
             k = min(16, dim - 2)
+            k_cap = min(dim - 2, 4 * int(math.sqrt(dim)) + 64)
             while True:
                 vals, vecs = spla.eigsh(smat, k=k, sigma=sigma, which="LM", v0=v0)
-                covered = vals.min() < lo and vals.max() > hi
-                if covered or k >= min(dim - 2, 4 * int(math.sqrt(dim)) + 64):
+                # the k eigenvalues nearest sigma include every one in the
+                # window once the farthest of them lies outside it
+                if np.max(np.abs(vals - sigma)) > 0.5 * (hi - lo):
                     break
+                if k >= k_cap:
+                    raise SolverError(
+                        f"window {window} holds more than {k} eigenvalues",
+                        diagnostics={
+                            "window": (lo, hi),
+                            "covered": (float(vals.min()), float(vals.max())),
+                            "eigenvalues_found": k,
+                        },
+                    )
                 k = min(2 * k, dim - 2)
             keep = (vals >= lo) & (vals <= hi)
             vals, vecs = vals[keep], vecs[:, keep]
@@ -148,17 +160,7 @@ def momentum_grid(count: int, period: float = 2.0 * math.pi) -> np.ndarray:
     return np.linspace(-period / 2.0, period / 2.0, n, endpoint=False)
 
 
-def _solve_grid(build, ks, threads: int = 1, vectors: bool = False):
-    mats = [build(k) for k in ks]
-    stack = np.stack(mats)
-    if vectors:
-        return np.linalg.eigh(stack)
-    return np.linalg.eigvalsh(stack), None
-
-
-def bulk_bands(
-    params: ModelParams, grid: tuple = (32, 32), threads: int = 1
-) -> BandData:
+def bulk_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
     """Band energies over the magnetic Brillouin zone on an (nkx, nky) grid."""
     nkx, nky = grid
     if nkx < 16 or nky < 16:
@@ -166,13 +168,7 @@ def bulk_bands(
     Q = params.magnetic_height
     kxs = momentum_grid(nkx)
     kys = momentum_grid(nky, period=2.0 * math.pi / Q)
-    stack = bloch_stack(params, kxs, kys)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(np.linalg.eigvalsh, stack))
-        energies = np.stack(rows)
-    else:
-        energies = np.linalg.eigvalsh(stack)
+    energies = np.linalg.eigvalsh(bloch_stack(params, kxs, kys))
     return BandData(kx=kxs, ky=kys, energies=energies)
 
 
@@ -180,7 +176,6 @@ def ribbon_bands(
     params: ModelParams,
     ny: int,
     kx_count: int = 102,
-    threads: int = 1,
     ring_rows: int = 2,
 ) -> BandData:
     """Ribbon bands with per-state edge weights.
@@ -197,22 +192,12 @@ def ribbon_bands(
     if kx_count < 101:
         raise ParameterError("ribbon momentum grid needs at least 101 points")
     kxs = momentum_grid(kx_count)
-    stack = ribbon_stack(params, ny, kxs)
-
-    def solve(h):
-        vals, vecs = np.linalg.eigh(h)
-        w = (np.abs(vecs) ** 2).reshape(ny, 2, -1).sum(axis=1)  # row weight per state
-        bottom = w[:ring_rows].sum(axis=0)
-        top = w[-ring_rows:].sum(axis=0)
-        return vals, np.stack([bottom, top], axis=-1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(solve, stack))
-    else:
-        out = [solve(h) for h in stack]
-    energies = np.stack([o[0] for o in out])
-    localization = np.stack([o[1] for o in out])
+    energies, vecs = np.linalg.eigh(ribbon_stack(params, ny, kxs))
+    # row weight per state, shape (nkx, ny, nbands)
+    w = (np.abs(vecs) ** 2).reshape(kxs.size, ny, 2, -1).sum(axis=2)
+    bottom = w[:, :ring_rows].sum(axis=1)
+    top = w[:, -ring_rows:].sum(axis=1)
+    localization = np.stack([bottom, top], axis=-1)
     return BandData(kx=kxs, energies=energies, localization=localization)
 
 

@@ -25,7 +25,6 @@ from qshsim.circuit import (
     rotating_frame_propagator,
     rwa_fidelity,
     tone_plan,
-    x_target_block,
 )
 from qshsim.config import normalize
 from qshsim.dynamics import decay_scan, duration_from_us
@@ -36,6 +35,7 @@ from qshsim.model import (
     ModelParams,
     apply_time_reversal,
     time_reversal_check,
+    x_hop_block,
 )
 from qshsim.runner import run
 from qshsim.topology import (
@@ -169,7 +169,7 @@ def test_criterion_6_addressing_margins():
 def test_criterion_7_rwa_validation():
     with criterion("criterion 7: rotating-wave validation") as c:
         cells = [DEVICE_CELLS[0], DEVICE_CELLS[1]]
-        plan = tone_plan(Bond(1, 0, "x"), cells, x_target_block(A13, 0))
+        plan = tone_plan(Bond(1, 0, "x"), cells, x_hop_block(ModelParams(A13), 0))
         T = math.pi / 2.0
         u_full = full_evolve(cells, [plan], T)
         u_eff = effective_propagator(effective_hamiltonian(cells, [plan]), T)

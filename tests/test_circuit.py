@@ -27,14 +27,21 @@ from qshsim.circuit import (
     sublattice_of,
     tone_plan,
     waveform,
-    x_target_block,
-    y_target_block,
     _propagate,
 )
 from qshsim.errors import DegeneracyError, ParameterError, StepSizeError
+from qshsim.model import ModelParams, x_hop_block, y_hop_block
 
 A13 = Fraction(1, 3)
 TWO_CELLS = [DEVICE_CELLS[0], DEVICE_CELLS[1]]
+
+
+def x_target(alpha, n):
+    return x_hop_block(ModelParams(alpha), n)
+
+
+def y_target(beta):
+    return y_hop_block(ModelParams(A13, beta))
 
 
 def test_dressed_energies_device_values():
@@ -58,7 +65,7 @@ def test_sublattice_layout():
 
 
 def test_tone_plan_x_bond():
-    plan = tone_plan(Bond(1, 0, "x"), DEVICE_CELLS, x_target_block(A13, 1))
+    plan = tone_plan(Bond(1, 0, "x"), DEVICE_CELLS, x_target(A13, 1))
     channels = {t.channel: t for t in plan.tones}
     assert set(channels) == {("up", "up"), ("down", "down")}
     uu = channels[("up", "up")]
@@ -72,7 +79,7 @@ def test_tone_plan_x_bond():
 
 
 def test_tone_plan_y_bond_no_mixing():
-    plan = tone_plan(Bond(2, 0, "y"), DEVICE_CELLS, y_target_block(0.0))
+    plan = tone_plan(Bond(2, 0, "y"), DEVICE_CELLS, y_target(0.0))
     assert len(plan.tones) == 2  # spin-flip channels vanish at beta = 0
     assert {t.channel for t in plan.tones} == {("up", "up"), ("down", "down")}
     for t in plan.tones:
@@ -80,7 +87,7 @@ def test_tone_plan_y_bond_no_mixing():
 
 
 def test_tone_plan_y_bond_with_mixing():
-    plan = tone_plan(Bond(2, 0, "y"), DEVICE_CELLS, y_target_block(0.1))
+    plan = tone_plan(Bond(2, 0, "y"), DEVICE_CELLS, y_target(0.1))
     freqs = sorted(t.freq for t in plan.tones)
     assert freqs == [50, 150, 350, 450]
     for t in plan.tones:
@@ -94,7 +101,7 @@ def test_tone_plan_y_bond_with_mixing():
 
 
 def test_tone_plan_round_trip_exact():
-    for target in (x_target_block(A13, 2), y_target_block(0.1), y_target_block(0.0)):
+    for target in (x_target(A13, 2), y_target(0.1), y_target(0.0)):
         plan = tone_plan(Bond(2, 0, "y"), DEVICE_CELLS, target)
         assert np.allclose(plan_effective_block(plan), target, atol=1e-14)
 
@@ -117,9 +124,20 @@ def test_tone_plan_round_trip_random_targets(re, im):
 def test_tone_plan_collision_and_regime_errors():
     same = [CellParams(omega=2700, g=250), CellParams(omega=2700, g=250)]
     with pytest.raises(DegeneracyError):
-        tone_plan(Bond(1, 0, "x"), same, y_target_block(0.1))
+        tone_plan(Bond(1, 0, "x"), same, y_target(0.1))
     with pytest.raises(ParameterError):
         tone_plan(Bond(1, 0, "x"), DEVICE_CELLS, -1.5 * np.eye(2))
+
+
+def test_plaquette_tones_periodic_in_flux_period():
+    # the flux phase 2*pi*alpha*n has period q in n: rows n0 and n0 + q carry
+    # the same hop blocks, so their tone plans are identical to the bit
+    for alpha, beta in [(A13, 0.1), (Fraction(2, 5), 0.0), (Fraction(3, 7), 0.2)]:
+        q = Fraction(alpha).denominator
+        for n0 in (0, 1, 2):
+            a = plaquette_plans(alpha, beta, n0=n0)
+            b = plaquette_plans(alpha, beta, n0=n0 + q)
+            assert repr([p.tones for p in a]) == repr([p.tones for p in b])
 
 
 def test_addressing_margin_device_plaquette():
@@ -172,7 +190,7 @@ def test_full_evolve_free_case():
 
 
 def test_full_evolve_unitary_and_excitation_conserving():
-    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target_block(A13, 0))
+    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     u = full_evolve(TWO_CELLS, [plan], math.pi / 2.0)
     assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-8
     assert np.max(np.abs(u[0, 1:])) < 1e-10  # vacuum block decoupled
@@ -181,7 +199,7 @@ def test_full_evolve_unitary_and_excitation_conserving():
 
 def test_full_evolve_rabi_transfer():
     # resonant tones on one x bond swap the dressed excitation in T = pi/(2 t)
-    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target_block(A13, 0))
+    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     T = math.pi / 2.0
     u = full_evolve(TWO_CELLS, [plan], T)
     u_rot = rotating_frame_propagator(u, TWO_CELLS, T)
@@ -190,7 +208,7 @@ def test_full_evolve_rabi_transfer():
 
 
 def test_full_evolve_step_guards():
-    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target_block(A13, 0))
+    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     with pytest.raises(ParameterError):
         full_evolve(TWO_CELLS, [plan], 0.5, dt=0.01)  # above the 1/40 bound
     with pytest.raises(StepSizeError):
@@ -213,7 +231,7 @@ def test_effective_coupling_matches_rabi_period():
 
 
 def test_rwa_fidelity_two_cell():
-    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target_block(A13, 0))
+    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     T = math.pi / 2.0
     u_full = full_evolve(TWO_CELLS, [plan], T)
     u_eff = effective_propagator(effective_hamiltonian(TWO_CELLS, [plan]), T)
@@ -221,14 +239,14 @@ def test_rwa_fidelity_two_cell():
 
 
 def test_rwa_fidelity_identity_at_zero_time():
-    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target_block(A13, 0))
+    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     u_full = full_evolve(TWO_CELLS, [plan], 0.0)
     u_eff = effective_propagator(effective_hamiltonian(TWO_CELLS, [plan]), 0.0)
     assert rwa_fidelity(u_full, u_eff, TWO_CELLS, 0.0) > 1 - 1e-12
 
 
 def test_rwa_fidelity_dimension_guard():
-    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target_block(A13, 0))
+    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     u_full = full_evolve(TWO_CELLS, [plan], 0.1)
     with pytest.raises(ParameterError):
         rwa_fidelity(u_full, np.eye(6), TWO_CELLS, 0.1)

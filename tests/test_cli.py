@@ -6,6 +6,7 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshsim import config
 from qshsim.cli import main
@@ -61,6 +62,45 @@ def test_parse_rejects_bad_configs(tmp_path):
         parse_config(str(bad))
     with pytest.raises(ConfigError, match="not found"):
         parse_config(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("key", ["beta", "lambda", "t0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_model_parameters_rejected(tmp_path, key, value):
+    # json writes and reads NaN/Infinity, so they reach the config parser
+    path = write_config(tmp_path, {"alpha": "1/3", "task": "bands", key: value})
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("threads", ["x", "2", None, 1.7, 2.0, 0, -1, True, [2]])
+def test_threads_must_be_a_positive_integer(threads):
+    with pytest.raises(ConfigError, match="threads"):
+        normalize({"alpha": "1/3", "task": "bands", "threads": threads})
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 70)
+    | st.floats()
+    | st.text(max_size=5)
+    | st.sampled_from(["1/3", "2/4", "1/0", "0.5", "csv", "bands"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["format", "directory", "beta", "dt"]), inner),
+    max_leaves=6,
+)
+CONFIG_KEYS = st.sampled_from(config.COMMON_KEYS + config.TASKS + ("grid", "dt", "x"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=6))
+def test_normalize_fuzz_returns_config_or_raises_config_error(data):
+    try:
+        cfg = normalize(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, config.RunConfig)
 
 
 def test_cache_key_stable_under_key_order():
@@ -272,6 +312,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
 
     bad_path = write_config(tmp_path, {"alpha": "1/3"}, name="bad.json")
     assert main(["bands", "--config", bad_path, "--out", out]) == 2
+
+    for threads in ("x", None, 1.7):
+        cfg = dict(BANDS_CFG, threads=threads)
+        bad_threads = write_config(tmp_path, cfg, name="threads.json")
+        assert main(["bands", "--config", bad_threads, "--out", out]) == 2
 
     # held lock surfaces as a computation error
     locked = tmp_path / "locked"

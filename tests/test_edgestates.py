@@ -141,6 +141,19 @@ def test_size_effect_scan():
         size_effect_scan([(3, 4)], ModelParams(alpha=A13), 1.5)
 
 
+def test_size_effect_scan_gapless_bulk_and_unexpected_errors(monkeypatch):
+    # a metallic bulk has no gap to lie in; any other failure is not a metal
+    row = size_effect_scan([(6, 6)], METAL6, 1.5)[0]
+    assert not row.in_bulk_gap
+
+    def broken(*args, **kwargs):
+        raise ValueError("defect in the gap search")
+
+    monkeypatch.setattr("qshsim.edgestates.bulk_gap_at", broken)
+    with pytest.raises(ValueError, match="defect"):
+        size_effect_scan([(6, 6)], TOPO6, 1.5)
+
+
 def test_size_scan_qualitative_agreement_small_vs_large():
     rows = size_effect_scan([(6, 6), (42, 42)], ModelParams(alpha=A13), 1.5)
     assert all(r.edge_weight >= 0.6 for r in rows)

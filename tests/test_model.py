@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from qshsim.errors import ParameterError
 from qshsim.model import (
+    HermitianOperator,
     ModelParams,
-    SiteIndex,
     apply_time_reversal,
-    bloch_hamiltonian,
+    bloch_stack,
+    onsite_energy,
     open_hamiltonian,
-    ribbon_hamiltonian,
+    ribbon_stack,
     site_linear_index,
-    spin_bloch_hamiltonian,
+    spin_bloch_stack,
     time_reversal_check,
     time_reversal_matrix,
     x_hop_block,
@@ -36,6 +37,13 @@ def test_params_validation():
         ModelParams(alpha=A13, nx=1, ny=4).require_lattice()
 
 
+@pytest.mark.parametrize("field", ["beta", "lam", "t0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ParameterError, match=field):
+        ModelParams(alpha=A13, **{field: value})
+
+
 def test_site_linearization_bijection():
     nx, ny = 5, 4
     seen = {
@@ -45,7 +53,6 @@ def test_site_linearization_bijection():
         for s in (0, 1)
     }
     assert seen == set(range(2 * nx * ny))
-    assert SiteIndex(3, 2, 1).linear(nx) == site_linear_index(3, 2, 1, nx)
 
 
 def test_open_hamiltonian_blocks_no_mixing():
@@ -105,7 +112,7 @@ def test_open_spectrum_doubling_42x42_window():
 
 def test_ribbon_spin_decoupled_at_beta_zero():
     p = ModelParams(alpha=A13, ny=9)
-    mat = ribbon_hamiltonian(p, 0.37).toarray()
+    mat = ribbon_stack(p, p.ny, [0.37])[0]
     assert np.max(np.abs(mat[0::2, 1::2])) == 0.0
 
 
@@ -113,7 +120,7 @@ def test_ribbon_midgap_branch_exists():
     p = ModelParams(alpha=A13, ny=42)
     found = False
     for kx in np.linspace(-math.pi, math.pi, 40, endpoint=False):
-        e = np.linalg.eigvalsh(ribbon_hamiltonian(p, kx).toarray())
+        e = np.linalg.eigvalsh(ribbon_stack(p, p.ny, [kx])[0])
         if np.any((e > 1.2) & (e < 1.8)):
             found = True
             break
@@ -122,36 +129,67 @@ def test_ribbon_midgap_branch_exists():
 
 def test_ribbon_kx_wrapping():
     p = ModelParams(alpha=A13, ny=6)
-    a = ribbon_hamiltonian(p, 0.3).toarray()
-    b = ribbon_hamiltonian(p, 0.3 + 2 * math.pi).toarray()
+    a = ribbon_stack(p, p.ny, [0.3])[0]
+    b = ribbon_stack(p, p.ny, [0.3 + 2 * math.pi])[0]
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_bloch_dimension_and_spin_degeneracy():
     p = ModelParams(alpha=A13)
-    h = bloch_hamiltonian(p, 0.2, 0.05)
-    assert h.dim == 12
-    vals = np.linalg.eigvalsh(h.matrix)
+    h = bloch_stack(p, [0.2], [0.05])[0, 0]
+    assert h.shape == (12, 12)
+    vals = np.linalg.eigvalsh(h)
     assert np.allclose(vals[0::2], vals[1::2], atol=1e-9)
-    up = np.linalg.eigvalsh(spin_bloch_hamiltonian(p, 0.2, 0.05, 0))
-    dn = np.linalg.eigvalsh(spin_bloch_hamiltonian(p, 0.2, 0.05, 1))
+    up = np.linalg.eigvalsh(spin_bloch_stack(p, [0.2], [0.05], 0)[0, 0])
+    dn = np.linalg.eigvalsh(spin_bloch_stack(p, [0.2], [0.05], 1)[0, 0])
     assert np.allclose(vals, np.sort(np.concatenate([up, dn])), atol=1e-10)
 
 
-def test_bloch_gauge_equivalence():
-    p = ModelParams(alpha=A13, beta=0.07, lam=0.4)
-    for kx, ky in [(0.0, 0.0), (0.7, 0.2), (-1.3, -0.4)]:
-        e1 = np.linalg.eigvalsh(bloch_hamiltonian(p, kx, ky, "wrap").matrix)
-        e2 = np.linalg.eigvalsh(bloch_hamiltonian(p, kx, ky, "spread").matrix)
-        assert np.allclose(e1, e2, atol=1e-10)
+def _real_space_lattice(p, nx, ny, wrap_y):
+    """Dense lattice Hamiltonian from the hop blocks, wrapped in x (and in y)."""
+    h = np.zeros((2 * nx * ny, 2 * nx * ny), dtype=complex)
+    bonds = []
+    for n in range(ny):
+        for m in range(nx):
+            bonds.append(((m + 1) % nx, n, m, n, x_hop_block(p, n)))
+            if wrap_y or n + 1 < ny:
+                bonds.append((m, (n + 1) % ny, m, n, y_hop_block(p)))
+            i = 2 * (n * nx + m)
+            h[i : i + 2, i : i + 2] += onsite_energy(p, n) * np.eye(2)
+    for m_to, n_to, m_from, n_from, block in bonds:
+        j, i = 2 * (n_to * nx + m_to), 2 * (n_from * nx + m_from)
+        h[j : j + 2, i : i + 2] += block
+        h[i : i + 2, j : j + 2] += block.conj().T
+    return h
+
+
+def test_stacks_match_real_space_torus():
+    # the torus of nx x (Q*my) sites has the Bloch momenta kx = 2*pi*j/nx and
+    # ky = 2*pi*l/(Q*my); the x-periodic strip has the ribbon momenta kx.
+    # Both momentum sets are closed under k -> -k, so the comparison does not
+    # depend on the sign convention of the Fourier transform.
+    nx, my = 5, 3
+    cases = [(A13, 0.07, 0.4), (Fraction(2, 5), 0.16, 1.1), (Fraction(1, 2), 0.11, 0.7)]
+    for alpha, beta, lam in cases:
+        p = ModelParams(alpha=alpha, beta=beta, lam=lam)
+        Q = p.magnetic_height
+        kxs = 2 * math.pi * np.arange(nx) / nx
+        kys = 2 * math.pi * np.arange(my) / (Q * my)
+        torus = np.linalg.eigvalsh(_real_space_lattice(p, nx, Q * my, wrap_y=True))
+        bloch = np.sort(np.linalg.eigvalsh(bloch_stack(p, kxs, kys)).ravel())
+        assert np.allclose(torus, bloch, atol=1e-10)
+        ny = Q + 3
+        strip = np.linalg.eigvalsh(_real_space_lattice(p, nx, ny, wrap_y=False))
+        ribbon = np.sort(np.linalg.eigvalsh(ribbon_stack(p, ny, kxs)).ravel())
+        assert np.allclose(strip, ribbon, atol=1e-10)
 
 
 def test_flux_periodicity_alpha_plus_one():
     pa = ModelParams(alpha=A13)
     pb = ModelParams(alpha=Fraction(4, 3))
     for kx, ky in [(0.0, 0.1), (1.1, -0.3)]:
-        ea = np.linalg.eigvalsh(bloch_hamiltonian(pa, kx, ky).matrix)
-        eb = np.linalg.eigvalsh(bloch_hamiltonian(pb, kx, ky).matrix)
+        ea = np.linalg.eigvalsh(bloch_stack(pa, [kx], [ky])[0, 0])
+        eb = np.linalg.eigvalsh(bloch_stack(pb, [kx], [ky])[0, 0])
         assert np.allclose(ea, eb, atol=1e-10)
 
 
@@ -190,8 +228,10 @@ def test_theta_squared_is_minus_one():
 def test_builders_hermitian(beta, lam, nx, ny):
     p = ModelParams(alpha=A13, beta=beta, lam=lam, nx=nx, ny=ny)
     assert open_hamiltonian(p).hermiticity_defect() <= 1e-12
-    assert ribbon_hamiltonian(p, 0.3).hermiticity_defect() <= 1e-12
-    assert bloch_hamiltonian(p, 0.3, 0.1).hermiticity_defect() <= 1e-12
+    ribbon = ribbon_stack(p, ny, [0.3])[0]
+    assert HermitianOperator(2 * ny, ribbon).hermiticity_defect() <= 1e-12
+    bloch = bloch_stack(p, [0.3], [0.1])[0, 0]
+    assert HermitianOperator(bloch.shape[0], bloch).hermiticity_defect() <= 1e-12
 
 
 def test_staggering_relabel_symmetry_beta_zero():

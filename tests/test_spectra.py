@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qshsim.errors import ParameterError
-from qshsim.model import ModelParams, bloch_hamiltonian, open_hamiltonian
+from qshsim.errors import ParameterError, SolverError
+from qshsim.model import ModelParams, bloch_stack, open_hamiltonian, ribbon_stack
 from qshsim.spectra import (
     BandData,
     bulk_bands,
@@ -28,7 +28,7 @@ def test_eig_two_by_two():
 
 
 def test_eig_bloch_spin_degenerate_pairs():
-    h = bloch_hamiltonian(ModelParams(alpha=A13), 0.0, 0.0)
+    h = bloch_stack(ModelParams(alpha=A13), [0.0], [0.0])[0, 0]
     vals, _ = eig_hermitian(h)
     assert vals.size == 12
     assert np.allclose(vals[0::2], vals[1::2], atol=1e-9)
@@ -66,6 +66,25 @@ def test_sparse_path_agrees_with_dense_small_instance():
     dw, _ = eig_hermitian(h, window=(1.2, 1.8), method="dense")
     sw, _ = eig_hermitian(h, window=(1.2, 1.8), method="sparse")
     assert np.allclose(np.sort(dw), np.sort(sw), atol=1e-8)
+
+
+def test_sparse_window_raises_instead_of_truncating():
+    # 2101 levels spaced 1/2100 apart: the window (0.2, 0.8) holds 1259 of
+    # them, more than the 247 eigenpairs the shift-invert loop may request
+    # at this dimension
+    import scipy.sparse as sp
+
+    h = sp.diags(np.linspace(0.0, 1.0, 2101) ** 2).tocsr()
+    with pytest.raises(SolverError) as info:
+        eig_hermitian(h, window=(0.2, 0.8), method="sparse")
+    lo, hi = info.value.diagnostics["covered"]
+    assert 0.2 < lo < hi < 0.8
+    assert info.value.diagnostics["window"] == (0.2, 0.8)
+    # a window the cap does reach is solved in full
+    vals, _ = eig_hermitian(h, window=(0.49, 0.51), method="sparse")
+    levels = np.linspace(0.0, 1.0, 2101) ** 2
+    expect = levels[(levels >= 0.49) & (levels <= 0.51)]
+    assert np.allclose(vals, expect, atol=1e-10)
 
 
 def test_momentum_grid_contains_trims():
@@ -128,12 +147,10 @@ def test_ribbon_spin_branches_mirror_at_beta_zero():
     bd = ribbon_bands(ModelParams(alpha=A13), 12, 102)
     ny = 12
     kxs = bd.kx
-    from qshsim.model import ribbon_hamiltonian
-
     p = ModelParams(alpha=A13, ny=ny)
     for kx in (0.3, 1.1):
-        up = np.linalg.eigvalsh(ribbon_hamiltonian(p, kx).toarray()[0::2, 0::2])
-        dn = np.linalg.eigvalsh(ribbon_hamiltonian(p, -kx).toarray()[1::2, 1::2])
+        up = np.linalg.eigvalsh(ribbon_stack(p, ny, [kx])[0][0::2, 0::2])
+        dn = np.linalg.eigvalsh(ribbon_stack(p, ny, [-kx])[0][1::2, 1::2])
         assert np.allclose(up, dn, atol=1e-10)
 
 
