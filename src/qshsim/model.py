@@ -35,8 +35,6 @@ SPIN_UP = 0
 SPIN_DOWN = 1
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-12
 #: above this dimension real-space operators are stored sparse (CSR)

@@ -123,13 +123,24 @@ def _task_phase_diagram(cfg: RunConfig):
     )
     rows = []
     errors = []
+    settled = []
     for i, beta in enumerate(pmap.beta_grid):
         for j, lam in enumerate(pmap.lambda_grid):
             pt = pmap.points[i][j]
             rows.append((beta, lam, pt.phase, pt.nu))
             if pt.error:
                 errors.append({"beta": float(beta), "lambda": float(lam), "error": pt.error})
-    return {"phase_map": (("beta", "lambda", "phase", "nu"), rows)}, {"point_errors": errors}
+            if pt.route:
+                settled.append(
+                    {"beta": float(beta), "lambda": float(lam), "route": pt.route,
+                     "phase": pt.phase}
+                )
+    meta = {
+        "point_errors": errors,
+        "bulk_fallback": settled,
+        "blas_pinned": pmap.blas_pinned,
+    }
+    return {"phase_map": (("beta", "lambda", "phase", "nu"), rows)}, meta
 
 
 def _task_edge_states(cfg: RunConfig):

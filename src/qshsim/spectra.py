@@ -28,6 +28,8 @@ from .model import (
 
 #: minimum empty-interval width (units of t0) accepted as a true spectral gap
 GAP_THRESHOLD = 0.05
+#: most Bloch matrices :func:`half_zone_bands` builds and solves at once
+BLOCH_CHUNK = 4096
 
 
 @dataclass
@@ -160,15 +162,37 @@ def momentum_grid(count: int, period: float = 2.0 * math.pi) -> np.ndarray:
     return np.linspace(-period / 2.0, period / 2.0, n, endpoint=False)
 
 
-def bulk_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
-    """Band energies over the magnetic Brillouin zone on an (nkx, nky) grid."""
+def _zone_grid(params: ModelParams, grid: tuple) -> tuple:
+    """(kxs, kys) of an (nkx, nky) grid over the magnetic Brillouin zone."""
     nkx, nky = grid
     if nkx < 16 or nky < 16:
         raise ParameterError("bulk band grid must be at least 16x16")
     Q = params.magnetic_height
-    kxs = momentum_grid(nkx)
-    kys = momentum_grid(nky, period=2.0 * math.pi / Q)
+    return momentum_grid(nkx), momentum_grid(nky, period=2.0 * math.pi / Q)
+
+
+def bulk_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
+    """Band energies over the magnetic Brillouin zone on an (nkx, nky) grid."""
+    kxs, kys = _zone_grid(params, grid)
     energies = np.linalg.eigvalsh(bloch_stack(params, kxs, kys))
+    return BandData(kx=kxs, ky=kys, energies=energies)
+
+
+def half_zone_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
+    """Band energies of the kx <= 0 half of the :func:`bulk_bands` grid.
+
+    Time reversal gives E(k) = E(-k), and the grid is closed under k -> -k
+    (it holds 0 and -pi on both axes), so the kx in [-pi, 0] columns carry
+    the energy set of the whole grid: 33 of 64 columns at 64x64.  The stack
+    is built and solved in kx chunks of at most ``BLOCH_CHUNK`` matrices.
+    """
+    kxs, kys = _zone_grid(params, grid)
+    kxs = kxs[kxs <= 0.0]
+    step = max(1, BLOCH_CHUNK // kys.size)
+    energies = np.concatenate([
+        np.linalg.eigvalsh(bloch_stack(params, kxs[i : i + step], kys))
+        for i in range(0, kxs.size, step)
+    ])
     return BandData(kx=kxs, ky=kys, energies=energies)
 
 

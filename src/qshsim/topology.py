@@ -9,11 +9,14 @@ folded degenerate pairs inside the group are fine.
 The Z2 index is obtained on a ribbon: count the crossings of the Fermi level
 by states localized on one chosen edge for kx in [0, pi]; the parity of that
 count is the invariant.  At beta = 0 it is cross-checked against the spin
-Chern number.
+Chern number.  Where the ribbon vote cannot attribute a crossing to an edge,
+:func:`classify_point` settles the point from the bulk: a refined gap scan,
+then the Wilson-loop Z2 of Soluyanov & Vanderbilt, PRB 83, 235401 (2011).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +24,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, GaplessError, ParameterError, ResolutionError
+from .errors import (
+    DegeneracyError,
+    GaplessError,
+    ParameterError,
+    QshError,
+    ResolutionError,
+)
 from .model import (
     SPIN_DOWN,
     SPIN_UP,
@@ -30,7 +39,7 @@ from .model import (
     ribbon_stack,
     spin_bloch_stack,
 )
-from .spectra import GAP_THRESHOLD, GapReport, bulk_bands, gap_in_window
+from .spectra import GAP_THRESHOLD, GapReport, gap_in_window, half_zone_bands
 
 PHASE_TOPOLOGICAL = "topological"
 PHASE_METAL = "metal"
@@ -41,6 +50,13 @@ PHASE_ERROR = "error"  # per-point failure recorded in PhasePoint.error
 CHERN_RESIDUAL_TOL = 0.01
 DEFAULT_FERMI_ENERGY = 1.5
 DEFAULT_WINDOW = (1.0, 2.0)
+#: kx lines of the two Wilson-loop Z2 evaluations that must agree, and ky
+#: points per loop
+WILSON_KX_LINES = (129, 257)
+WILSON_KY_POINTS = 24
+#: bulk routes that settle a point whose ribbon vote failed
+ROUTE_REFINED_GAP = "refined_gap"
+ROUTE_WILSON = "wilson"
 
 
 @dataclass
@@ -51,6 +67,8 @@ class PhasePoint:
     nu: Optional[int]
     gap: Optional[GapReport]
     error: Optional[str] = None
+    #: bulk route that settled the point after its ribbon vote failed
+    route: Optional[str] = None
 
 
 @dataclass
@@ -58,6 +76,8 @@ class PhaseMap:
     beta_grid: np.ndarray
     lambda_grid: np.ndarray
     points: list  # row-major: points[i][j] at (beta_grid[i], lambda_grid[j])
+    #: OpenBLAS libraries pinned to one thread in the pool workers
+    blas_pinned: int
 
 
 def _band_stack(params: ModelParams, nkx: int, nky: int, spin: Optional[int]):
@@ -180,8 +200,7 @@ def bulk_gap_at(
     stay well below the gap threshold; gap stability under further grid
     refinement is asserted separately in the test suite.
     """
-    bands = bulk_bands(params, grid)
-    flat = bands.flat_energies()
+    flat = half_zone_bands(params, grid).flat_energies()
     below = flat[flat < e_f]
     above = flat[flat > e_f]
     e_below = float(below.max()) if below.size else -np.inf
@@ -296,6 +315,109 @@ def z2_invariant(
     return int(round(np.median(parities)))
 
 
+def _ky_wilson_phases(params: ModelParams, kx: float, kys: np.ndarray, e_f: float):
+    """Wilson-loop eigenphases / 2pi in [0, 1) of the bands below e_f along ky.
+
+    The wrap gauge makes H periodic in ky, so the loop closes on the first
+    point; each overlap matrix is replaced by the unitary of its polar
+    decomposition.  Returns (sorted phases, number of occupied bands).
+    """
+    vals, vecs = np.linalg.eigh(bloch_stack(params, [kx], kys)[0])
+    counts = (vals < e_f).sum(axis=-1)
+    if counts.min() != counts.max():
+        raise ResolutionError(
+            f"occupation below E={e_f} varies along ky at kx={kx:.4f} "
+            f"({counts.min()}..{counts.max()})"
+        )
+    nocc = int(counts[0])
+    u = vecs[..., :nocc]
+    overlaps = u.conj().transpose(0, 2, 1) @ np.roll(u, -1, axis=0)
+    left, _, right = np.linalg.svd(overlaps)
+    loop = np.eye(nocc, dtype=complex)
+    for unitary in left @ right:
+        loop = loop @ unitary
+    phases = np.angle(np.linalg.eigvals(loop)) / (2.0 * math.pi) % 1.0
+    return np.sort(phases), nocc
+
+
+def _largest_gap_midpoint(phases: np.ndarray) -> float:
+    """Midpoint of the widest empty arc between Wannier centres on [0, 1)."""
+    if phases.size == 0:
+        return 0.5
+    ring = np.append(phases, phases[0] + 1.0)
+    i = int(np.argmax(np.diff(ring)))
+    return float((0.5 * (ring[i] + ring[i + 1])) % 1.0)
+
+
+def wilson_z2(
+    params: ModelParams,
+    e_f: float = DEFAULT_FERMI_ENERGY,
+    kx_lines: int = WILSON_KX_LINES[0],
+) -> int:
+    """Bulk Z2 index from the flow of the hybrid Wannier centres.
+
+    ky Wilson loops of the bands below e_f, ``WILSON_KY_POINTS`` points
+    each, are taken on ``kx_lines`` lines spanning kx in [0, pi].  Following
+    Soluyanov & Vanderbilt, the midpoint of the largest gap between Wannier
+    centres is tracked from line to line; nu is the parity of the number of
+    centres that midpoint jumps over.
+    Raises ResolutionError when the occupation changes across the grid.
+    """
+    Q = params.magnetic_height
+    kys = np.linspace(-math.pi / Q, math.pi / Q, WILSON_KY_POINTS, endpoint=False)
+    parity, occupied, gap_prev = 0, None, None
+    # one line at a time keeps the memory of a fine grid to one ky loop
+    for kx in np.linspace(0.0, math.pi, int(kx_lines)):
+        phases, nocc = _ky_wilson_phases(params, float(kx), kys, e_f)
+        if occupied is not None and nocc != occupied:
+            raise ResolutionError(
+                f"occupation below E={e_f} varies across kx ({occupied} vs {nocc})"
+            )
+        occupied = nocc
+        gap = _largest_gap_midpoint(phases)
+        if gap_prev is not None:
+            lo, hi = sorted((gap_prev, gap))
+            parity += int(np.count_nonzero((phases > lo) & (phases < hi)))
+        gap_prev = gap
+    return parity % 2
+
+
+def _fermi_level(window: tuple, gap: tuple) -> float:
+    """The window midpoint when it falls inside the gap, else the gap midpoint."""
+    g_lo, g_hi = gap
+    mid = 0.5 * (window[0] + window[1])
+    return mid if g_lo < mid < g_hi else 0.5 * (g_lo + g_hi)
+
+
+def _labelled(params, nu, report, route=None) -> PhasePoint:
+    phase = PHASE_TOPOLOGICAL if nu == 1 else PHASE_TRIVIAL
+    return PhasePoint(params.beta, params.lam, phase, nu, report, route=route)
+
+
+def _settle_from_bulk(params, window, bulk_grid, gap_threshold) -> PhasePoint:
+    """Label a point whose ribbon vote failed from the bulk alone.
+
+    The gap is rescanned at twice ``bulk_grid``.  Every sampled level is a
+    true eigenvalue, so a window left without a gap is a certified metal.
+    Otherwise the Wilson-loop Z2 decides, and it must agree between
+    ``WILSON_KX_LINES`` kx resolutions (ResolutionError if not).
+    """
+    fine = (2 * bulk_grid[0], 2 * bulk_grid[1])
+    report = gap_in_window(half_zone_bands(params, fine), window, gap_threshold)
+    if not report.is_gapped:
+        return PhasePoint(
+            params.beta, params.lam, PHASE_METAL, None, report, route=ROUTE_REFINED_GAP
+        )
+    e_f = _fermi_level(window, report.gap)
+    nus = [wilson_z2(params, e_f, n) for n in WILSON_KX_LINES]
+    if len(set(nus)) > 1:
+        raise ResolutionError(
+            f"Wilson-loop Z2 at E={e_f:.4f} differs between {WILSON_KX_LINES} "
+            f"kx lines: {nus}"
+        )
+    return _labelled(params, nus[0], report, route=ROUTE_WILSON)
+
+
 def classify_point(
     params: ModelParams,
     window: tuple = DEFAULT_WINDOW,
@@ -308,18 +430,49 @@ def classify_point(
 
     Metal if the window holds no spectral gap; otherwise the Z2 index decides,
     evaluated at the window midpoint when it falls inside the detected gap and
-    at the gap midpoint otherwise.
+    at the gap midpoint otherwise.  When the ribbon vote cannot decide
+    (DegeneracyError), the point is settled from the bulk and its ``route``
+    says how.
     """
-    bands = bulk_bands(params, bulk_grid)
-    report = gap_in_window(bands, window, gap_threshold)
+    report = gap_in_window(half_zone_bands(params, bulk_grid), window, gap_threshold)
     if not report.is_gapped:
         return PhasePoint(params.beta, params.lam, PHASE_METAL, None, report)
-    g_lo, g_hi = report.gap
-    mid = 0.5 * (window[0] + window[1])
-    e_f = mid if g_lo < mid < g_hi else 0.5 * (g_lo + g_hi)
-    nu = z2_invariant(params, e_f, ny_ribbon, kx_points, gap_bounds=(g_lo, g_hi))
-    phase = PHASE_TOPOLOGICAL if nu == 1 else PHASE_TRIVIAL
-    return PhasePoint(params.beta, params.lam, phase, nu, report)
+    e_f = _fermi_level(window, report.gap)
+    try:
+        nu = z2_invariant(params, e_f, ny_ribbon, kx_points, gap_bounds=report.gap)
+    except DegeneracyError:
+        return _settle_from_bulk(params, window, bulk_grid, gap_threshold)
+    return _labelled(params, nu, report)
+
+
+def _openblas_thread_setters() -> list:
+    """``openblas_set_num_threads_local`` of every OpenBLAS loaded right now.
+
+    numpy and scipy each bundle their own copy, and scipy's loads late, so
+    ``/proc/self/maps`` is read at each call.  Empty where the file or the
+    symbol is missing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps if "openblas" in line]
+    except OSError:
+        return []
+    setters = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        try:
+            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = ctypes.c_int
+        setters.append(set_threads)
+    return setters
+
+
+def _pin_blas(setters) -> None:
+    """Pool initializer: one BLAS thread for the calling worker thread only."""
+    for set_threads in setters:
+        set_threads(1)
 
 
 def phase_diagram(
@@ -331,7 +484,13 @@ def phase_diagram(
     threads: int = 1,
     **classify_kwargs,
 ) -> PhaseMap:
-    """Classify a (beta, lambda) grid; per-point failures are recorded, not raised."""
+    """Classify a (beta, lambda) grid; per-point failures are recorded, not raised.
+
+    The points run on a pool of ``threads`` worker threads, each with
+    single-threaded BLAS, so pool and BLAS threads do not compete for cores.
+    Solver failures (QshError, LinAlgError) become ``"error"`` points; any
+    other exception propagates.
+    """
     nb, nl = resolution
     if nb < 16 or nl < 16:
         raise ParameterError("phase-diagram resolution must be at least 16x16")
@@ -344,13 +503,15 @@ def phase_diagram(
         p = ModelParams(alpha=alpha, beta=float(b), lam=float(l))
         try:
             return classify_point(p, window, **classify_kwargs)
-        except Exception as exc:  # recorded per point, no global abort
+        except (QshError, np.linalg.LinAlgError) as exc:  # recorded per point
             return PhasePoint(float(b), float(l), PHASE_ERROR, None, None, str(exc))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(work, tasks))
-    else:
-        flat = [work(t) for t in tasks]
+    setters = _openblas_thread_setters()
+    with ThreadPoolExecutor(
+        max_workers=threads, initializer=_pin_blas, initargs=(setters,)
+    ) as pool:
+        flat = list(pool.map(work, tasks))
     points = [flat[i * nl : (i + 1) * nl] for i in range(nb)]
-    return PhaseMap(beta_grid=betas, lambda_grid=lams, points=points)
+    return PhaseMap(
+        beta_grid=betas, lambda_grid=lams, points=points, blas_pinned=len(setters)
+    )

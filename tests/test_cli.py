@@ -249,6 +249,36 @@ def test_phase_diagram_task_csv(tmp_path, monkeypatch):
     assert all(l.split(",")[3] == "" for l in metal_rows)
 
 
+def test_phase_map_bytes_independent_of_threads(tmp_path, monkeypatch):
+    # the benchmark's light window; its point (1/6, 0) is left by the ribbon
+    # vote to the bulk fallback
+    block = {
+        "beta_range": [0.0, 0.25],
+        "lambda_range": [0.0, 2.0],
+        "resolution": [16, 16],
+        "bulk_grid": [64, 64],
+        "ny_ribbon": 24,
+        "kx_points": 101,
+    }
+    outputs = []
+    for threads in (1, 2, 4):
+        monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / f"cache{threads}"))
+        cfg = normalize({"alpha": "1/3", "threads": threads, "phase_diagram": block})
+        cfg.out_dir = str(tmp_path / f"pd{threads}")
+        manifest = run(cfg)
+        assert not manifest["cached"]
+        csv = (tmp_path / f"pd{threads}" / "phase_map.csv").read_bytes()
+        outputs.append((csv, manifest["meta"]))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    meta = outputs[0][1]
+    assert meta["point_errors"] == []
+    assert meta["bulk_fallback"] == [
+        {"beta": 0.16666666666666666, "lambda": 0.0, "route": "wilson",
+         "phase": "topological"}
+    ]
+    assert isinstance(meta["blas_pinned"], int) and meta["blas_pinned"] >= 0
+
+
 def test_rwa_check_task(tmp_path, monkeypatch):
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
     cfg = normalize({"alpha": "1/3", "rwa_check": {}})

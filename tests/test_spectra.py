@@ -8,12 +8,14 @@ import pytest
 
 from qshsim.errors import ParameterError, SolverError
 from qshsim.model import ModelParams, bloch_stack, open_hamiltonian, ribbon_stack
+from qshsim import spectra
 from qshsim.spectra import (
     BandData,
     bulk_bands,
     eig_hermitian,
     find_gap,
     gap_in_window,
+    half_zone_bands,
     momentum_grid,
     ribbon_bands,
 )
@@ -194,3 +196,31 @@ def test_spin_degeneracy_even_multiplicity_any_lambda():
         bands = bulk_bands(ModelParams(alpha=A13, lam=lam), (16, 16))
         e = bands.energies.reshape(-1, bands.nbands)
         assert np.allclose(e[:, 0::2], e[:, 1::2], atol=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [spectra.BLOCH_CHUNK, 100])
+@pytest.mark.parametrize(
+    "alpha, beta, lam",
+    [(A13, 0.07, 0.4), (Fraction(2, 5), 0.13, 1.1), (Fraction(1, 2), 0.05, 0.7)],
+)
+def test_half_zone_energies_match_full_grid(monkeypatch, chunk, alpha, beta, lam):
+    # time reversal: the kx <= 0 half of the grid carries every level of the
+    # whole grid (the last case has Q = 2); chunk 100 splits the kx columns
+    monkeypatch.setattr(spectra, "BLOCH_CHUNK", chunk)
+    params = ModelParams(alpha=alpha, beta=beta, lam=lam)
+    for grid in ((32, 32), (33, 18)):
+        half = half_zone_bands(params, grid)
+        full = bulk_bands(params, grid)
+        assert half.energies.shape[1:] == full.energies.shape[1:]
+        assert 2 * (half.kx.size - 1) == full.kx.size
+        assert np.all(half.kx <= 0.0) and half.kx[0] == -math.pi and half.kx[-1] == 0.0
+        # equal as sets: every level of either lies within 1e-12 of the other
+        a, b = half.flat_energies(), full.flat_energies()
+        assert _set_distance(a, b) <= 1e-12 and _set_distance(b, a) <= 1e-12
+
+
+def _set_distance(values, ref):
+    """Largest distance from a level in ``values`` to the nearest in sorted ``ref``."""
+    i = np.clip(np.searchsorted(ref, values), 1, ref.size - 1)
+    gaps = np.minimum(np.abs(values - ref[i - 1]), np.abs(values - ref[i]))
+    return float(np.max(gaps))

@@ -1,21 +1,33 @@
 """Chern numbers, Z2 index and phase classification."""
 
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qshsim.errors import DegeneracyError, GaplessError, ParameterError
+from qshsim import topology
+from qshsim.errors import (
+    DegeneracyError,
+    GaplessError,
+    ParameterError,
+    ResolutionError,
+)
 from qshsim.model import SPIN_DOWN, SPIN_UP, ModelParams
+from qshsim.spectra import gap_in_window, half_zone_bands
 from qshsim.topology import (
+    PHASE_ERROR,
     PHASE_METAL,
     PHASE_TOPOLOGICAL,
+    ROUTE_REFINED_GAP,
+    ROUTE_WILSON,
     bulk_gap_at,
     chern_fhs,
     classify_point,
     hofstadter_band_groups,
     phase_diagram,
     spin_chern,
+    wilson_z2,
     z2_invariant,
 )
 
@@ -157,3 +169,68 @@ def test_phase_diagram_two_regions():
 def test_phase_diagram_resolution_guard():
     with pytest.raises(ParameterError):
         phase_diagram(A13, resolution=(8, 8))
+
+
+def test_wilson_z2_matches_ribbon_z2():
+    # the beta = 0 lambda sweep, the gapped reference points, a trivial gap
+    # (E = 0 between the staggered bands) and an empty occupation
+    cases = [
+        (ModelParams(alpha=A13, lam=float(lam)), 1.5) for lam in np.linspace(0, 1, 5)
+    ] + [
+        (ModelParams(alpha=A13, lam=1.0), 0.0),
+        (ModelParams(alpha=A13, beta=0.05, lam=3.0), 0.0),
+        (ModelParams(alpha=Fraction(2, 5), beta=0.05, lam=1.0), 0.95),
+        (ModelParams(alpha=A13), -5.0),
+    ]
+    nus = [wilson_z2(params, e_f) for params, e_f in cases]
+    assert nus == [z2_invariant(params, e_f) for params, e_f in cases]
+    assert nus == [1] * 5 + [0, 0, 1, 0]
+    # the metal reference point has no gap to fill: the occupation varies
+    with pytest.raises(ResolutionError):
+        wilson_z2(ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5)
+
+
+# the solver settings of the benchmark's phase-map workload
+LIGHT = {"bulk_grid": (64, 64), "ny_ribbon": 24, "kx_points": 101}
+
+
+def test_bulk_fallback_settles_failed_ribbon_votes():
+    # both ribbon votes fail with an ambiguous edge weight at these settings
+    topo = ModelParams(alpha=A13, beta=1.0 / 6.0, lam=0.0)
+    metal = ModelParams(alpha=A13, beta=0.1, lam=0.5666666666666667)
+    for params in (topo, metal):
+        gap = gap_in_window(half_zone_bands(params, LIGHT["bulk_grid"]), (1.0, 2.0)).gap
+        e_f = 1.5 if gap[0] < 1.5 < gap[1] else 0.5 * (gap[0] + gap[1])
+        with pytest.raises(DegeneracyError):
+            z2_invariant(
+                params, e_f, LIGHT["ny_ribbon"], LIGHT["kx_points"], gap_bounds=gap
+            )
+    pt = classify_point(topo, **LIGHT)
+    assert (pt.phase, pt.nu, pt.route) == (PHASE_TOPOLOGICAL, 1, ROUTE_WILSON)
+    pt = classify_point(metal, **LIGHT)
+    assert (pt.phase, pt.nu, pt.route) == (PHASE_METAL, None, ROUTE_REFINED_GAP)
+    assert not pt.gap.is_gapped
+    # a point the ribbon vote settles records no route
+    assert classify_point(ModelParams(alpha=A13), **LIGHT).route is None
+
+
+def test_phase_diagram_errors_and_pool_lifetime(monkeypatch):
+    def solver_failure(params, window, **kwargs):
+        raise ResolutionError("unresolved")
+
+    threads_before = threading.active_count()
+    monkeypatch.setattr(topology, "classify_point", solver_failure)
+    pmap = phase_diagram(A13, threads=3)
+    flat = [pt for row in pmap.points for pt in row]
+    assert {pt.phase for pt in flat} == {PHASE_ERROR}
+    assert {pt.error for pt in flat} == {"unresolved"}
+    assert threading.active_count() == threads_before
+
+    def programming_error(params, window, **kwargs):
+        raise TypeError("a bug, not a solver failure")
+
+    monkeypatch.setattr(topology, "classify_point", programming_error)
+    for threads in (1, 2):
+        with pytest.raises(TypeError):
+            phase_diagram(A13, threads=threads)
+    assert threading.active_count() == threads_before
