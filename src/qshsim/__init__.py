@@ -14,7 +14,7 @@ Submodules:
   command-line interface.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from . import model, spectra, topology, edgestates, circuit, dynamics  # noqa: F401
 

@@ -262,41 +262,61 @@ _CF4_A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 _CF4_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
 
+#: most CF4 steps :func:`_propagate` exponentiates and multiplies at once
+CF4_CHUNK = 512
+
+
 def _expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-1j*scale*h) for Hermitian h via eigendecomposition (exactly unitary)."""
+    """exp(-1j*scale*h) for Hermitian h, or a stack of them, via eigendecomposition.
+
+    Exactly unitary by construction.
+    """
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * scale * vals)) @ vecs.conj().T
+    phases = np.exp(-1j * scale * vals)[..., None, :]
+    return (vecs * phases) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def _ordered_product(u: np.ndarray) -> np.ndarray:
+    """u[-1] @ ... @ u[1] @ u[0] of a stack, by pairwise batched products.
+
+    Each pass multiplies neighbours (later @ earlier) and carries an odd last
+    factor over unchanged, so the time order is kept.
+    """
+    while len(u) > 1:
+        even = len(u) - len(u) % 2
+        u = np.concatenate([u[1:even:2] @ u[0:even:2], u[even:]])
+    return u[0]
 
 
 def _propagate(cells, plans, t_final, dt) -> np.ndarray:
+    """CF4 propagator over [0, t_final] in ceil(t_final/dt) equal steps.
+
+    Steps are handled ``CF4_CHUNK`` at a time: the Hamiltonians at both Gauss
+    nodes of every step form one stack, the two exponentials of each step
+    come from one batched ``eigh``, and the chunk's step unitaries are
+    combined by :func:`_ordered_product`.
+    """
     n = len(cells)
     h0 = free_hamiltonian(cells)
     bonds = [_bond_operator(n, plan.bond) for plan in plans]
-    tone_data = [
-        [(tone.amplitude, tone.freq, tone.sign * tone.phase) for tone in plan.tones]
-        for plan in plans
-    ]
-
-    def h_at(t):
-        h = h0.astype(complex).copy()
-        for op, tones in zip(bonds, tone_data):
-            j = 0.0
-            for amp, freq, ph in tones:
-                j += amp * math.cos(freq * t + ph)
-            if j:
-                h += j * op
-        return h
-
+    dim = h0.shape[0]
     steps = max(1, int(math.ceil(t_final / dt)))
     step = t_final / steps
-    u = np.eye(_bare_dim(n), dtype=complex)
-    for k in range(steps):
-        t = k * step
-        h1 = h_at(t + _CF4_C1 * step)
-        h2 = h_at(t + _CF4_C2 * step)
-        left = _expm_hermitian(_CF4_A1 * h1 + _CF4_A2 * h2, step)
-        right = _expm_hermitian(_CF4_A2 * h1 + _CF4_A1 * h2, step)
-        u = left @ right @ u
+    nodes = np.array([_CF4_C1, _CF4_C2]) * step
+    u = np.eye(dim, dtype=complex)
+    for first in range(0, steps, CF4_CHUNK):
+        starts = np.arange(first, min(first + CF4_CHUNK, steps)) * step
+        times = starts[:, None] + nodes  # (m, 2): the two Gauss nodes per step
+        h = np.broadcast_to(h0, times.shape + h0.shape).astype(complex)
+        for plan, op in zip(plans, bonds):
+            h += waveform(plan, times)[..., None, None] * op
+        h1, h2 = h[:, 0], h[:, 1]
+        # per step: the exponent of the right (earlier) factor, then the left
+        h_cf4 = np.stack(
+            [_CF4_A2 * h1 + _CF4_A1 * h2, _CF4_A1 * h1 + _CF4_A2 * h2], axis=1
+        )
+        half = _expm_hermitian(h_cf4, step).reshape(-1, dim, dim)
+        u = _ordered_product(half) @ u
     return u
 
 

@@ -63,6 +63,23 @@ TASK_DEFAULTS = {
     "lindblad": {"gammas": [0.0, 1.0 / 600.0, 1.0 / 300.0], "t_us": 2.0},
 }
 
+#: task parameters without a default value (``lindblad.dt`` is deprecated)
+TASK_OPTIONAL = {
+    "bands": ("window",),
+    "phase_diagram": ("bulk_grid", "ny_ribbon", "kx_points"),
+    "rwa_check": ("t_final", "dt"),
+    "lindblad": ("dt",),
+}
+OUTPUT_KEYS = ("format", "directory")
+
+
+def _reject_unknown(block: dict, allowed, where: str) -> None:
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
+        )
+
 
 @dataclass
 class RunConfig:
@@ -110,6 +127,7 @@ def _object(data: dict, key: str) -> dict:
 
 def _find_task(data: dict):
     block_tasks = [t for t in TASKS if isinstance(data.get(t), dict)]
+    top_level = {k: v for k, v in data.items() if k not in COMMON_KEYS + TASKS}
     named = data.get("task")
     if named is not None:
         if named not in TASKS:
@@ -122,18 +140,26 @@ def _find_task(data: dict):
         params = dict(_object(data, named))
         if not params:
             # minimal layout: task parameters live at the top level
-            skip = set(COMMON_KEYS) | set(TASKS)
-            params = {k: v for k, v in data.items() if k not in skip}
-        return named, params
-    if len(block_tasks) == 1:
-        return block_tasks[0], dict(data[block_tasks[0]])
-    if not block_tasks:
+            return named, top_level
+    elif len(block_tasks) == 1:
+        named, params = block_tasks[0], dict(data[block_tasks[0]])
+    elif not block_tasks:
         raise ConfigError("config contains no task (expected exactly one)")
-    raise ConfigError(f"config contains {len(block_tasks)} task blocks: {block_tasks}")
+    else:
+        raise ConfigError(
+            f"config contains {len(block_tasks)} task blocks: {block_tasks}"
+        )
+    _reject_unknown(top_level, COMMON_KEYS + TASKS, "the config root")
+    return named, params
+
+
+def _task_keys(task: str) -> tuple:
+    return tuple(TASK_DEFAULTS[task]) + tuple(DEFAULTS) + TASK_OPTIONAL.get(task, ())
 
 
 def _model_from(data: dict) -> ModelParams:
     src = dict(_object(data, "model"))
+    _reject_unknown(src, MODEL_KEYS, "block 'model'")
     for key in MODEL_KEYS:
         if key in data:
             src.setdefault(key, data[key])
@@ -158,6 +184,7 @@ def normalize(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     task, params = _find_task(data)
+    _reject_unknown(params, _task_keys(task), f"task {task!r}")
     model = _model_from(data)
     merged = dict(TASK_DEFAULTS.get(task, {}))
     merged.update(params)
@@ -169,6 +196,7 @@ def normalize(data: dict) -> RunConfig:
         merged.setdefault(key, val)
 
     output = _object(data, "output")
+    _reject_unknown(output, OUTPUT_KEYS, "block 'output'")
     fmt = output.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"field 'output.format': must be csv or json, got {fmt!r}")

@@ -52,7 +52,13 @@ class SizeScanRow:
 def edge_eigenstates(
     params: ModelParams, e_f: float = DEFAULT_FERMI_ENERGY, count: int = 1
 ) -> List[Tuple[float, np.ndarray]]:
-    """The ``count`` open-lattice eigenpairs nearest ``e_f``, ordered by |E - e_f|."""
+    """The ``count`` open-lattice eigenpairs nearest ``e_f``, ordered by |E - e_f|.
+
+    The shift-invert solve returns some vector of each degenerate eigenspace.
+    For a Kramers pair the spin-summed site density is the same for every
+    unit vector of the pair, since the cross term psi^dag (i sigma_y) psi^*
+    vanishes at each site.
+    """
     if count < 1:
         raise ParameterError("count must be at least 1")
     h = open_hamiltonian(params)

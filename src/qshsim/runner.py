@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import os
 import shutil
+import tempfile
 import time
 from pathlib import Path
 
@@ -27,6 +29,8 @@ from . import circuit, dynamics, edgestates, model, spectra, topology
 
 MANIFEST_NAME = "run_manifest.json"
 LOCK_NAME = ".qshsim.lock"
+
+log = logging.getLogger("qshsim")
 
 
 def fmt_cell(x) -> str:
@@ -273,8 +277,10 @@ _TASK_FN = {
 }
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256_file(path: Path) -> tuple:
+    """(bytes, SHA-256 hex digest) of a file, read once."""
+    data = path.read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _cache_dir(cfg: RunConfig) -> Path:
@@ -283,58 +289,147 @@ def _cache_dir(cfg: RunConfig) -> Path:
     return base / cfg.cache_key()
 
 
+def _read_cache(cache: Path):
+    """({name: (bytes, sha256)}, meta) of a complete, intact cache entry.
+
+    None when the entry is missing, has no manifest (a run stopped before
+    publishing it) or holds a file whose hash differs from the one recorded
+    when it was published.
+    """
+    try:
+        stored = json.loads((cache / MANIFEST_NAME).read_text())
+        files = {}
+        for name, digest in sorted(stored["sha256"].items()):
+            files[name] = _sha256_file(cache / name)
+            if files[name][1] != digest:
+                log.warning("cached %s fails its hash; recomputing", cache / name)
+                return None
+    except (FileNotFoundError, ValueError, KeyError):
+        return None
+    return files, stored["meta"]
+
+
+def _publish_cache(cache: Path, files: dict, meta) -> None:
+    """Write a cache entry next to its place, then rename it into place.
+
+    A run stopped part way leaves only a temporary directory behind, never a
+    partial entry under the cache key.
+    """
+    cache.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{cache.name}.", dir=cache.parent))
+    for name, (data, _) in files.items():
+        (tmp / name).write_bytes(data)
+    (tmp / MANIFEST_NAME).write_text(
+        json.dumps(
+            {"meta": meta, "sha256": {n: d for n, (_, d) in files.items()}},
+            sort_keys=True,
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    shutil.rmtree(cache, ignore_errors=True)  # a stale or unreadable entry
+    try:
+        os.rename(tmp, cache)
+    except OSError:  # another run published the same key first
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):  # no such process, or no pid
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
+
+
 class _Lock:
+    """Exclusive lock file holding the pid of the run that owns it.
+
+    A lock whose pid no longer exists (its run was killed) is taken over; a
+    lock with a live pid, or one that names no pid, blocks.  Pids are only
+    meaningful on one host, so runs sharing an output directory across hosts
+    are not protected against each other.
+    """
+
     def __init__(self, out_dir: Path):
         self.path = out_dir / LOCK_NAME
 
-    def __enter__(self):
+    def _holder(self):
+        """The pid in the lock file: None once it is gone, 0 if it names none."""
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise QshError(
-                f"output directory is locked by another run: {self.path}"
-            ) from None
-        os.close(fd)
-        return self
+            text = self.path.read_text(encoding="ascii").strip()
+        except FileNotFoundError:
+            return None
+        except (OSError, UnicodeDecodeError):
+            return 0
+        return int(text) if text.isdigit() else 0
 
-    def __exit__(self, *exc):
+    def __enter__(self):
+        for _ in range(2):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                holder = self._holder()
+                if holder is None:
+                    continue  # released in between
+                if holder <= 0 or _pid_alive(holder):
+                    raise QshError(
+                        f"output directory is locked by another run: {self.path}"
+                        + (f" (pid {holder})" if holder > 0 else "")
+                    ) from None
+                log.warning("taking over %s left by dead pid %d", self.path, holder)
+                self._release()
+                continue
+            try:
+                os.write(fd, b"%d\n" % os.getpid())
+            finally:
+                os.close(fd)
+            return self
+        raise QshError(f"could not take the lock {self.path}")
+
+    def _release(self):
         try:
             os.unlink(self.path)
         except FileNotFoundError:
             pass
+
+    def __exit__(self, *exc):
+        self._release()
         return False
 
 
 def run(cfg: RunConfig, force: bool = False) -> dict:
-    """Execute the configured task; returns the manifest dict."""
+    """Execute the configured task; returns the manifest dict.
+
+    A cache hit replays the stored bytes after checking each against the
+    SHA-256 recorded with it; an entry that fails the check is recomputed.
+    """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = _cache_dir(cfg)
     started = time.time()
 
     with _Lock(out_dir):
-        cached = cache.is_dir() and not force
+        hit = None if force else _read_cache(cache)
+        cached = hit is not None
         if cached:
-            names = sorted(p.name for p in cache.iterdir() if p.name != MANIFEST_NAME)
-            for name in names:
-                shutil.copyfile(cache / name, out_dir / name)
-            meta = json.loads((cache / MANIFEST_NAME).read_text())["meta"]
+            files, meta = hit
+            for name, (data, _) in files.items():
+                (out_dir / name).write_bytes(data)
         else:
             fn = _TASK_FN[cfg.task]
             tables, meta = fn(cfg)
-            names = []
+            files = {}
             for stem, (header, rows) in sorted(tables.items()):
                 name = f"{stem}.{_ext(cfg.fmt)}"
                 write_table(out_dir / name, header, rows, cfg.fmt)
-                names.append(name)
+                files[name] = _sha256_file(out_dir / name)
 
         outputs = [
-            {
-                "name": name,
-                "sha256": _sha256_file(out_dir / name),
-                "bytes": (out_dir / name).stat().st_size,
-            }
-            for name in names
+            {"name": name, "sha256": digest, "bytes": len(data)}
+            for name, (data, digest) in files.items()
         ]
         manifest = {
             "task": cfg.task,
@@ -354,10 +449,5 @@ def run(cfg: RunConfig, force: bool = False) -> dict:
             json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
         )
         if not cached:
-            cache.mkdir(parents=True, exist_ok=True)
-            for name in names:
-                shutil.copyfile(out_dir / name, cache / name)
-            (cache / MANIFEST_NAME).write_text(
-                json.dumps({"meta": meta}, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            _publish_cache(cache, files, meta)
     return manifest

@@ -1,10 +1,10 @@
 """Hermitian eigensolves, band structures and spectral-gap detection.
 
-Dense solves (numpy/LAPACK) are the default and the correctness oracle;
-real-space operators above the sparse threshold use ARPACK shift-invert
-targeting the energy of interest.  Momentum grids always contain k = 0 and
-k = pi exactly (even point counts spanning [-pi, pi)), so time-reversal
-invariant momenta are sampled.
+Dense solves (numpy/LAPACK) are the correctness oracle.  Requests for the
+eigenpairs nearest an energy use ARPACK shift-invert at every size; energy
+windows use it on real-space operators above the sparse threshold.
+Momentum grids always contain k = 0 and k = pi exactly (even point counts
+spanning [-pi, pi)), so time-reversal invariant momenta are sampled.
 """
 
 from __future__ import annotations
@@ -86,17 +86,41 @@ def eig_hermitian(
     """Eigenvalues/eigenvectors of a Hermitian operator, ascending.
 
     Exactly one of ``window=(e_lo, e_hi)`` / ``nearest=(e0, count)`` may be
-    given; with neither, the full spectrum is returned.  ``method`` is one of
-    ``auto`` (dense below the sparse threshold, shift-invert above), ``dense``
-    or ``sparse``.  Shift-invert runs with a fixed start vector so repeated
-    solves are reproducible.  A sparse ``window`` solve that cannot reach
-    past both window edges within its eigenpair cap raises SolverError.
+    given; with neither, the full spectrum is returned (densely).  ``method``
+    is one of ``auto``, ``dense`` or ``sparse``.  Under ``auto`` a ``nearest``
+    request uses ARPACK shift-invert at every size ARPACK can serve it
+    (``count <= dim - 2``) and the dense solve otherwise; a ``window`` request
+    is dense up to ``DENSE_DIM_LIMIT`` and shift-invert above.  A ``nearest``
+    request returns exactly ``count`` eigenpairs.  Shift-invert runs with a
+    fixed start vector so repeated solves are reproducible.  A sparse request
+    ARPACK cannot serve, or a sparse ``window`` solve that cannot reach past
+    both window edges within its eigenpair cap, raises SolverError.
     """
     if window is not None and nearest is not None:
         raise ParameterError("pass at most one of window / nearest")
     mat = _as_matrix(h)
     dim = mat.shape[0]
-    use_sparse = method == "sparse" or (method == "auto" and dim > DENSE_DIM_LIMIT)
+    max_pairs = dim - 2  # ARPACK's limit on k for complex Hermitian input
+    if nearest is not None:
+        e0, count = nearest[0], int(nearest[1])
+        if not 1 <= count <= dim:
+            raise ParameterError(f"nearest count {count} outside 1..{dim}")
+        served = count <= max_pairs
+        use_sparse = method == "sparse" or (method == "auto" and served)
+    else:
+        served = window is not None and max_pairs >= 1
+        use_sparse = method == "sparse" or (
+            method == "auto" and served and dim > DENSE_DIM_LIMIT
+        )
+    if use_sparse and not served:
+        raise SolverError(
+            "shift-invert cannot serve this request",
+            diagnostics={
+                "requested": window or nearest or "all",
+                "dim": dim,
+                "max_pairs": max_pairs,
+            },
+        )
     if not use_sparse:
         vals, vecs = _dense_eigh(mat)
         if window is not None:
@@ -104,8 +128,7 @@ def eig_hermitian(
             keep = (vals >= lo) & (vals <= hi)
             return vals[keep], vecs[:, keep]
         if nearest is not None:
-            e0, count = nearest
-            order = np.lexsort((vals, np.abs(vals - e0)))[: int(count)]
+            order = np.lexsort((vals, np.abs(vals - e0)))[:count]
             order = order[np.argsort(vals[order])]
             return vals[order], vecs[:, order]
         return vals, vecs
@@ -114,14 +137,12 @@ def eig_hermitian(
     v0 = np.ones(dim) / math.sqrt(dim)  # fixed start vector: deterministic runs
     try:
         if nearest is not None:
-            e0, count = nearest
-            k = min(int(count), dim - 2)
-            vals, vecs = spla.eigsh(smat, k=k, sigma=e0, which="LM", v0=v0)
-        elif window is not None:
+            vals, vecs = spla.eigsh(smat, k=count, sigma=e0, which="LM", v0=v0)
+        else:
             lo, hi = window
             sigma = 0.5 * (lo + hi)
-            k = min(16, dim - 2)
-            k_cap = min(dim - 2, 4 * int(math.sqrt(dim)) + 64)
+            k = min(16, max_pairs)
+            k_cap = min(max_pairs, 4 * int(math.sqrt(dim)) + 64)
             while True:
                 vals, vecs = spla.eigsh(smat, k=k, sigma=sigma, which="LM", v0=v0)
                 # the k eigenvalues nearest sigma include every one in the
@@ -137,21 +158,31 @@ def eig_hermitian(
                             "eigenvalues_found": k,
                         },
                     )
-                k = min(2 * k, dim - 2)
+                k = min(2 * k, max_pairs)
             keep = (vals >= lo) & (vals <= hi)
             vals, vecs = vals[keep], vecs[:, keep]
-        else:
-            vals, vecs = spla.eigsh(smat, k=dim - 2, v0=v0)
     except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare path
         raise SolverError(
             "iterative eigensolver failed to converge",
             diagnostics={
                 "converged_eigenvalues": getattr(exc, "eigenvalues", None),
-                "requested": window or nearest or "all",
+                "requested": window or nearest,
             },
         ) from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return _rayleigh_ritz(smat, vecs)
+
+
+def _rayleigh_ritz(mat, vecs):
+    """Orthonormal eigenpairs of ``mat`` in the span of ``vecs``, ascending.
+
+    ARPACK serves complex Hermitian input through its non-Hermitian driver,
+    whose vectors for a degenerate level (every Kramers pair) need not be
+    orthogonal; projecting onto an orthonormal basis of their span makes
+    them so, as the dense solve returns them.
+    """
+    q, _ = np.linalg.qr(vecs)
+    vals, w = np.linalg.eigh(q.conj().T @ (mat @ q))
+    return vals, q @ w
 
 
 def momentum_grid(count: int, period: float = 2.0 * math.pi) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qshsim import circuit
 from qshsim.circuit import (
     DEVICE_CELLS,
     Bond,
@@ -27,6 +28,7 @@ from qshsim.circuit import (
     sublattice_of,
     tone_plan,
     waveform,
+    _bond_operator,
     _propagate,
 )
 from qshsim.errors import DegeneracyError, ParameterError, StepSizeError
@@ -279,3 +281,67 @@ def test_four_cell_plaquette_evolution():
 def test_dressed_transform_is_orthogonal():
     w = dressed_transform(3)
     assert np.allclose(w.T @ w, np.eye(7), atol=1e-14)
+
+
+def _propagate_step_loop(cells, plans, t_final, dt):
+    """Reference CF4 propagator: one step at a time, two ``eigh`` per step."""
+    c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+    a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+    h0 = free_hamiltonian(cells)
+    bonds = [_bond_operator(len(cells), plan.bond) for plan in plans]
+
+    def h_at(t):
+        h = h0.astype(complex)
+        for op, plan in zip(bonds, plans):
+            j = 0.0
+            for tone in plan.tones:
+                j += tone.amplitude * math.cos(tone.freq * t + tone.sign * tone.phase)
+            h += j * op
+        return h
+
+    def expm(h, scale):
+        vals, vecs = np.linalg.eigh(h)
+        return (vecs * np.exp(-1j * scale * vals)) @ vecs.conj().T
+
+    steps = max(1, int(math.ceil(t_final / dt)))
+    step = t_final / steps
+    u = np.eye(h0.shape[0], dtype=complex)
+    for k in range(steps):
+        t = k * step
+        h1, h2 = h_at(t + c1 * step), h_at(t + c2 * step)
+        u = expm(a1 * h1 + a2 * h2, step) @ expm(a2 * h1 + a1 * h2, step) @ u
+    return u
+
+
+def _fine_dt(plans):
+    """The dt/2 pass of full_evolve's default step for these plans."""
+    max_freq = max(tone.freq for plan in plans for tone in plan.tones)
+    return (2.0 * math.pi / max_freq) / 80.0
+
+
+RWA_PLAN = [tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))]
+DETUNED_PLAN = [
+    TonePlan(Bond(1, 0, "x"), [Tone(550.0, 4.0, 0.0, 1, ("up", "up"))])
+]
+PLAQUETTE_PLANS = plaquette_plans(A13, 0.1)
+
+
+@pytest.mark.parametrize(
+    "cells, plans, t_final, dt",
+    [
+        # the rwa_check task: resonant x-bond tones and the 550 t0 detuned tone
+        (TWO_CELLS, RWA_PLAN, math.pi / 2.0, _fine_dt(RWA_PLAN)),
+        (TWO_CELLS, DETUNED_PLAN, math.pi / 2.0, _fine_dt(DETUNED_PLAN)),
+        (DEVICE_CELLS, PLAQUETTE_PLANS, 0.4, _fine_dt(PLAQUETTE_PLANS)),
+        # an odd step count past a chunk boundary leaves odd reduction passes
+        (TWO_CELLS, RWA_PLAN, (circuit.CF4_CHUNK + 7) * 1e-4, 1e-4),
+        (DEVICE_CELLS, PLAQUETTE_PLANS, 3e-4, 3e-4),  # a single step
+        (TWO_CELLS, [], 0.37, 0.01),
+    ],
+    ids=["rwa", "detuned", "plaquette", "odd-steps", "one-step", "free"],
+)
+def test_batched_propagator_matches_step_loop(cells, plans, t_final, dt):
+    u = _propagate(cells, plans, t_final, dt)
+    reference = _propagate_step_loop(cells, plans, t_final, dt)
+    assert u.shape == reference.shape
+    assert np.max(np.abs(u - reference)) <= 1e-12

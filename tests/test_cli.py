@@ -4,11 +4,14 @@ import hashlib
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshsim import config
+from qshsim import config, runner
 from qshsim.cli import main
 from qshsim.config import normalize, parse_config
 from qshsim.errors import ConfigError, QshError
@@ -87,10 +90,28 @@ JSON_VALUES = st.recursive(
     | st.text(max_size=5)
     | st.sampled_from(["1/3", "2/4", "1/0", "0.5", "csv", "bands"]),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["format", "directory", "beta", "dt"]), inner),
+    | st.dictionaries(
+        st.sampled_from(["format", "directory", "beta", "dt", "grid", "windwo"]), inner
+    ),
     max_leaves=6,
 )
-CONFIG_KEYS = st.sampled_from(config.COMMON_KEYS + config.TASKS + ("grid", "dt", "x"))
+CONFIG_KEYS = st.sampled_from(
+    config.COMMON_KEYS + config.TASKS + ("grid", "dt", "x", "grdi", "windwo")
+)
+#: task parameters the README task table documents, plus the shared defaults
+DOCUMENTED_TASK_KEYS = {
+    "bands": {"grid", "window", "gap_threshold"},
+    "ribbon": {"ny", "kx_points"},
+    "phase_diagram": {
+        "beta_range", "lambda_range", "resolution", "window",
+        "bulk_grid", "ny_ribbon", "kx_points",
+    },
+    "edge_states": {"count"},
+    "tones": {"units"},
+    "rwa_check": {"t_final", "dt"},
+    "lindblad": {"gammas", "t_us"},
+}
+SHARED_TASK_KEYS = {"e_f", "gap_threshold", "ring_depth", "t0_mhz"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -101,6 +122,37 @@ def test_normalize_fuzz_returns_config_or_raises_config_error(data):
     except ConfigError:
         return
     assert isinstance(cfg, config.RunConfig)
+    # no unknown key survives, at the top level or in the task block
+    documented = DOCUMENTED_TASK_KEYS[cfg.task] | SHARED_TASK_KEYS
+    assert set(cfg.task_params) <= documented
+    assert set(data) <= set(config.COMMON_KEYS + config.TASKS) | documented
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"alpha": "1/3", "task": "bands", "grdi": [16, 16]},
+        {"alpha": "1/3", "bands": {"windwo": [1.0, 2.0]}},
+        {"alpha": "1/3", "task": "bands", "bands": {"grid": [16, 16]}, "grdi": 1},
+        {"alpha": "1/3", "bands": {"grid": [16, 16]}, "grid": [16, 16]},
+        {"alpha": "1/3", "rwa_check": {"t_finl": 1.0}},
+        {"alpha": "1/3", "ribbon": {"bulk_grid": [64, 64]}},
+        {"alpha": "1/3", "model": {"bta": 0.1}, "bands": {}},
+        {"alpha": "1/3", "bands": {}, "output": {"fromat": "json"}},
+    ],
+)
+def test_unknown_keys_rejected(data):
+    with pytest.raises(ConfigError, match="unknown key"):
+        normalize(data)
+
+
+def test_documented_optional_keys_accepted():
+    for task, keys in DOCUMENTED_TASK_KEYS.items():
+        block = {key: config.TASK_DEFAULTS[task].get(key, 1) for key in keys}
+        cfg = normalize({"alpha": "1/3", task: block})
+        assert set(block) <= set(cfg.task_params)
+    cfg = normalize({"alpha": "1/3", "tones": {"units": "MHz", "t0_mhz": 3.5}})
+    assert cfg.task_params["t0_mhz"] == 3.5
 
 
 def test_cache_key_stable_under_key_order():
@@ -158,6 +210,71 @@ def test_lock_excludes_concurrent_runs(tmp_path, monkeypatch):
     cfg.out_dir = str(out)
     with pytest.raises(QshError, match="locked"):
         run(cfg)
+
+
+def test_dead_pid_lock_taken_over_live_pid_lock_blocks(tmp_path, monkeypatch):
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    out.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait(timeout=60)  # reaped: its pid names no process now
+    (out / LOCK_NAME).write_text(f"{child.pid}\n")
+    cfg = normalize(BANDS_CFG)
+    cfg.out_dir = str(out)
+    assert not run(cfg)["cached"]
+    assert not (out / LOCK_NAME).exists()
+
+    (out / LOCK_NAME).write_text(f"{os.getpid()}\n")
+    with pytest.raises(QshError, match="locked"):
+        run(cfg)
+    assert (out / LOCK_NAME).read_text() == f"{os.getpid()}\n"
+
+
+def test_run_stopped_before_publishing_is_recomputed(tmp_path, monkeypatch):
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = normalize(BANDS_CFG)
+    cfg.out_dir = str(tmp_path / "out")
+
+    class Killed(BaseException):
+        pass
+
+    def killed(*args):
+        raise Killed
+
+    # stop the run between writing the cache entry and publishing it
+    with monkeypatch.context() as m:
+        m.setattr(runner.os, "rename", killed)
+        with pytest.raises(Killed):
+            run(cfg)
+    assert not runner._cache_dir(cfg).exists()
+    # a directory under the key without a manifest is a miss, too
+    runner._cache_dir(cfg).mkdir(parents=True)
+    (runner._cache_dir(cfg) / "bands.csv").write_text("truncated")
+    first = run(cfg)
+    assert not first["cached"]
+    again = run(cfg)
+    assert again["cached"] and again["outputs"] == first["outputs"]
+
+
+def test_corrupted_cache_file_is_recomputed_not_replayed(tmp_path, monkeypatch):
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = normalize(BANDS_CFG)
+    cfg.out_dir = str(tmp_path / "out1")
+    good = run(cfg)
+    expected = (tmp_path / "out1" / "bands.csv").read_bytes()
+    cached_file = runner._cache_dir(cfg) / "bands.csv"
+    data = bytearray(cached_file.read_bytes())
+    data[-2] ^= 1  # one flipped bit in the last digit of the last row
+    cached_file.write_bytes(bytes(data))
+
+    cfg.out_dir = str(tmp_path / "out2")
+    m = run(cfg)
+    assert not m["cached"] and m["outputs"] == good["outputs"]
+    assert (tmp_path / "out2" / "bands.csv").read_bytes() == expected
+    assert cached_file.read_bytes() == expected  # the entry was republished
+    cfg.out_dir = str(tmp_path / "out3")
+    assert run(cfg)["cached"]
+    assert (tmp_path / "out3" / "bands.csv").read_bytes() == expected
 
 
 def test_tones_task_units(tmp_path, monkeypatch):
@@ -347,6 +464,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         cfg = dict(BANDS_CFG, threads=threads)
         bad_threads = write_config(tmp_path, cfg, name="threads.json")
         assert main(["bands", "--config", bad_threads, "--out", out]) == 2
+
+    typo = write_config(tmp_path, dict(BANDS_CFG, grdi=[8, 8]), name="typo.json")
+    assert main(["bands", "--config", typo, "--out", out]) == 2
 
     # held lock surfaces as a computation error
     locked = tmp_path / "locked"

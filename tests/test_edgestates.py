@@ -14,11 +14,15 @@ from qshsim.edgestates import (
     site_density,
     size_effect_scan,
 )
-from qshsim.model import ModelParams, apply_time_reversal
+from qshsim import spectra
+from qshsim.model import ModelParams, apply_time_reversal, open_hamiltonian
+from qshsim.spectra import eig_hermitian
 
 A13 = Fraction(1, 3)
 TOPO6 = ModelParams(alpha=A13, nx=6, ny=6)
 METAL6 = ModelParams(alpha=A13, beta=0.1, lam=1.0, nx=6, ny=6)
+#: the smaller edge-state lattice of the benchmark's task mix, with beta != 0
+MIX24 = ModelParams(alpha=A13, beta=0.03, lam=0.2, nx=24, ny=24)
 
 
 def test_edge_eigenstates_ordering_and_normalization():
@@ -158,3 +162,36 @@ def test_size_scan_qualitative_agreement_small_vs_large():
     rows = size_effect_scan([(6, 6), (42, 42)], ModelParams(alpha=A13), 1.5)
     assert all(r.edge_weight >= 0.6 for r in rows)
     assert all(r.in_bulk_gap for r in rows)
+
+
+@pytest.mark.parametrize(
+    "params, count",
+    [(MIX24, 1), (TOPO6, 1), (TOPO6, 4), (METAL6, 1), (METAL6, 3)],
+    ids=["mix24-1", "topo6-1", "topo6-4", "metal6-1", "metal6-3"],
+)
+def test_shift_invert_edge_states_match_dense_oracle(monkeypatch, params, count):
+    # any unit vector of a Kramers pair has the same spin-summed density, so
+    # the shift-invert states must reproduce the dense densities one by one
+    arpack_calls = []
+    eigsh = spectra.spla.eigsh
+
+    def counted(*args, **kwargs):
+        arpack_calls.append(kwargs.get("k"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectra.spla, "eigsh", counted)
+    states = edge_eigenstates(params, 1.5, count)
+    assert arpack_calls == [count]
+    vals, vecs = eig_hermitian(
+        open_hamiltonian(params), nearest=(1.5, count), method="dense"
+    )
+    order = np.argsort(np.abs(vals - 1.5), kind="stable")
+    assert len(states) == count
+    nx, ny = params.nx, params.ny
+    for (energy, state), i in zip(states, order):
+        assert abs(energy - vals[i]) <= 1e-10
+        found = site_density(state, nx, ny)
+        oracle = site_density(vecs[:, i], nx, ny)
+        assert np.max(np.abs(found.density - oracle.density)) <= 1e-12
+        for ring in (1, 2):
+            assert abs(edge_weight(found, ring) - edge_weight(oracle, ring)) <= 1e-12

@@ -70,6 +70,26 @@ def test_sparse_path_agrees_with_dense_small_instance():
     assert np.allclose(np.sort(dw), np.sort(sw), atol=1e-8)
 
 
+def test_nearest_returns_every_requested_pair():
+    # shift-invert serves at most dim - 2 pairs; larger requests go dense
+    h = open_hamiltonian(ModelParams(alpha=A13, beta=0.1, lam=0.5, nx=3, ny=3))
+    dim = h.dim
+    dense_all, _ = eig_hermitian(h, method="dense")
+    for count in (dim - 2, dim - 1, dim):
+        vals, vecs = eig_hermitian(h, nearest=(1.5, count))
+        dv, _ = eig_hermitian(h, nearest=(1.5, count), method="dense")
+        assert len(vals) == count and vecs.shape == (dim, count)
+        assert np.allclose(vals, dv, atol=1e-10)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(count), atol=1e-12)
+    assert np.allclose(eig_hermitian(h, nearest=(1.5, dim))[0], dense_all)
+    with pytest.raises(SolverError) as info:
+        eig_hermitian(h, nearest=(1.5, dim - 1), method="sparse")
+    assert info.value.diagnostics["max_pairs"] == dim - 2
+    for count in (0, dim + 1):
+        with pytest.raises(ParameterError):
+            eig_hermitian(h, nearest=(1.5, count))
+
+
 def test_sparse_window_raises_instead_of_truncating():
     # 2101 levels spaced 1/2100 apart: the window (0.2, 0.8) holds 1259 of
     # them, more than the 247 eigenpairs the shift-invert loop may request
