@@ -332,10 +332,16 @@ def full_evolve(
     Commutator-free 4th-order integrator with a built-in step-halving
     acceptance check: the dt and dt/2 propagators must agree to ``check_tol``
     in max norm or StepSizeError is raised.  The returned propagator is the
-    dt/2 result and is unitary to machine precision by construction.
+    dt/2 result and is unitary to machine precision by construction; at
+    ``t_final = 0`` it is the identity.  ``t_final`` must be finite and
+    nonnegative, a given ``dt`` finite and positive.
     """
     if not 2 <= len(cells) <= 4:
         raise ParameterError("full evolution supports plaquettes of 2 to 4 cells")
+    if not math.isfinite(t_final) or t_final < 0:
+        raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ParameterError(f"dt must be finite and positive, got {dt}")
     max_freq = max(
         (tone.freq for plan in plans for tone in plan.tones), default=0.0
     )
@@ -347,6 +353,8 @@ def full_evolve(
             f"dt={dt:.3e} exceeds the resolution bound {bound:.3e} "
             "(1/40 of the fastest tone period)"
         )
+    if t_final == 0:
+        return np.eye(_bare_dim(len(cells)), dtype=complex)
     u_coarse = _propagate(cells, plans, t_final, dt)
     u_fine = _propagate(cells, plans, t_final, dt / 2.0)
     defect = float(np.max(np.abs(u_coarse - u_fine)))

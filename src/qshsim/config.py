@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -153,6 +154,28 @@ def _find_task(data: dict):
     return named, params
 
 
+def _check_rwa_times(params: dict) -> None:
+    """``rwa_check.t_final`` must be finite and >= 0, ``rwa_check.dt`` > 0.
+
+    A ``null`` dt means the automatic step, as when the key is left out.
+    """
+    for key, positive in (("t_final", False), ("dt", True)):
+        if key not in params or (key == "dt" and params[key] is None):
+            continue
+        value = params[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        try:
+            finite = number and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not (finite and (value > 0 if positive else value >= 0)):
+            bound = "> 0" if positive else ">= 0"
+            raise ConfigError(
+                f"field 'rwa_check.{key}': must be a finite number {bound}, "
+                f"got {value!r}"
+            )
+
+
 def _task_keys(task: str) -> tuple:
     return tuple(TASK_DEFAULTS[task]) + tuple(DEFAULTS) + TASK_OPTIONAL.get(task, ())
 
@@ -188,6 +211,8 @@ def normalize(data: dict) -> RunConfig:
     model = _model_from(data)
     merged = dict(TASK_DEFAULTS.get(task, {}))
     merged.update(params)
+    if task == "rwa_check":
+        _check_rwa_times(merged)
     if task == "lindblad" and "dt" in merged:
         # the master equation is propagated exactly; there is no time step
         log.warning("lindblad.dt is deprecated and ignored by exact propagation")

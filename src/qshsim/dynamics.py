@@ -13,11 +13,14 @@ Per site three jump channels act at a common rate gamma:
 
 Because every dressed excitation carries mean photon and qubit occupation
 1/2 and dephasing conserves excitation, the total excited population decays
-exactly as exp(-gamma*t).  The master equation is time independent, so it is
-solved exactly: the Liouvillian is built once as a sparse matrix and its
-exponential applied to vec(rho) with ``scipy.sparse.linalg.expm_multiply``
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); the decay law above
-is a test of that propagation.
+exactly as exp(-gamma*t).  Every jump operator carries a factor sqrt(gamma),
+so the Liouvillian is linear in the rate: L(gamma) = L_H + gamma*D, with L_H
+the Hamiltonian part and D the dissipator at unit rate.  Both are sparse and
+built once per scan, L_H + gamma*D then costs one sparse sum per rate.  The
+master equation is time independent, so it is solved exactly: the
+exponential of L is applied to vec(rho) with
+``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)); the decay law above is a test of that propagation.
 """
 
 from __future__ import annotations
@@ -68,13 +71,13 @@ class SubspaceBasis:
             raise ParameterError(f"site ({m},{n}) outside {self.nx}x{self.ny}")
         return 1 + 2 * (n * self.nx + m) + spin
 
-    def labels(self) -> list:
-        out = ["vacuum"]
-        for n in range(self.ny):
-            for m in range(self.nx):
-                for spin in ("up", "down"):
-                    out.append((m + 1, n + 1, spin))  # 1-based export convention
-        return out
+    def site_pairs(self) -> np.ndarray:
+        """(nx*ny, 2) indices of each site's (up, down) states, in index order."""
+        return np.array([
+            [self.state_index(m, n, 0), self.state_index(m, n, 1)]
+            for n in range(self.ny)
+            for m in range(self.nx)
+        ])
 
 
 @dataclass(frozen=True)
@@ -98,30 +101,28 @@ def subspace_jump_operators(
 ) -> List[sp.csr_matrix]:
     """Explicit sparse jump operators (already scaled by sqrt(gamma))."""
     dim = basis.dim
-    ops: List[sp.csr_matrix] = []
     root = math.sqrt(spec.gamma)
     r = 1.0 / math.sqrt(2.0)
-    for n in range(basis.ny):
-        for m in range(basis.nx):
-            iu = basis.state_index(m, n, 0)
-            idn = basis.state_index(m, n, 1)
-            if spec.photon_loss:
-                op = np.zeros((dim, dim))
-                op[0, iu] = r
-                op[0, idn] = -r
-                ops.append(sp.csr_matrix(root * op))
-            if spec.transmon_loss:
-                op = np.zeros((dim, dim))
-                op[0, iu] = r
-                op[0, idn] = r
-                ops.append(sp.csr_matrix(root * op))
-            if spec.dephasing:
-                op = -np.eye(dim)
-                op[iu, iu] = 0.0
-                op[idn, idn] = 0.0
-                op[iu, idn] = 1.0
-                op[idn, iu] = 1.0
-                ops.append(sp.csr_matrix(root * op))
+
+    def csr(rows, cols, vals) -> sp.csr_matrix:
+        op = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        op.eliminate_zeros()
+        return op
+
+    ops: List[sp.csr_matrix] = []
+    for iu, idn in basis.site_pairs():
+        if spec.photon_loss:
+            ops.append(csr([0, 0], [iu, idn], [root * r, root * -r]))
+        if spec.transmon_loss:
+            ops.append(csr([0, 0], [iu, idn], [root * r, root * r]))
+        if spec.dephasing:
+            # -1 off the site, the spin flip |up> <-> |down> on it
+            rest = np.setdiff1d(np.arange(dim), [iu, idn])
+            ops.append(csr(
+                np.concatenate([rest, [iu, idn]]),
+                np.concatenate([rest, [idn, iu]]),
+                np.concatenate([np.full(rest.size, -root), [root, root]]),
+            ))
     return ops
 
 
@@ -168,19 +169,79 @@ def _lindblad_rhs_reference(rho, h_full, jump_ops):
     return out
 
 
-def liouvillian(h_full, jump_ops) -> sp.csr_matrix:
-    """Sparse superoperator L with ``L @ rho.ravel() == rhs(rho).ravel()``.
+def hamiltonian_liouvillian(h_full) -> sp.csr_matrix:
+    """Sparse L_H with ``L_H @ rho.ravel() == (-i(H rho - rho H)).ravel()``.
 
-    rhs = -i(H rho - rho H) + sum_k (J_k rho J_k^dag - {J_k^dag J_k, rho}/2),
-    vectorized row-major: vec(A X B) = (A kron B^T) vec(X).
+    Vectorized row-major: vec(A X B) = (A kron B^T) vec(X).
     """
     h = sp.csr_matrix(h_full)
     eye = sp.identity(h.shape[0], format="csr")
-    jumps = [sp.csr_matrix(op) for op in jump_ops]
-    loss = sum((j.conj().T @ j for j in jumps), sp.csr_matrix(h.shape))
-    left, right = -1j * h - 0.5 * loss, 1j * h - 0.5 * loss
-    drift = sp.kron(left, eye) + sp.kron(eye, right.T)
-    return sum((sp.kron(j, j.conj()) for j in jumps), drift).tocsr()
+    return (sp.kron(-1j * h, eye) + sp.kron(eye, 1j * h.T)).tocsr()
+
+
+#: J^dag J of the unit-rate photon-loss and qubit-loss jumps on one site's
+#: (up, down) pair; J kron J^* maps that pair's coherences onto the vacuum
+#: population with the same four entries.
+_PHOTON_LOSS_BLOCK = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+_QUBIT_LOSS_BLOCK = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
+
+
+def unit_dissipator(
+    basis: SubspaceBasis,
+    photon_loss: bool = True,
+    transmon_loss: bool = True,
+    dephasing: bool = True,
+) -> sp.csr_matrix:
+    """Dissipator D of the switched-on channels at unit rate.
+
+    The dissipator at rate gamma is gamma * D.
+    D = sum_k J_k kron J_k^* - (K kron I + I kron K^T)/2 with
+    K = sum_k J_k^dag J_k, in the vectorization of
+    :func:`hamiltonian_liouvillian`, assembled in one COO pass from closed
+    forms.  The dephasing jump of site s is J_s = -I + B_s, with B_s the
+    all-ones block on the site's (up, down) pair, so J_s^dag J_s = I and
+    sum_s J_s kron J_s = N I kron I - I kron B - B kron I + sum_s B_s kron B_s
+    (B = sum_s B_s); the N I kron I cancels against -(K kron I + I kron K)/2.
+    With M = K_loss/2 + [dephasing] B, real symmetric with the same 2x2
+    block on every site,
+    D = sum_loss J kron J + [dephasing] sum_s B_s kron B_s - M kron I - I kron M.
+    """
+    n = basis.dim
+    loss = np.zeros((2, 2))
+    if photon_loss:
+        loss += _PHOTON_LOSS_BLOCK
+    if transmon_loss:
+        loss += _QUBIT_LOSS_BLOCK
+    block = 0.5 * loss + (1.0 if dephasing else 0.0)
+    pairs = basis.site_pairs()
+    a = np.repeat(pairs, 2, axis=1).ravel()  # row a and column b of every
+    b = np.tile(pairs, 2).ravel()  # entry (a, b) of a site block
+    every = np.arange(n)[:, None]
+    blocks = np.tile(block.ravel(), len(pairs))
+    rows = [a * n + every, every * n + a, np.zeros_like(a)]
+    cols = [b * n + every, every * n + b, a * n + b]
+    vals = [
+        np.broadcast_to(-blocks, (n, a.size)),
+        np.broadcast_to(-blocks, (n, a.size)),
+        np.tile(loss.ravel(), len(pairs)),
+    ]
+    if dephasing:
+        # B_s kron B_s: rows (a, a') and columns (b, b') inside one site
+        rows.append(a[:, None] * n + a.reshape(-1, 4).repeat(4, axis=0))
+        cols.append(b[:, None] * n + b.reshape(-1, 4).repeat(4, axis=0))
+        vals.append(np.ones((a.size, 4)))
+    d = sp.coo_matrix(
+        (
+            np.concatenate([v.ravel() for v in vals]),
+            (
+                np.concatenate([r.ravel() for r in rows]),
+                np.concatenate([c.ravel() for c in cols]),
+            ),
+        ),
+        shape=(n * n, n * n),
+    ).tocsr()
+    d.eliminate_zeros()
+    return d
 
 
 #: Al-Mohy & Higham (2011), eq. (3.13): for one vector, m_max = 55 and
@@ -200,12 +261,35 @@ def _chunk_count(step: sp.csr_matrix) -> int:
 
 
 class Trajectory(NamedTuple):
-    """Snapshots of one ``lindblad_evolve`` run."""
+    """Snapshots of one :func:`_propagate` run."""
 
     times: np.ndarray
     rhos: np.ndarray
     #: expm_multiply calls made over the whole run
     chunks: int
+
+
+def _propagate(
+    lv: sp.csr_matrix, rho0: np.ndarray, t_final: float, sample_count: int
+) -> Trajectory:
+    """rho(t) = exp(L t) rho0 at ``sample_count`` equally spaced times.
+
+    Each sampling interval is split into the chunks of :func:`_chunk_count`;
+    every snapshot after t=0 is validated.
+    """
+    times = np.linspace(0.0, t_final, max(2, sample_count))
+    step = lv * (t_final / (len(times) - 1))
+    chunks = _chunk_count(step)
+    step = step / chunks
+    vec = rho0.ravel()
+    rhos = [rho0]
+    for _ in times[1:]:
+        for _ in range(chunks):
+            vec = expm_multiply(step, vec)
+        rho = vec.reshape(rho0.shape)
+        validate_density_matrix(rho)
+        rhos.append(rho)
+    return Trajectory(times, np.array(rhos), chunks * (len(times) - 1))
 
 
 def lindblad_evolve(
@@ -228,22 +312,11 @@ def lindblad_evolve(
         raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0)
-    lv = liouvillian(
-        embed_excited_hamiltonian(h_eff, basis), subspace_jump_operators(basis, spec)
+    lh = hamiltonian_liouvillian(embed_excited_hamiltonian(h_eff, basis))
+    d = unit_dissipator(
+        basis, spec.photon_loss, spec.transmon_loss, spec.dephasing
     )
-    times = np.linspace(0.0, t_final, max(2, sample_count))
-    step = lv * (t_final / (len(times) - 1))
-    chunks = _chunk_count(step)
-    step = step / chunks
-    vec = rho0.ravel()
-    rhos = [rho0]
-    for _ in times[1:]:
-        for _ in range(chunks):
-            vec = expm_multiply(step, vec)
-        rho = vec.reshape(rho0.shape)
-        validate_density_matrix(rho)
-        rhos.append(rho)
-    return Trajectory(times, np.array(rhos), chunks * (len(times) - 1))
+    return _propagate(lh + spec.gamma * d, rho0, t_final, sample_count)
 
 
 def edge_site_mask(nx: int, ny: int) -> np.ndarray:
@@ -301,7 +374,9 @@ def decay_scan(
     """Final edge/inner/total populations after ``t_us`` for each decay rate.
 
     Protocol: 6x6 lattice (flux 1/3, no spin mixing or staggering unless
-    overridden), initial |up> excitation at the (1,1) corner site.
+    overridden), initial |up> excitation at the (1,1) corner site, all three
+    channels on.  L_H and the unit dissipator D are built once per scan;
+    each rate propagates L_H + gamma*D.
     """
     specs = [LindbladSpec(gamma=float(g)) for g in gammas]
     t_final = duration_from_us(t_us)
@@ -310,13 +385,14 @@ def decay_scan(
     if params.nx * params.ny > 64:
         raise ParameterError("master-equation lattice capped at 8x8 sites")
     basis = SubspaceBasis(params.nx, params.ny)
-    h_exc = open_hamiltonian(params)
+    lh = hamiltonian_liouvillian(
+        embed_excited_hamiltonian(open_hamiltonian(params), basis)
+    )
+    d = unit_dissipator(basis)
     rho0 = corner_up_state(basis)
     rows = []
     for spec in specs:
-        _, rhos, chunks = lindblad_evolve(
-            rho0, h_exc, spec, basis, t_final, sample_count=2
-        )
+        _, rhos, chunks = _propagate(lh + spec.gamma * d, rho0, t_final, 2)
         rho = rhos[-1]
         p1, p2, p3 = populations(rho, basis)
         rows.append(

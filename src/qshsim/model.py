@@ -93,11 +93,6 @@ class ModelParams:
         return replace(self, nx=nx, ny=ny)
 
 
-def site_linear_index(m: int, n: int, spin: int, nx: int) -> int:
-    """Linearized orbital index; bijection onto [0, 2*nx*ny)."""
-    return 2 * (n * nx + m) + spin
-
-
 @dataclass
 class HermitianOperator:
     """Hermitian matrix: a dense ndarray or, for large real-space builds, CSR."""

@@ -227,6 +227,12 @@ def half_zone_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
     return BandData(kx=kxs, ky=kys, energies=energies)
 
 
+def ribbon_states(params: ModelParams, ny: int, kxs: np.ndarray):
+    """Ribbon eigenvalues and per-row weights, shape (nkx, ny, nbands)."""
+    energies, vecs = np.linalg.eigh(ribbon_stack(params, ny, kxs))
+    return energies, (np.abs(vecs) ** 2).reshape(len(kxs), ny, 2, -1).sum(axis=2)
+
+
 def ribbon_bands(
     params: ModelParams,
     ny: int,
@@ -247,9 +253,7 @@ def ribbon_bands(
     if kx_count < 101:
         raise ParameterError("ribbon momentum grid needs at least 101 points")
     kxs = momentum_grid(kx_count)
-    energies, vecs = np.linalg.eigh(ribbon_stack(params, ny, kxs))
-    # row weight per state, shape (nkx, ny, nbands)
-    w = (np.abs(vecs) ** 2).reshape(kxs.size, ny, 2, -1).sum(axis=2)
+    energies, w = ribbon_states(params, ny, kxs)
     bottom = w[:, :ring_rows].sum(axis=1)
     top = w[:, -ring_rows:].sum(axis=1)
     localization = np.stack([bottom, top], axis=-1)

@@ -36,10 +36,15 @@ from .model import (
     SPIN_UP,
     ModelParams,
     bloch_stack,
-    ribbon_stack,
     spin_bloch_stack,
 )
-from .spectra import GAP_THRESHOLD, GapReport, gap_in_window, half_zone_bands
+from .spectra import (
+    GAP_THRESHOLD,
+    GapReport,
+    gap_in_window,
+    half_zone_bands,
+    ribbon_states,
+)
 
 PHASE_TOPOLOGICAL = "topological"
 PHASE_METAL = "metal"
@@ -218,9 +223,7 @@ def _ribbon_slab(params: ModelParams, ny: int, kxs: np.ndarray):
     Half-ribbon weights attribute a state to an edge even when its decay
     length grows near a transition, where a fixed shallow ring would fail.
     """
-    stack = ribbon_stack(params, ny, np.asarray(kxs))
-    vals, vecs = np.linalg.eigh(stack)
-    w = (np.abs(vecs) ** 2).reshape(len(kxs), ny, 2, 2 * ny).sum(axis=2)
+    vals, w = ribbon_states(params, ny, np.asarray(kxs))
     bottom = w[:, : ny // 2].sum(axis=1)
     return vals, bottom
 

@@ -219,6 +219,33 @@ def test_full_evolve_step_guards():
         full_evolve([DEVICE_CELLS[0]], [], 0.1)
 
 
+@pytest.mark.parametrize(
+    "t_final, dt",
+    [
+        (0.5, 0.0),
+        (0.0, 0.0),
+        (0.5, -0.1),
+        (0.5, math.nan),
+        (0.5, math.inf),
+        (math.nan, None),
+        (math.inf, None),
+        (-0.5, None),
+    ],
+)
+def test_full_evolve_rejects_bad_times(t_final, dt):
+    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
+    for plans in ([plan], []):
+        with pytest.raises(ParameterError, match="finite"):
+            full_evolve(TWO_CELLS, plans, t_final, dt=dt)
+
+
+def test_full_evolve_zero_duration_is_identity():
+    plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
+    eye = np.eye(free_hamiltonian(TWO_CELLS).shape[0])
+    for plans, dt in (([plan], None), ([], None), ([], 0.01)):
+        assert np.array_equal(full_evolve(TWO_CELLS, plans, 0.0, dt=dt), eye)
+
+
 def test_effective_coupling_matches_rabi_period():
     # amplitude convention: one tone of amplitude 4t realizes coupling t;
     # measured via the transfer population at a fixed evolution time

@@ -146,6 +146,35 @@ def test_unknown_keys_rejected(data):
         normalize(data)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"dt": 0},
+        {"dt": -0.1},
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"dt": "0.01"},
+        {"t_final": -1.0},
+        {"t_final": math.nan},
+        {"t_final": -math.inf},
+        {"t_final": True},
+        {"t_final": 10**400},
+    ],
+)
+def test_rwa_check_bad_times_rejected(tmp_path, params):
+    with pytest.raises(ConfigError, match="rwa_check"):
+        normalize({"alpha": "1/3", "rwa_check": params})
+    path = write_config(tmp_path, {"alpha": "1/3", "rwa_check": params})
+    assert main(["rwa-check", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_rwa_check_zero_duration_and_automatic_dt_accepted():
+    cfg = normalize({"alpha": "1/3", "rwa_check": {"t_final": 0, "dt": 0.01}})
+    assert cfg.task_params["t_final"] == 0
+    cfg = normalize({"alpha": "1/3", "rwa_check": {"dt": None}})
+    assert cfg.task_params["dt"] is None
+
+
 def test_documented_optional_keys_accepted():
     for task, keys in DOCUMENTED_TASK_KEYS.items():
         block = {key: config.TASK_DEFAULTS[task].get(key, 1) for key in keys}

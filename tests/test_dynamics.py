@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from qshsim.dynamics import (
     LindbladSpec,
     SubspaceBasis,
+    _chunk_count,
     _lindblad_rhs_reference,
     corner_up_state,
     decay_scan,
@@ -16,10 +19,11 @@ from qshsim.dynamics import (
     edge_site_mask,
     embed_excited_hamiltonian,
     gamma_to_khz,
+    hamiltonian_liouvillian,
     lindblad_evolve,
-    liouvillian,
     populations,
     subspace_jump_operators,
+    unit_dissipator,
     validate_density_matrix,
 )
 from qshsim.errors import ParameterError
@@ -62,6 +66,13 @@ def test_jump_operator_examples():
     zeros = subspace_jump_operators(basis, LindbladSpec(gamma=0.0))
     assert all(op.nnz == 0 for op in zeros)
 
+    # on two sites, site 1's dephasing is -sqrt(gamma) on the vacuum and site 2
+    two = SubspaceBasis(2, 1)
+    dephase = subspace_jump_operators(two, LindbladSpec(gamma=4.0))[2]
+    expected = -2.0 * np.eye(5)
+    expected[1:3, 1:3] = [[0.0, 2.0], [2.0, 0.0]]
+    assert np.array_equal(dephase.toarray(), expected)
+
 
 def test_liouvillian_matches_reference():
     basis = SubspaceBasis(2, 2)
@@ -72,17 +83,51 @@ def test_liouvillian_matches_reference():
     x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     rho = x @ x.conj().T
     rho /= rho.trace()
+    lh = hamiltonian_liouvillian(h)
     for flags in [(1, 1, 1), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 0), (0, 1, 1)]:
-        spec = LindbladSpec(
-            gamma=0.37,
-            photon_loss=bool(flags[0]),
-            transmon_loss=bool(flags[1]),
-            dephasing=bool(flags[2]),
-        )
-        ops = subspace_jump_operators(basis, spec)
-        ref = _lindblad_rhs_reference(rho, h, [op.toarray() for op in ops])
-        fast = (liouvillian(h, ops) @ rho.ravel()).reshape(rho.shape)
-        assert np.max(np.abs(fast - ref)) < 1e-12
+        for gamma in (0.0, 1.0 / 600.0, 0.37, 1.0):
+            spec = LindbladSpec(
+                gamma=gamma,
+                photon_loss=bool(flags[0]),
+                transmon_loss=bool(flags[1]),
+                dephasing=bool(flags[2]),
+            )
+            ops = subspace_jump_operators(basis, spec)
+            ref = _lindblad_rhs_reference(rho, h, [op.toarray() for op in ops])
+            lv = lh + gamma * unit_dissipator(basis, *map(bool, flags))
+            fast = (lv @ rho.ravel()).reshape(rho.shape)
+            assert np.max(np.abs(fast - ref)) < 1e-12
+
+
+def _textbook_liouvillian(h_full, jump_ops):
+    """L from the jump operators, one Kronecker term per operator."""
+    h = sp.csr_matrix(h_full)
+    eye = sp.identity(h.shape[0], format="csr")
+    loss = sum((j.conj().T @ j for j in jump_ops), sp.csr_matrix(h.shape))
+    left, right = -1j * h - 0.5 * loss, 1j * h - 0.5 * loss
+    drift = sp.kron(left, eye) + sp.kron(eye, right.T)
+    return sum((sp.kron(j, j.conj()) for j in jump_ops), drift).tocsr()
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 6), (3, 5), (8, 8)])
+def test_decay_scan_matches_per_rate_oracle(nx, ny):
+    params = ModelParams(alpha=A13, beta=0.1, lam=0.2, nx=nx, ny=ny)
+    gammas = [0.0, 1.0 / 600.0, 1.0 / 300.0]
+    t = duration_from_us(0.5)
+    rows = decay_scan(gammas, params=params, t_us=0.5)
+    basis = SubspaceBasis(nx, ny)
+    h = embed_excited_hamiltonian(open_hamiltonian(params), basis)
+    for gamma, row in zip(gammas, rows):
+        ops = subspace_jump_operators(basis, LindbladSpec(gamma=gamma))
+        step = _textbook_liouvillian(h, ops) * t
+        chunks = _chunk_count(step)
+        vec = corner_up_state(basis).ravel()
+        for _ in range(chunks):
+            vec = expm_multiply(step / chunks, vec)
+        expected = populations(vec.reshape(basis.dim, basis.dim), basis)
+        assert row.chunks == chunks
+        assert row.gamma_t0 == gamma
+        assert np.max(np.abs(np.subtract((row.p1, row.p2, row.p3), expected))) <= 1e-14
 
 
 def test_single_cell_analytic_decay():

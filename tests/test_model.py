@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qshsim.dynamics import SubspaceBasis
 from qshsim.errors import ParameterError
 from qshsim.model import (
     HermitianOperator,
@@ -16,7 +17,6 @@ from qshsim.model import (
     onsite_energy,
     open_hamiltonian,
     ribbon_stack,
-    site_linear_index,
     spin_bloch_stack,
     time_reversal_check,
     time_reversal_matrix,
@@ -25,6 +25,11 @@ from qshsim.model import (
 )
 
 A13 = Fraction(1, 3)
+
+
+def site_linear_index(m: int, n: int, spin: int, nx: int) -> int:
+    """Orbital index of spin ``spin`` on site (m, n) in the real-space builds."""
+    return 2 * (n * nx + m) + spin
 
 
 def test_params_validation():
@@ -53,6 +58,14 @@ def test_site_linearization_bijection():
         for s in (0, 1)
     }
     assert seen == set(range(2 * nx * ny))
+    # the master-equation basis puts the vacuum first, then the same layout
+    basis = SubspaceBasis(nx, ny)
+    assert all(
+        basis.state_index(m, n, s) == 1 + site_linear_index(m, n, s, nx)
+        for n in range(ny)
+        for m in range(nx)
+        for s in (0, 1)
+    )
 
 
 def test_open_hamiltonian_blocks_no_mixing():
