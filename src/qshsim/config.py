@@ -25,6 +25,7 @@ from . import __version__
 from .circuit import T0_MHZ
 from .errors import ConfigError
 from .model import ModelParams
+from .spectra import BULK_MIN_GRID, RIBBON_MIN_KX
 
 log = logging.getLogger("qshsim")
 
@@ -176,6 +177,37 @@ def _check_rwa_times(params: dict) -> None:
             )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_phase_solver(params: dict, model: ModelParams) -> None:
+    """``phase_diagram`` solver settings the classifier accepts.
+
+    ``bulk_grid`` is two integers >= ``BULK_MIN_GRID``, ``ny_ribbon`` an
+    integer of at least two magnetic cells (2*lcm(q, 2) rows) and
+    ``kx_points`` an integer >= ``RIBBON_MIN_KX``, the bounds the spectra
+    module enforces.
+    """
+    grid = params.get("bulk_grid", [BULK_MIN_GRID] * 2)
+    if not (
+        isinstance(grid, (list, tuple)) and len(grid) == 2
+        and all(_is_int(n) and n >= BULK_MIN_GRID for n in grid)
+    ):
+        raise ConfigError(
+            f"field 'phase_diagram.bulk_grid': must be two integers >= "
+            f"{BULK_MIN_GRID}, got {grid!r}"
+        )
+    bounds = {"ny_ribbon": 2 * model.magnetic_height, "kx_points": RIBBON_MIN_KX}
+    for key, least in bounds.items():
+        value = params.get(key, least)
+        if not (_is_int(value) and value >= least):
+            raise ConfigError(
+                f"field 'phase_diagram.{key}': must be an integer >= {least}, "
+                f"got {value!r}"
+            )
+
+
 def _task_keys(task: str) -> tuple:
     return tuple(TASK_DEFAULTS[task]) + tuple(DEFAULTS) + TASK_OPTIONAL.get(task, ())
 
@@ -213,6 +245,8 @@ def normalize(data: dict) -> RunConfig:
     merged.update(params)
     if task == "rwa_check":
         _check_rwa_times(merged)
+    if task == "phase_diagram":
+        _check_phase_solver(merged, model)
     if task == "lindblad" and "dt" in merged:
         # the master equation is propagated exactly; there is no time step
         log.warning("lindblad.dt is deprecated and ignored by exact propagation")

@@ -28,7 +28,9 @@ from .model import (
 
 #: minimum empty-interval width (units of t0) accepted as a true spectral gap
 GAP_THRESHOLD = 0.05
-#: most Bloch matrices :func:`half_zone_bands` builds and solves at once
+#: fewest momenta per axis of a bulk band grid
+BULK_MIN_GRID = 16
+#: most Bloch matrices :func:`quarter_zone_bands` builds and solves at once
 BLOCH_CHUNK = 4096
 
 
@@ -196,8 +198,10 @@ def momentum_grid(count: int, period: float = 2.0 * math.pi) -> np.ndarray:
 def _zone_grid(params: ModelParams, grid: tuple) -> tuple:
     """(kxs, kys) of an (nkx, nky) grid over the magnetic Brillouin zone."""
     nkx, nky = grid
-    if nkx < 16 or nky < 16:
-        raise ParameterError("bulk band grid must be at least 16x16")
+    if nkx < BULK_MIN_GRID or nky < BULK_MIN_GRID:
+        raise ParameterError(
+            f"bulk band grid must be at least {BULK_MIN_GRID}x{BULK_MIN_GRID}"
+        )
     Q = params.magnetic_height
     return momentum_grid(nkx), momentum_grid(nky, period=2.0 * math.pi / Q)
 
@@ -209,16 +213,20 @@ def bulk_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
     return BandData(kx=kxs, ky=kys, energies=energies)
 
 
-def half_zone_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
-    """Band energies of the kx <= 0 half of the :func:`bulk_bands` grid.
+def quarter_zone_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
+    """Band energies of the kx <= 0, ky <= 0 quarter of the :func:`bulk_bands` grid.
 
-    Time reversal gives E(k) = E(-k), and the grid is closed under k -> -k
-    (it holds 0 and -pi on both axes), so the kx in [-pi, 0] columns carry
-    the energy set of the whole grid: 33 of 64 columns at 64x64.  The stack
-    is built and solved in kx chunks of at most ``BLOCH_CHUNK`` matrices.
+    Time reversal gives E(kx, ky) = E(-kx, -ky).  The mirror x -> -x combined
+    with sigma_x on every site maps H(kx, ky) to H(-kx, ky), since
+    sigma_x exp(-i theta sigma_z) sigma_x = exp(i theta sigma_z) and sigma_x
+    commutes with the y hop; together they give E(kx, ky) = E(kx, -ky).  The
+    grid is closed under either sign flip (it holds 0, -pi and -pi/Q, and H
+    is periodic in ky), so the quarter carries the energy set of the whole
+    grid: 33 x 33 of 64 x 64 points.  The stack is built and solved in kx
+    chunks of at most ``BLOCH_CHUNK`` matrices.
     """
     kxs, kys = _zone_grid(params, grid)
-    kxs = kxs[kxs <= 0.0]
+    kxs, kys = kxs[kxs <= 0.0], kys[kys <= 0.0]
     step = max(1, BLOCH_CHUNK // kys.size)
     energies = np.concatenate([
         np.linalg.eigvalsh(bloch_stack(params, kxs[i : i + step], kys))
@@ -227,10 +235,29 @@ def half_zone_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
     return BandData(kx=kxs, ky=kys, energies=energies)
 
 
+#: fewest ribbon momenta accepted, over [-pi, pi) for the bands and over
+#: [0, pi] for the Z2 vote
+RIBBON_MIN_KX = 101
+
+
+def check_ribbon_grid(params: ModelParams, ny: int, kx_count: int) -> None:
+    """ParameterError unless the ribbon holds two magnetic cells and enough momenta."""
+    if ny < 2 * params.magnetic_height:
+        raise ParameterError(
+            f"ribbon height {ny} too small; need at least 2*lcm(q,2) = "
+            f"{2 * params.magnetic_height} rows"
+        )
+    if kx_count < RIBBON_MIN_KX:
+        raise ParameterError(
+            f"ribbon momentum grid needs at least {RIBBON_MIN_KX} points"
+        )
+
+
 def ribbon_states(params: ModelParams, ny: int, kxs: np.ndarray):
     """Ribbon eigenvalues and per-row weights, shape (nkx, ny, nbands)."""
     energies, vecs = np.linalg.eigh(ribbon_stack(params, ny, kxs))
-    return energies, (np.abs(vecs) ** 2).reshape(len(kxs), ny, 2, -1).sum(axis=2)
+    weights = (np.abs(vecs) ** 2).reshape(len(kxs), ny, 2, 2 * ny)
+    return energies, weights.sum(axis=2)
 
 
 def ribbon_bands(
@@ -245,13 +272,7 @@ def ribbon_bands(
     outermost ``ring_rows`` rows, reported separately for the bottom and the
     top edge.
     """
-    if ny < 2 * params.magnetic_height:
-        raise ParameterError(
-            f"ribbon height {ny} too small; need at least 2*lcm(q,2) = "
-            f"{2 * params.magnetic_height} rows"
-        )
-    if kx_count < 101:
-        raise ParameterError("ribbon momentum grid needs at least 101 points")
+    check_ribbon_grid(params, ny, kx_count)
     kxs = momentum_grid(kx_count)
     energies, w = ribbon_states(params, ny, kxs)
     bottom = w[:, :ring_rows].sum(axis=1)

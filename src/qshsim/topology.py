@@ -8,8 +8,12 @@ folded degenerate pairs inside the group are fine.
 
 The Z2 index is obtained on a ribbon: count the crossings of the Fermi level
 by states localized on one chosen edge for kx in [0, pi]; the parity of that
-count is the invariant.  At beta = 0 it is cross-checked against the spin
-Chern number.  Where the ribbon vote cannot attribute a crossing to an edge,
+count is the invariant.  The crossings are located by counting the ribbon
+levels below each vote energy from the inertia of a block LDL^T
+factorization, so only the momenta next to a crossing are diagonalized.  At
+beta = 0 it is cross-checked against the spin Chern number.  The bulk gap is
+sampled on a quarter of the zone (time reversal plus the x mirror).  Where
+the ribbon vote cannot attribute a crossing to an edge,
 :func:`classify_point` settles the point from the bulk: a refined gap scan,
 then the Wilson-loop Z2 of Soluyanov & Vanderbilt, PRB 83, 235401 (2011).
 """
@@ -36,13 +40,15 @@ from .model import (
     SPIN_UP,
     ModelParams,
     bloch_stack,
+    ribbon_stack,
     spin_bloch_stack,
 )
 from .spectra import (
     GAP_THRESHOLD,
     GapReport,
+    check_ribbon_grid,
     gap_in_window,
-    half_zone_bands,
+    quarter_zone_bands,
     ribbon_states,
 )
 
@@ -199,13 +205,16 @@ def bulk_gap_at(
     grid: tuple = (128, 128),
     gap_threshold: float = GAP_THRESHOLD,
 ) -> tuple:
-    """Bulk gap (e_below, e_above) around e_f, or GaplessError if none.
+    """Sampled bulk gap (e_below, e_above) around e_f, or GaplessError if none.
 
-    The default grid is fine enough that sampling holes in dispersive bands
-    stay well below the gap threshold; gap stability under further grid
-    refinement is asserted separately in the test suite.
+    The levels come from the ``grid`` sample of the zone, so the gap is
+    sampled, not certified.  Band extrema between grid points can narrow the
+    true gap below ``gap_threshold``: at alpha = 1/3, (beta, lambda) =
+    (0.2333, 1.3333), the 128x128 sample leaves a gap of 0.061 that refined
+    k points close below 0.05.  Every sampled level is a true eigenvalue, so
+    a GaplessError is certain.
     """
-    flat = half_zone_bands(params, grid).flat_energies()
+    flat = quarter_zone_bands(params, grid).flat_energies()
     below = flat[flat < e_f]
     above = flat[flat > e_f]
     e_below = float(below.max()) if below.size else -np.inf
@@ -272,6 +281,51 @@ def _count_bottom_crossings(
     return total
 
 
+def _ribbon_level_counts(params: ModelParams, ny: int, kxs, energies):
+    """Ribbon levels below each energy at each kx, from the inertia of H - E.
+
+    The ribbon H(kx) is block tridiagonal in 2x2 row blocks: A_n on the
+    diagonal, C_n coupling row n to row n-1, both read from
+    :func:`ribbon_stack`.  Its block LDL^T factorization has the pivots
+    D_0 = A_0 - E and D_n = A_n - E - C_n D_{n-1}^{-1} C_n^+, and by
+    Sylvester's law of inertia H - E has as many negative eigenvalues as the
+    pivots together (the Sturm count; Parlett, *The Symmetric Eigenvalue
+    Problem*, SIAM 1998).  A Hermitian 2x2 pivot has one when its determinant
+    is negative, two when its determinant is positive and its trace negative.
+    The recursion runs elementwise over (energies x kx), one row at a time.
+
+    Returns the counts, shape (len(energies), len(kxs)), and a mask of the kx
+    where some pivot was singular or non-finite; the counts there are
+    meaningless and must come from a dense solve.
+    """
+    h = ribbon_stack(params, ny, kxs)
+    e = np.asarray(energies, dtype=float)[:, None]
+    counts = np.zeros((e.shape[0], h.shape[0]), dtype=int)
+    sound = np.ones(counts.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # a failed pivot poisons only its own kx
+        for n in range(ny):
+            i = 2 * n
+            a = h[:, i, i].real - e
+            c = h[:, i + 1, i + 1].real - e
+            b = h[:, i, i + 1]
+            if n:
+                # C adj(D) C^+ / det(D) for the previous pivot D = [[pa, pb],
+                # [pb*, pc]], with adj(D) = [[pc, -pb], [-pb*, pa]]
+                p, q = h[:, i, i - 2], h[:, i, i - 1]
+                r, s = h[:, i + 1, i - 2], h[:, i + 1, i - 1]
+                a -= (pc * abs(p) ** 2 + pa * abs(q) ** 2
+                      - 2.0 * (pb * (p * q.conj())).real) / det
+                c -= (pc * abs(r) ** 2 + pa * abs(s) ** 2
+                      - 2.0 * (pb * (r * s.conj())).real) / det
+                b = b - (pc * (p * r.conj()) - pb * (p * s.conj())
+                      - pb.conj() * (q * r.conj()) + pa * (q * s.conj())) / det
+            det = a * c - (b.real ** 2 + b.imag ** 2)
+            counts += (det < 0) + 2 * ((det > 0) & (a + c < 0))
+            sound &= np.isfinite(det) & (det != 0)
+            pa, pb, pc = a, b, c
+    return counts, ~sound.all(axis=0)
+
+
 def z2_invariant(
     params: ModelParams,
     e_f: float = DEFAULT_FERMI_ENERGY,
@@ -289,25 +343,45 @@ def z2_invariant(
     levels inside the bulk gap and the majority is returned: an accidental
     coincidence of opposite-edge branches at one level (where the finite
     ribbon hybridizes them into avoided curves) cannot then flip the result.
+
+    The levels below each vote energy are counted at every kx from the
+    inertia of H(kx) - E (:func:`_ribbon_level_counts`).  Band j crosses E
+    between two momenta exactly when j lies between their two counts, so the
+    ribbon is diagonalized only at the ends of the intervals whose count
+    changes, and at the kx whose factorization failed.  The ribbon needs at
+    least 2*lcm(q, 2) rows and 101 momenta (ParameterError otherwise).
     """
+    check_ribbon_grid(params, ny_ribbon, kx_points)
     g_lo, g_hi = gap_bounds if gap_bounds is not None else bulk_gap_at(params, e_f)
     if not g_lo < e_f < g_hi:
         raise GaplessError(f"E={e_f} outside the certified bulk gap {gap_bounds}")
     kxs = np.linspace(0.0, math.pi, int(kx_points))
-    vals, bottom = _ribbon_slab(params, ny_ribbon, kxs)
     # shifted vote energies stay inside the gap; semi-infinite gaps (Fermi
     # level beyond the whole spectrum) shift by a fixed margin instead
     lo_shift = 0.25 * (e_f - g_lo) if math.isfinite(g_lo) else 0.5
     hi_shift = 0.25 * (g_hi - e_f) if math.isfinite(g_hi) else 0.5
     candidates = (e_f, e_f - lo_shift, e_f + hi_shift)
+    counts, failed = _ribbon_level_counts(params, ny_ribbon, kxs, candidates)
+    # solve both ends of every interval whose count changes, and of every
+    # interval next to a failed kx, whose counts the dense solve supplies
+    opened = (counts[:, 1:] != counts[:, :-1]).any(axis=0) | failed[:-1] | failed[1:]
+    solve = np.zeros_like(failed)
+    solve[:-1] |= opened
+    solve[1:] |= opened
+    at = np.flatnonzero(solve)
+    slot = np.cumsum(solve) - 1  # row of each solved kx in the slab
+    vals, bottom = _ribbon_slab(params, ny_ribbon, kxs[at])
+    levels = np.asarray(candidates)[:, None, None]
+    counts[:, failed] = (vals[slot[failed]] < levels).sum(axis=-1)
     parities, failure = [], None
-    for ef in candidates:
+    for ef, count in zip(candidates, counts):
         try:
             crossings = 0
-            for i in range(len(kxs) - 1):
+            for i in np.flatnonzero(count[1:] != count[:-1]):
+                lo, hi = slot[i], slot[i + 1]
                 crossings += _count_bottom_crossings(
                     params, ny_ribbon, ef, kxs[i], kxs[i + 1],
-                    vals[i], vals[i + 1], bottom[i], bottom[i + 1],
+                    vals[lo], vals[hi], bottom[lo], bottom[hi],
                     0, edge_weight_min,
                 )
             parities.append(crossings % 2)
@@ -406,7 +480,7 @@ def _settle_from_bulk(params, window, bulk_grid, gap_threshold) -> PhasePoint:
     ``WILSON_KX_LINES`` kx resolutions (ResolutionError if not).
     """
     fine = (2 * bulk_grid[0], 2 * bulk_grid[1])
-    report = gap_in_window(half_zone_bands(params, fine), window, gap_threshold)
+    report = gap_in_window(quarter_zone_bands(params, fine), window, gap_threshold)
     if not report.is_gapped:
         return PhasePoint(
             params.beta, params.lam, PHASE_METAL, None, report, route=ROUTE_REFINED_GAP
@@ -437,7 +511,7 @@ def classify_point(
     (DegeneracyError), the point is settled from the bulk and its ``route``
     says how.
     """
-    report = gap_in_window(half_zone_bands(params, bulk_grid), window, gap_threshold)
+    report = gap_in_window(quarter_zone_bands(params, bulk_grid), window, gap_threshold)
     if not report.is_gapped:
         return PhasePoint(params.beta, params.lam, PHASE_METAL, None, report)
     e_f = _fermi_level(window, report.gap)

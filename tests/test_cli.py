@@ -168,6 +168,40 @@ def test_rwa_check_bad_times_rejected(tmp_path, params):
     assert main(["rwa-check", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"kx_points": 0},
+        {"kx_points": 1},
+        {"kx_points": 100},
+        {"kx_points": 101.0},
+        {"kx_points": True},
+        {"ny_ribbon": -3},
+        {"ny_ribbon": 11},  # fewer than 2*lcm(3, 2) rows
+        {"ny_ribbon": "24"},
+        {"bulk_grid": [8, 8]},
+        {"bulk_grid": [64]},
+        {"bulk_grid": [64, 64.5]},
+        {"bulk_grid": 64},
+    ],
+)
+def test_phase_diagram_bad_solver_settings_rejected(tmp_path, params):
+    with pytest.raises(ConfigError, match="phase_diagram"):
+        normalize({"alpha": "1/3", "phase_diagram": params})
+    path = write_config(tmp_path, {"alpha": "1/3", "phase_diagram": params})
+    out = str(tmp_path / "out")
+    assert main(["phase-diagram", "--config", path, "--out", out]) == 2
+
+
+def test_phase_diagram_solver_bounds_accepted():
+    cfg = normalize({"alpha": "1/3", "phase_diagram": {
+        "bulk_grid": [16, 16], "ny_ribbon": 12, "kx_points": 101}})
+    assert cfg.task_params["ny_ribbon"] == 12
+    # the ribbon bound follows the magnetic cell: lcm(2, 2) = 2 rows at 1/2
+    cfg = normalize({"alpha": "1/2", "phase_diagram": {"ny_ribbon": 4}})
+    assert cfg.task_params["ny_ribbon"] == 4
+
+
 def test_rwa_check_zero_duration_and_automatic_dt_accepted():
     cfg = normalize({"alpha": "1/3", "rwa_check": {"t_final": 0, "dt": 0.01}})
     assert cfg.task_params["t_final"] == 0
@@ -175,9 +209,16 @@ def test_rwa_check_zero_duration_and_automatic_dt_accepted():
     assert cfg.task_params["dt"] is None
 
 
+#: in-range values of the optional keys that do not accept 1
+OPTIONAL_VALUES = {"bulk_grid": [64, 64], "ny_ribbon": 24, "kx_points": 101}
+
+
 def test_documented_optional_keys_accepted():
     for task, keys in DOCUMENTED_TASK_KEYS.items():
-        block = {key: config.TASK_DEFAULTS[task].get(key, 1) for key in keys}
+        block = {
+            key: config.TASK_DEFAULTS[task].get(key, OPTIONAL_VALUES.get(key, 1))
+            for key in keys
+        }
         cfg = normalize({"alpha": "1/3", task: block})
         assert set(block) <= set(cfg.task_params)
     cfg = normalize({"alpha": "1/3", "tones": {"units": "MHz", "t0_mhz": 3.5}})

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qshsim.dynamics import SubspaceBasis
 from qshsim.errors import ParameterError
 from qshsim.model import (
+    PAULI_X,
     HermitianOperator,
     ModelParams,
     apply_time_reversal,
@@ -221,6 +222,29 @@ def test_time_reversal_randomized(beta, lam):
     p = ModelParams(alpha=A13, beta=beta, lam=lam, nx=4, ny=4)
     assert time_reversal_check(p, "open") < 1e-12
     assert time_reversal_check(p, "bloch", 9) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha", [Fraction(0, 1), Fraction(1, 4), A13, Fraction(2, 5), Fraction(1, 2)]
+)
+def test_mirror_maps_kx_to_minus_kx(alpha):
+    # x -> -x with sigma_x on every site: sigma_x exp(-i theta sigma_z) sigma_x
+    # = exp(i theta sigma_z), and sigma_x commutes with the y hop; the quarter
+    # zone of the bulk gap scan rests on this
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        p = ModelParams(
+            alpha=alpha,
+            beta=rng.uniform(0.0, 0.5),
+            lam=rng.uniform(-2.0, 2.0),
+            t0=rng.uniform(0.5, 2.0),
+        )
+        Q = p.magnetic_height
+        kxs = rng.uniform(-math.pi, math.pi, 5)
+        kys = rng.uniform(-math.pi / Q, math.pi / Q, 4)
+        mirror = np.kron(np.eye(Q), PAULI_X)
+        h = bloch_stack(p, kxs, kys)
+        assert np.max(np.abs(mirror @ h @ mirror - bloch_stack(p, -kxs, kys))) <= 1e-12
 
 
 def test_theta_squared_is_minus_one():

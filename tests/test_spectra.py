@@ -15,8 +15,8 @@ from qshsim.spectra import (
     eig_hermitian,
     find_gap,
     gap_in_window,
-    half_zone_bands,
     momentum_grid,
+    quarter_zone_bands,
     ribbon_bands,
 )
 
@@ -221,21 +221,34 @@ def test_spin_degeneracy_even_multiplicity_any_lambda():
 @pytest.mark.parametrize("chunk", [spectra.BLOCH_CHUNK, 100])
 @pytest.mark.parametrize(
     "alpha, beta, lam",
-    [(A13, 0.07, 0.4), (Fraction(2, 5), 0.13, 1.1), (Fraction(1, 2), 0.05, 0.7)],
+    [
+        (A13, 0.07, 0.4),
+        (Fraction(2, 5), 0.13, 1.1),
+        (Fraction(1, 2), 0.05, 0.7),
+        (Fraction(0, 1), 0.21, 1.7),
+        (Fraction(1, 4), 0.16, 0.3),
+    ],
 )
 def test_half_zone_energies_match_full_grid(monkeypatch, chunk, alpha, beta, lam):
-    # time reversal: the kx <= 0 half of the grid carries every level of the
-    # whole grid (the last case has Q = 2); chunk 100 splits the kx columns
+    # time reversal plus the x mirror: the kx <= 0, ky <= 0 quarter of the
+    # grid carries every level of the whole grid (alpha 1/2 and 0 have Q = 2);
+    # chunk 100 splits the kx columns
     monkeypatch.setattr(spectra, "BLOCH_CHUNK", chunk)
     params = ModelParams(alpha=alpha, beta=beta, lam=lam)
+    Q = params.magnetic_height
     for grid in ((32, 32), (33, 18)):
-        half = half_zone_bands(params, grid)
+        quarter = quarter_zone_bands(params, grid)
         full = bulk_bands(params, grid)
-        assert half.energies.shape[1:] == full.energies.shape[1:]
-        assert 2 * (half.kx.size - 1) == full.kx.size
-        assert np.all(half.kx <= 0.0) and half.kx[0] == -math.pi and half.kx[-1] == 0.0
+        assert quarter.energies.shape[2:] == full.energies.shape[2:]
+        assert quarter.energies.shape[:2] == (quarter.kx.size, quarter.ky.size)
+        assert 2 * (quarter.kx.size - 1) == full.kx.size
+        assert 2 * (quarter.ky.size - 1) == full.ky.size
+        assert np.all(quarter.kx <= 0.0) and quarter.kx[0] == -math.pi
+        assert quarter.kx[-1] == 0.0
+        assert np.all(quarter.ky <= 0.0) and quarter.ky[0] == -math.pi / Q
+        assert quarter.ky[-1] == 0.0
         # equal as sets: every level of either lies within 1e-12 of the other
-        a, b = half.flat_energies(), full.flat_energies()
+        a, b = quarter.flat_energies(), full.flat_energies()
         assert _set_distance(a, b) <= 1e-12 and _set_distance(b, a) <= 1e-12
 
 

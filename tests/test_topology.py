@@ -1,6 +1,9 @@
 """Chern numbers, Z2 index and phase classification."""
 
+import math
 import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +16,14 @@ from qshsim.errors import (
     ParameterError,
     ResolutionError,
 )
-from qshsim.model import SPIN_DOWN, SPIN_UP, ModelParams
-from qshsim.spectra import gap_in_window, half_zone_bands
+from qshsim.model import SPIN_DOWN, SPIN_UP, ModelParams, ribbon_stack
+from qshsim.spectra import gap_in_window, quarter_zone_bands
 from qshsim.topology import (
+    DEFAULT_WINDOW,
     PHASE_ERROR,
     PHASE_METAL,
     PHASE_TOPOLOGICAL,
+    PHASE_TRIVIAL,
     ROUTE_REFINED_GAP,
     ROUTE_WILSON,
     bulk_gap_at,
@@ -140,10 +145,15 @@ def _connected_component(points, start):
     return seen
 
 
-def test_phase_diagram_two_regions():
-    pmap = phase_diagram(
+@pytest.fixture(scope="module")
+def tier1_map():
+    return phase_diagram(
         A13, (0.0, 0.25), (0.0, 2.0), resolution=(16, 16), threads=4
     )
+
+
+def test_phase_diagram_two_regions(tier1_map):
+    pmap = tier1_map
     flat = [pt for row in pmap.points for pt in row]
     assert all(pt.error is None for pt in flat)
     phases = {pt.phase for pt in flat}
@@ -164,6 +174,25 @@ def test_phase_diagram_two_regions():
     assert len(topo_region) >= 16
     assert len(metal_region) >= 16
     assert not (topo_region & metal_region)
+
+
+def test_wilson_z2_agrees_over_the_phase_map(tier1_map):
+    # the bulk Wilson-loop Z2 is a second derivation of every gapped label
+    gapped = [
+        pt for row in tier1_map.points for pt in row
+        if pt.phase in (PHASE_TOPOLOGICAL, PHASE_TRIVIAL)
+    ]
+    assert len(gapped) >= 100
+
+    def wilson(pt):
+        params = ModelParams(alpha=A13, beta=pt.beta, lam=pt.lam)
+        return wilson_z2(params, topology._fermi_level(DEFAULT_WINDOW, pt.gap.gap))
+
+    with ThreadPoolExecutor(max_workers=4) as pool:  # LAPACK releases the GIL
+        nus = list(pool.map(wilson, gapped))
+    assert [(pt.beta, pt.lam, nu) for pt, nu in zip(gapped, nus)] == [
+        (pt.beta, pt.lam, pt.nu) for pt in gapped
+    ]
 
 
 def test_phase_diagram_resolution_guard():
@@ -199,7 +228,8 @@ def test_bulk_fallback_settles_failed_ribbon_votes():
     topo = ModelParams(alpha=A13, beta=1.0 / 6.0, lam=0.0)
     metal = ModelParams(alpha=A13, beta=0.1, lam=0.5666666666666667)
     for params in (topo, metal):
-        gap = gap_in_window(half_zone_bands(params, LIGHT["bulk_grid"]), (1.0, 2.0)).gap
+        bands = quarter_zone_bands(params, LIGHT["bulk_grid"])
+        gap = gap_in_window(bands, (1.0, 2.0)).gap
         e_f = 1.5 if gap[0] < 1.5 < gap[1] else 0.5 * (gap[0] + gap[1])
         with pytest.raises(DegeneracyError):
             z2_invariant(
@@ -234,3 +264,153 @@ def test_phase_diagram_errors_and_pool_lifetime(monkeypatch):
         with pytest.raises(TypeError):
             phase_diagram(A13, threads=threads)
     assert threading.active_count() == threads_before
+
+
+def _all_kx_vote(params, e_f, ny_ribbon=48, kx_points=201, gap_bounds=None):
+    """Test oracle: the ribbon vote with every kx diagonalized.
+
+    Each vote energy walks all ``kx_points - 1`` intervals with the dense
+    eigenpairs at both ends.
+    """
+    g_lo, g_hi = gap_bounds if gap_bounds is not None else bulk_gap_at(params, e_f)
+    if not g_lo < e_f < g_hi:
+        raise GaplessError(f"E={e_f} outside the bulk gap")
+    kxs = np.linspace(0.0, math.pi, kx_points)
+    vals, bottom = topology._ribbon_slab(params, ny_ribbon, kxs)
+    lo_shift = 0.25 * (e_f - g_lo) if math.isfinite(g_lo) else 0.5
+    hi_shift = 0.25 * (g_hi - e_f) if math.isfinite(g_hi) else 0.5
+    parities, failure = [], None
+    for ef in (e_f, e_f - lo_shift, e_f + hi_shift):
+        try:
+            parities.append(sum(
+                topology._count_bottom_crossings(
+                    params, ny_ribbon, ef, kxs[i], kxs[i + 1], vals[i],
+                    vals[i + 1], bottom[i], bottom[i + 1], 0, 0.5,
+                )
+                for i in range(kx_points - 1)
+            ) % 2)
+        except DegeneracyError as exc:
+            failure = exc
+    if not parities or (len(parities) == 2 and parities[0] != parities[1]):
+        raise failure or DegeneracyError("edge-crossing count unresolved")
+    return int(round(np.median(parities)))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value of ``fn``, or the type of the Degeneracy/GaplessError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (DegeneracyError, GaplessError) as exc:
+        return type(exc)
+
+
+def _vote_case(params, settings):
+    """(e_f, gap bounds) as classify_point picks them; (1.5, None) without a gap."""
+    report = gap_in_window(
+        quarter_zone_bands(params, settings["bulk_grid"]), DEFAULT_WINDOW
+    )
+    if not report.is_gapped:
+        return 1.5, None
+    return topology._fermi_level(DEFAULT_WINDOW, report.gap), report.gap
+
+
+@pytest.mark.parametrize("ny", [6, 24, 48])
+@pytest.mark.parametrize(
+    "alpha", [Fraction(0, 1), A13, Fraction(2, 5), Fraction(1, 2)]
+)
+def test_level_counts_match_dense_eigenvalues(ny, alpha):
+    rng = np.random.default_rng(ny * 10 + alpha.denominator)
+    kxs = np.linspace(0.0, math.pi, 101)
+    for _ in range(4):
+        params = ModelParams(
+            alpha=alpha, beta=rng.uniform(0.0, 0.25), lam=rng.uniform(0.0, 2.0)
+        )
+        levels = np.linalg.eigvalsh(ribbon_stack(params, ny, kxs))
+        flat = np.sort(levels.ravel())
+        widest = int(np.argmax(np.diff(flat)))
+        energies = [
+            rng.uniform(flat[0], flat[-1]),  # inside the bands
+            0.5 * (flat[widest] + flat[widest + 1]),  # inside the widest gap
+            1.5,
+            flat[0] - 1.0,  # beyond the spectrum
+            flat[-1] + 1.0,
+        ]
+        counts, failed = topology._ribbon_level_counts(params, ny, kxs, energies)
+        expect = (levels[None] < np.array(energies)[:, None, None]).sum(axis=-1)
+        assert not failed.any()
+        assert np.array_equal(counts, expect)
+
+
+def test_zero_pivot_takes_the_dense_route(monkeypatch):
+    # at kx = 0 the first row block equals E = 1.5 on its diagonal and has no
+    # off-diagonal part: the first pivot is exactly zero
+    params = ModelParams(alpha=A13, beta=0.05, lam=3.5)
+    kxs = np.linspace(0.0, math.pi, 101)
+    solved = []
+    slab = topology._ribbon_slab
+
+    def recording_slab(params, ny, kxs):
+        solved.extend(np.asarray(kxs).tolist())
+        return slab(params, ny, kxs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, failed = topology._ribbon_level_counts(params, 24, kxs, [1.5])
+        assert failed[0] and not failed[1:].any()
+        levels = np.linalg.eigvalsh(ribbon_stack(params, 24, kxs))
+        assert np.array_equal(counts[0, 1:], (levels[1:] < 1.5).sum(axis=-1))
+        gap = bulk_gap_at(params, 1.5)  # a trivial gap of about (-1.78, 1.78)
+        expect = _all_kx_vote(params, 1.5, 24, 101, gap_bounds=gap)
+        monkeypatch.setattr(topology, "_ribbon_slab", recording_slab)
+        assert z2_invariant(params, 1.5, 24, 101, gap_bounds=gap) == expect == 0
+    assert 0.0 in solved  # the singular kx went to the dense solve
+
+
+def test_z2_rejects_ribbons_too_small_to_classify():
+    params = ModelParams(alpha=A13)  # nu = 1 at the defaults
+    for kx_points in (1, 2, 100):
+        with pytest.raises(ParameterError, match="momentum"):
+            z2_invariant(params, 1.5, 48, kx_points)
+    for ny in (1, 3, 11):
+        with pytest.raises(ParameterError, match="height"):
+            z2_invariant(params, 1.5, ny, 201)
+
+
+def test_counted_vote_matches_all_kx_vote():
+    cases = [  # (params, e_f, settings, gap bounds)
+        (ModelParams(alpha=A13, lam=float(lam)), 1.5, {}, None)
+        for lam in np.linspace(0.0, 1.0, 5)
+    ] + [
+        (ModelParams(alpha=A13), 1.5, {}, None),
+        (ModelParams(alpha=A13, lam=1.0), 1.5, {}, None),
+        (ModelParams(alpha=A13), -5.0, {}, None),
+        (ModelParams(alpha=A13, lam=1.0), 0.0, {}, None),
+        (ModelParams(alpha=A13, beta=0.05, lam=3.0), 0.0, {}, None),
+        (ModelParams(alpha=Fraction(2, 5), beta=0.05, lam=1.0), 0.95, {}, None),
+        (ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5, {}, None),  # metal
+    ]
+    light = {k: LIGHT[k] for k in ("ny_ribbon", "kx_points")}
+    # the two points whose ribbon vote fails at the light settings
+    for params in (
+        ModelParams(alpha=A13, beta=1.0 / 6.0, lam=0.0),
+        ModelParams(alpha=A13, beta=0.1, lam=0.5666666666666667),
+    ):
+        e_f, gap = _vote_case(params, LIGHT)
+        cases.append((params, e_f, light, gap))
+    rng = np.random.default_rng(2024)
+    default = {"bulk_grid": (128, 128), "ny_ribbon": 48, "kx_points": 201}
+    for settings in (LIGHT, default):
+        for _ in range(30):
+            params = ModelParams(
+                alpha=A13, beta=rng.uniform(0.0, 0.25), lam=rng.uniform(0.0, 2.0)
+            )
+            e_f, gap = _vote_case(params, settings)
+            solver = {k: settings[k] for k in ("ny_ribbon", "kx_points")}
+            cases.append((params, e_f, solver, gap))
+    outcomes = set()
+    for params, e_f, solver, gap in cases:
+        got = _outcome(z2_invariant, params, e_f, gap_bounds=gap, **solver)
+        want = _outcome(_all_kx_vote, params, e_f, gap_bounds=gap, **solver)
+        assert got == want, (params, e_f, solver)
+        outcomes.add(got)
+    assert outcomes == {0, 1, DegeneracyError, GaplessError}
