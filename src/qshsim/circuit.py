@@ -71,11 +71,6 @@ DEVICE_CELLS = (
 )
 
 
-def sublattice_of(m: int, n: int) -> int:
-    """Four-color sublattice id of site (m, n): 1,2 alternate along x; 3,4 above."""
-    return 1 + (m % 2) + 2 * (n % 2)
-
-
 @dataclass(frozen=True)
 class DressedSpectrum:
     """Single-excitation dressed energies of a cell: E_up - E_down = 2g."""

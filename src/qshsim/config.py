@@ -7,6 +7,10 @@ Two layouts are recognized::
     {"alpha": "1/3", "beta": 0, "lambda": 0, "task": "bands", "grid": [64, 64]}
     {"alpha": "1/3", "bands": {"grid": [64, 64]}}
 
+At the top level ``ny`` is the lattice height, so a ribbon's own ``ny`` goes
+in its block; the minimal layout of a ribbon with a top-level ``ny`` is
+rejected as ambiguous.
+
 Canonical serialization (sorted keys, fixed separators) of the normalized
 config, together with the package version, defines the cache key, so
 identical configs hash identically and a new version never replays old bytes.
@@ -26,6 +30,7 @@ from .circuit import T0_MHZ
 from .errors import ConfigError
 from .model import ModelParams
 from .spectra import BULK_MIN_GRID, RIBBON_MIN_KX
+from .topology import PHASE_MIN_RESOLUTION
 
 log = logging.getLogger("qshsim")
 
@@ -142,6 +147,12 @@ def _find_task(data: dict):
         params = dict(_object(data, named))
         if not params:
             # minimal layout: task parameters live at the top level
+            if named == "ribbon" and "ny" in data:
+                raise ConfigError(
+                    "field 'ny': ambiguous in the minimal ribbon layout, where it "
+                    "is the lattice height; give the ribbon rows as "
+                    '{"ribbon": {"ny": ...}}'
+                )
             return named, top_level
     elif len(block_tasks) == 1:
         named, params = block_tasks[0], dict(data[block_tasks[0]])
@@ -155,6 +166,16 @@ def _find_task(data: dict):
     return named, params
 
 
+def _is_finite(value) -> bool:
+    """A JSON number, not a bool, with a finite float value."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _check_rwa_times(params: dict) -> None:
     """``rwa_check.t_final`` must be finite and >= 0, ``rwa_check.dt`` > 0.
 
@@ -164,12 +185,7 @@ def _check_rwa_times(params: dict) -> None:
         if key not in params or (key == "dt" and params[key] is None):
             continue
         value = params[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        try:
-            finite = number and math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not (finite and (value > 0 if positive else value >= 0)):
+        if not (_is_finite(value) and (value > 0 if positive else value >= 0)):
             bound = "> 0" if positive else ">= 0"
             raise ConfigError(
                 f"field 'rwa_check.{key}': must be a finite number {bound}, "
@@ -182,22 +198,40 @@ def _is_int(value) -> bool:
 
 
 def _check_phase_solver(params: dict, model: ModelParams) -> None:
-    """``phase_diagram`` solver settings the classifier accepts.
+    """``phase_diagram`` grid, window and solver settings the classifier accepts.
 
-    ``bulk_grid`` is two integers >= ``BULK_MIN_GRID``, ``ny_ribbon`` an
-    integer of at least two magnetic cells (2*lcm(q, 2) rows) and
-    ``kx_points`` an integer >= ``RIBBON_MIN_KX``, the bounds the spectra
-    module enforces.
+    ``resolution`` is two integers >= ``PHASE_MIN_RESOLUTION``, ``bulk_grid``
+    two integers >= ``BULK_MIN_GRID``, ``beta_range`` and ``lambda_range``
+    two finite numbers, ``window`` two finite numbers lo < hi, ``ny_ribbon``
+    an integer of at least two magnetic cells (2*lcm(q, 2) rows) and
+    ``kx_points`` an integer >= ``RIBBON_MIN_KX``, the bounds the topology
+    and spectra modules enforce.
     """
-    grid = params.get("bulk_grid", [BULK_MIN_GRID] * 2)
-    if not (
-        isinstance(grid, (list, tuple)) and len(grid) == 2
-        and all(_is_int(n) and n >= BULK_MIN_GRID for n in grid)
-    ):
-        raise ConfigError(
-            f"field 'phase_diagram.bulk_grid': must be two integers >= "
-            f"{BULK_MIN_GRID}, got {grid!r}"
-        )
+    pairs = {
+        "resolution": (
+            lambda n: _is_int(n) and n >= PHASE_MIN_RESOLUTION,
+            f"two integers >= {PHASE_MIN_RESOLUTION}",
+        ),
+        "bulk_grid": (
+            lambda n: _is_int(n) and n >= BULK_MIN_GRID,
+            f"two integers >= {BULK_MIN_GRID}",
+        ),
+        "beta_range": (_is_finite, "two finite numbers"),
+        "lambda_range": (_is_finite, "two finite numbers"),
+        "window": (_is_finite, "two finite numbers lo < hi"),
+    }
+    for key, (valid, rule) in pairs.items():
+        if key not in params:
+            continue
+        value = params[key]
+        if not (
+            isinstance(value, (list, tuple)) and len(value) == 2
+            and all(valid(v) for v in value)
+            and (key != "window" or value[0] < value[1])
+        ):
+            raise ConfigError(
+                f"field 'phase_diagram.{key}': must be {rule}, got {value!r}"
+            )
     bounds = {"ny_ribbon": 2 * model.magnetic_height, "kx_points": RIBBON_MIN_KX}
     for key, least in bounds.items():
         value = params.get(key, least)

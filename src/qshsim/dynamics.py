@@ -35,7 +35,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .circuit import T0_MHZ
 from .errors import ParameterError
-from .model import HermitianOperator, ModelParams, open_hamiltonian
+from .model import ModelParams, open_hamiltonian
 
 TRACE_TOL = 1e-8
 HERM_TOL = 1e-10
@@ -96,41 +96,10 @@ class LindbladSpec:
             )
 
 
-def subspace_jump_operators(
-    basis: SubspaceBasis, spec: LindbladSpec
-) -> List[sp.csr_matrix]:
-    """Explicit sparse jump operators (already scaled by sqrt(gamma))."""
-    dim = basis.dim
-    root = math.sqrt(spec.gamma)
-    r = 1.0 / math.sqrt(2.0)
-
-    def csr(rows, cols, vals) -> sp.csr_matrix:
-        op = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        op.eliminate_zeros()
-        return op
-
-    ops: List[sp.csr_matrix] = []
-    for iu, idn in basis.site_pairs():
-        if spec.photon_loss:
-            ops.append(csr([0, 0], [iu, idn], [root * r, root * -r]))
-        if spec.transmon_loss:
-            ops.append(csr([0, 0], [iu, idn], [root * r, root * r]))
-        if spec.dephasing:
-            # -1 off the site, the spin flip |up> <-> |down> on it
-            rest = np.setdiff1d(np.arange(dim), [iu, idn])
-            ops.append(csr(
-                np.concatenate([rest, [iu, idn]]),
-                np.concatenate([rest, [idn, iu]]),
-                np.concatenate([np.full(rest.size, -root), [root, root]]),
-            ))
-    return ops
-
-
 def embed_excited_hamiltonian(h, basis: SubspaceBasis) -> np.ndarray:
     """Excited-block Hamiltonian -> full subspace matrix (vacuum row/col zero)."""
-    if isinstance(h, HermitianOperator):
-        h = h.toarray()
-    h = np.asarray(h)
+    # np.asarray of a sparse matrix is a 0-d object array
+    h = h.toarray() if sp.issparse(h) else np.asarray(h)
     nexc = basis.dim - 1
     if h.shape == (basis.dim, basis.dim):
         return h.astype(complex)
@@ -158,15 +127,6 @@ def validate_density_matrix(rho: np.ndarray, check_positivity: bool = True):
         evmin = float(np.linalg.eigvalsh(rho).min())
         if evmin < POSITIVITY_TOL:
             raise ParameterError(f"density matrix has eigenvalue {evmin:.2e}")
-
-
-def _lindblad_rhs_reference(rho, h_full, jump_ops):
-    """Direct textbook right-hand side; oracle for the Liouvillian."""
-    out = -1j * (h_full @ rho - rho @ h_full)
-    for op in jump_ops:
-        od = op.conj().T
-        out += op @ rho @ od - 0.5 * (od @ op @ rho + rho @ od @ op)
-    return out
 
 
 def hamiltonian_liouvillian(h_full) -> sp.csr_matrix:

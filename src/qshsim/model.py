@@ -6,8 +6,7 @@ two spins (flux +/-2*pi*alpha per plaquette), hops in y mix the spins through
 exp(i*2*pi*beta*sigma_x), and an on-site potential alternates sign between
 adjacent rows.  There is one builder per representation:
 
-* ``open_hamiltonian`` -- finite lattice, open boundaries in x and y, dense or
-  CSR by size;
+* ``open_hamiltonian`` -- finite lattice, open boundaries in x and y, CSR;
 * ``ribbon_stack``     -- periodic in x, open in y, one matrix per kx;
 * ``bloch_stack``      -- fully periodic, magnetic unit cell of height
   ``lcm(q, 2)`` so that both the flux and the row-alternating potential fit,
@@ -23,7 +22,7 @@ All energies are expressed in units of the hopping strength ``t0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,8 +36,6 @@ SPIN_DOWN = 1
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-12
-#: above this dimension real-space operators are stored sparse (CSR)
-DENSE_DIM_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -89,38 +86,6 @@ class ModelParams:
                 f"lattice must be at least 2x2, got {self.nx}x{self.ny}"
             )
 
-    def with_size(self, nx: int, ny: int) -> "ModelParams":
-        return replace(self, nx=nx, ny=ny)
-
-
-@dataclass
-class HermitianOperator:
-    """Hermitian matrix: a dense ndarray or, for large real-space builds, CSR."""
-
-    dim: int
-    matrix: object
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
-
-    def toarray(self) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.matrix.todense())
-        return self.matrix
-
-    def hermiticity_defect(self) -> float:
-        if self.is_sparse:
-            d = self.matrix - self.matrix.getH()
-            return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def validate(self, tol: float = HERMITICITY_TOL) -> "HermitianOperator":
-        defect = self.hermiticity_defect()
-        if defect > tol:
-            raise ParameterError(f"operator not Hermitian: defect {defect:.3e}")
-        return self
-
 
 def _x_phase(params: ModelParams, n: int) -> float:
     """Angle 2*pi*alpha*n reduced exactly modulo 2*pi (integer arithmetic)."""
@@ -143,10 +108,10 @@ def onsite_energy(params: ModelParams, n: int) -> float:
     return ((-1) ** n) * params.lam * params.t0
 
 
-def open_hamiltonian(params: ModelParams) -> HermitianOperator:
-    """Finite-lattice Hamiltonian with open boundaries (no wrap bonds).
+def open_hamiltonian(params: ModelParams) -> sp.csr_matrix:
+    """Finite-lattice Hamiltonian with open boundaries (no wrap bonds), as CSR.
 
-    Dense up to ``DENSE_DIM_LIMIT``, CSR above; zero entries are not stored.
+    Zero entries are not stored.
     """
     params.require_lattice()
     nx, ny = params.nx, params.ny
@@ -160,10 +125,10 @@ def open_hamiltonian(params: ModelParams) -> HermitianOperator:
     hops = hop_x + hop_y
     mat = (onsite + hops + hops.conj().T).tocsr()
     mat.eliminate_zeros()
-    dim = 2 * nx * ny
-    if dim <= DENSE_DIM_LIMIT:
-        mat = mat.toarray()
-    return HermitianOperator(dim=dim, matrix=mat).validate()
+    defect = float(abs(mat - mat.conj().T).max())
+    if defect > HERMITICITY_TOL:
+        raise ParameterError(f"operator not Hermitian: defect {defect:.3e}")
+    return mat
 
 
 def _chain(params: ModelParams, rows: int, kxs) -> np.ndarray:

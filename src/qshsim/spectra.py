@@ -1,8 +1,8 @@
 """Hermitian eigensolves, band structures and spectral-gap detection.
 
-Dense solves (numpy/LAPACK) are the correctness oracle.  Requests for the
-eigenpairs nearest an energy use ARPACK shift-invert at every size; energy
-windows use it on real-space operators above the sparse threshold.
+The eigenpairs of a real-space operator nearest an energy come from ARPACK
+shift-invert wherever ARPACK can serve the count, and from a dense solve
+otherwise; band structures use batched dense solves.
 Momentum grids always contain k = 0 and k = pi exactly (even point counts
 spanning [-pi, pi)), so time-reversal invariant momenta are sampled.
 """
@@ -18,13 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .model import (
-    DENSE_DIM_LIMIT,
-    HermitianOperator,
-    ModelParams,
-    bloch_stack,
-    ribbon_stack,
-)
+from .model import ModelParams, bloch_stack, ribbon_stack
 
 #: minimum empty-interval width (units of t0) accepted as a true spectral gap
 GAP_THRESHOLD = 0.05
@@ -67,111 +61,36 @@ class GapReport:
     gap_threshold: float = GAP_THRESHOLD
 
 
-def _as_matrix(h):
-    if isinstance(h, HermitianOperator):
-        return h.matrix
-    return h
+def eig_hermitian(h, nearest: tuple):
+    """The ``count`` eigenpairs of Hermitian ``h`` nearest ``e0``, ascending.
 
-
-def _dense_eigh(mat):
-    if sp.issparse(mat):
-        mat = np.asarray(mat.todense())
-    return np.linalg.eigh(mat)
-
-
-def eig_hermitian(
-    h,
-    window: Optional[tuple] = None,
-    nearest: Optional[tuple] = None,
-    method: str = "auto",
-):
-    """Eigenvalues/eigenvectors of a Hermitian operator, ascending.
-
-    Exactly one of ``window=(e_lo, e_hi)`` / ``nearest=(e0, count)`` may be
-    given; with neither, the full spectrum is returned (densely).  ``method``
-    is one of ``auto``, ``dense`` or ``sparse``.  Under ``auto`` a ``nearest``
-    request uses ARPACK shift-invert at every size ARPACK can serve it
-    (``count <= dim - 2``) and the dense solve otherwise; a ``window`` request
-    is dense up to ``DENSE_DIM_LIMIT`` and shift-invert above.  A ``nearest``
-    request returns exactly ``count`` eigenpairs.  Shift-invert runs with a
-    fixed start vector so repeated solves are reproducible.  A sparse request
-    ARPACK cannot serve, or a sparse ``window`` solve that cannot reach past
-    both window edges within its eigenpair cap, raises SolverError.
+    ``nearest=(e0, count)`` with 1 <= count <= dim.  ARPACK shift-invert
+    serves every count it can (``count <= dim - 2``), with a fixed start
+    vector so repeated solves are reproducible; larger counts take the dense
+    solve, which breaks ties in |E - e0| towards the lower energy.
     """
-    if window is not None and nearest is not None:
-        raise ParameterError("pass at most one of window / nearest")
-    mat = _as_matrix(h)
+    e0, count = nearest[0], int(nearest[1])
+    mat = sp.csc_matrix(h)
     dim = mat.shape[0]
-    max_pairs = dim - 2  # ARPACK's limit on k for complex Hermitian input
-    if nearest is not None:
-        e0, count = nearest[0], int(nearest[1])
-        if not 1 <= count <= dim:
-            raise ParameterError(f"nearest count {count} outside 1..{dim}")
-        served = count <= max_pairs
-        use_sparse = method == "sparse" or (method == "auto" and served)
-    else:
-        served = window is not None and max_pairs >= 1
-        use_sparse = method == "sparse" or (
-            method == "auto" and served and dim > DENSE_DIM_LIMIT
-        )
-    if use_sparse and not served:
-        raise SolverError(
-            "shift-invert cannot serve this request",
-            diagnostics={
-                "requested": window or nearest or "all",
-                "dim": dim,
-                "max_pairs": max_pairs,
-            },
-        )
-    if not use_sparse:
-        vals, vecs = _dense_eigh(mat)
-        if window is not None:
-            lo, hi = window
-            keep = (vals >= lo) & (vals <= hi)
-            return vals[keep], vecs[:, keep]
-        if nearest is not None:
-            order = np.lexsort((vals, np.abs(vals - e0)))[:count]
-            order = order[np.argsort(vals[order])]
-            return vals[order], vecs[:, order]
-        return vals, vecs
-
-    smat = sp.csc_matrix(mat)
+    if not 1 <= count <= dim:
+        raise ParameterError(f"nearest count {count} outside 1..{dim}")
+    if count > dim - 2:  # ARPACK's limit on k for complex Hermitian input
+        vals, vecs = np.linalg.eigh(mat.toarray())
+        order = np.lexsort((vals, np.abs(vals - e0)))[:count]
+        order = order[np.argsort(vals[order])]
+        return vals[order], vecs[:, order]
     v0 = np.ones(dim) / math.sqrt(dim)  # fixed start vector: deterministic runs
     try:
-        if nearest is not None:
-            vals, vecs = spla.eigsh(smat, k=count, sigma=e0, which="LM", v0=v0)
-        else:
-            lo, hi = window
-            sigma = 0.5 * (lo + hi)
-            k = min(16, max_pairs)
-            k_cap = min(max_pairs, 4 * int(math.sqrt(dim)) + 64)
-            while True:
-                vals, vecs = spla.eigsh(smat, k=k, sigma=sigma, which="LM", v0=v0)
-                # the k eigenvalues nearest sigma include every one in the
-                # window once the farthest of them lies outside it
-                if np.max(np.abs(vals - sigma)) > 0.5 * (hi - lo):
-                    break
-                if k >= k_cap:
-                    raise SolverError(
-                        f"window {window} holds more than {k} eigenvalues",
-                        diagnostics={
-                            "window": (lo, hi),
-                            "covered": (float(vals.min()), float(vals.max())),
-                            "eigenvalues_found": k,
-                        },
-                    )
-                k = min(2 * k, max_pairs)
-            keep = (vals >= lo) & (vals <= hi)
-            vals, vecs = vals[keep], vecs[:, keep]
+        vals, vecs = spla.eigsh(mat, k=count, sigma=e0, which="LM", v0=v0)
     except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare path
         raise SolverError(
             "iterative eigensolver failed to converge",
             diagnostics={
                 "converged_eigenvalues": getattr(exc, "eigenvalues", None),
-                "requested": window or nearest,
+                "requested": nearest,
             },
         ) from exc
-    return _rayleigh_ritz(smat, vecs)
+    return _rayleigh_ritz(mat, vecs)
 
 
 def _rayleigh_ritz(mat, vecs):

@@ -61,6 +61,8 @@ PHASE_ERROR = "error"  # per-point failure recorded in PhasePoint.error
 CHERN_RESIDUAL_TOL = 0.01
 DEFAULT_FERMI_ENERGY = 1.5
 DEFAULT_WINDOW = (1.0, 2.0)
+#: fewest beta and lambda values of a phase diagram
+PHASE_MIN_RESOLUTION = 16
 #: kx lines of the two Wilson-loop Z2 evaluations that must agree, and ky
 #: points per loop
 WILSON_KX_LINES = (129, 257)
@@ -569,7 +571,7 @@ def phase_diagram(
     other exception propagates.
     """
     nb, nl = resolution
-    if nb < 16 or nl < 16:
+    if min(nb, nl) < PHASE_MIN_RESOLUTION:
         raise ParameterError("phase-diagram resolution must be at least 16x16")
     betas = np.linspace(beta_range[0], beta_range[1], nb)
     lams = np.linspace(lambda_range[0], lambda_range[1], nl)

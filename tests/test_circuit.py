@@ -25,7 +25,6 @@ from qshsim.circuit import (
     plaquette_plans,
     rotating_frame_propagator,
     rwa_fidelity,
-    sublattice_of,
     tone_plan,
     waveform,
     _bond_operator,
@@ -46,6 +45,11 @@ def y_target(beta):
     return y_hop_block(ModelParams(A13, beta))
 
 
+def sublattice_of(m: int, n: int) -> int:
+    """Four-color sublattice id of site (m, n): 1,2 alternate along x; 3,4 above."""
+    return 1 + (m % 2) + 2 * (n % 2)
+
+
 def test_dressed_energies_device_values():
     d1 = dressed_energies(DEVICE_CELLS[0])
     assert (d1.e_up, d1.e_down) == (2950, 2450)
@@ -64,6 +68,8 @@ def test_cell_validation():
 
 def test_sublattice_layout():
     assert [sublattice_of(m, n) for n in (0, 1) for m in (0, 1)] == [1, 2, 3, 4]
+    # the device cells are listed in the plaquette order of plaquette_plans
+    assert [c.sublattice_id for c in DEVICE_CELLS] == [1, 2, 3, 4]
 
 
 def test_tone_plan_x_bond():

@@ -183,6 +183,22 @@ def test_rwa_check_bad_times_rejected(tmp_path, params):
         {"bulk_grid": [64]},
         {"bulk_grid": [64, 64.5]},
         {"bulk_grid": 64},
+        {"resolution": [16]},
+        {"resolution": [16, 15]},
+        {"resolution": [16, 16.0]},
+        {"resolution": [True, 16]},
+        {"resolution": "16x16"},
+        {"window": [2.0, 1.0]},
+        {"window": [1.0, 1.0]},
+        {"window": [1.0, math.inf]},
+        {"window": [1.0, "2"]},
+        {"window": [1.0, 2.0, 3.0]},
+        {"beta_range": [0.0, math.nan]},
+        {"beta_range": [0.0]},
+        {"beta_range": 0.25},
+        {"lambda_range": [False, 2.0]},
+        {"lambda_range": [0.0, 10**400]},
+        {"lambda_range": None},
     ],
 )
 def test_phase_diagram_bad_solver_settings_rejected(tmp_path, params):
@@ -197,9 +213,28 @@ def test_phase_diagram_solver_bounds_accepted():
     cfg = normalize({"alpha": "1/3", "phase_diagram": {
         "bulk_grid": [16, 16], "ny_ribbon": 12, "kx_points": 101}})
     assert cfg.task_params["ny_ribbon"] == 12
+    # a reversed beta or lambda range is a valid sweep direction
+    cfg = normalize({"alpha": "1/3", "phase_diagram": {
+        "resolution": [16, 20], "window": [-1, 0.5],
+        "beta_range": [0.25, 0], "lambda_range": [2, -2]}})
+    assert cfg.task_params["resolution"] == [16, 20]
     # the ribbon bound follows the magnetic cell: lcm(2, 2) = 2 rows at 1/2
     cfg = normalize({"alpha": "1/2", "phase_diagram": {"ny_ribbon": 4}})
     assert cfg.task_params["ny_ribbon"] == 4
+
+
+def test_minimal_ribbon_layout_rejects_ambiguous_ny(tmp_path):
+    data = {"alpha": "1/3", "task": "ribbon", "ny": 30}
+    with pytest.raises(ConfigError, match='"ribbon": {"ny"'):
+        normalize(data)
+    for layout in (data, dict(data, kx_points=102), dict(data, ribbon={})):
+        path = write_config(tmp_path, layout)
+        assert main(["ribbon", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    # the block layout keeps the two heights apart
+    cfg = normalize({"alpha": "1/3", "ny": 30, "ribbon": {"ny": 12}})
+    assert (cfg.model.ny, cfg.task_params["ny"]) == (30, 12)
+    cfg = normalize({"alpha": "1/3", "task": "ribbon", "kx_points": 102})
+    assert (cfg.model.ny, cfg.task_params["ny"]) == (6, 42)
 
 
 def test_rwa_check_zero_duration_and_automatic_dt_accepted():

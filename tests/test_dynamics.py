@@ -12,7 +12,6 @@ from qshsim.dynamics import (
     LindbladSpec,
     SubspaceBasis,
     _chunk_count,
-    _lindblad_rhs_reference,
     corner_up_state,
     decay_scan,
     duration_from_us,
@@ -22,7 +21,6 @@ from qshsim.dynamics import (
     hamiltonian_liouvillian,
     lindblad_evolve,
     populations,
-    subspace_jump_operators,
     unit_dissipator,
     validate_density_matrix,
 )
@@ -30,6 +28,43 @@ from qshsim.errors import ParameterError
 from qshsim.model import ModelParams, open_hamiltonian
 
 A13 = Fraction(1, 3)
+
+
+def subspace_jump_operators(basis, spec):
+    """Explicit sparse jump operators (already scaled by sqrt(gamma))."""
+    dim = basis.dim
+    root = math.sqrt(spec.gamma)
+    r = 1.0 / math.sqrt(2.0)
+
+    def csr(rows, cols, vals):
+        op = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        op.eliminate_zeros()
+        return op
+
+    ops = []
+    for iu, idn in basis.site_pairs():
+        if spec.photon_loss:
+            ops.append(csr([0, 0], [iu, idn], [root * r, root * -r]))
+        if spec.transmon_loss:
+            ops.append(csr([0, 0], [iu, idn], [root * r, root * r]))
+        if spec.dephasing:
+            # -1 off the site, the spin flip |up> <-> |down> on it
+            rest = np.setdiff1d(np.arange(dim), [iu, idn])
+            ops.append(csr(
+                np.concatenate([rest, [iu, idn]]),
+                np.concatenate([rest, [idn, iu]]),
+                np.concatenate([np.full(rest.size, -root), [root, root]]),
+            ))
+    return ops
+
+
+def _lindblad_rhs_reference(rho, h_full, jump_ops):
+    """Direct textbook right-hand side; oracle for the Liouvillian."""
+    out = -1j * (h_full @ rho - rho @ h_full)
+    for op in jump_ops:
+        od = op.conj().T
+        out += op @ rho @ od - 0.5 * (od @ op @ rho + rho @ od @ op)
+    return out
 
 
 def test_subspace_dimension():

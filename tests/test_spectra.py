@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qshsim.errors import ParameterError, SolverError
+from qshsim.errors import ParameterError
 from qshsim.model import ModelParams, bloch_stack, open_hamiltonian, ribbon_stack
 from qshsim import spectra
 from qshsim.spectra import (
@@ -23,90 +23,57 @@ from qshsim.spectra import (
 A13 = Fraction(1, 3)
 
 
-def test_eig_two_by_two():
-    vals, vecs = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(vals, [-1.0, 1.0])
-    assert np.allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-12)
+def _dense_nearest(h, e0, count):
+    """Oracle: the ``count`` eigenpairs nearest ``e0`` from a full dense solve.
+
+    Ties in |E - e0| go to the lower energy; the result is ascending.
+    """
+    vals, vecs = np.linalg.eigh(h.toarray())
+    order = np.lexsort((vals, np.abs(vals - e0)))[:count]
+    order = order[np.argsort(vals[order])]
+    return vals[order], vecs[:, order]
 
 
 def test_eig_bloch_spin_degenerate_pairs():
     h = bloch_stack(ModelParams(alpha=A13), [0.0], [0.0])[0, 0]
-    vals, _ = eig_hermitian(h)
+    vals = np.linalg.eigvalsh(h)
     assert vals.size == 12
     assert np.allclose(vals[0::2], vals[1::2], atol=1e-9)
 
 
-def test_eig_reconstruction_random():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(100, 100)) + 1j * rng.normal(size=(100, 100))
-    h = 0.5 * (x + x.conj().T)
-    vals, vecs = eig_hermitian(h)
-    rec = (vecs * vals) @ vecs.conj().T
-    assert np.linalg.norm(rec - h) / np.linalg.norm(h) < 1e-8
-
-
 def test_eig_window_and_nearest_modes():
     h = np.diag(np.arange(10.0))
-    vals, vecs = eig_hermitian(h, window=(2.5, 6.5))
-    assert np.allclose(vals, [3, 4, 5, 6])
     vals, vecs = eig_hermitian(h, nearest=(4.2, 3))
     assert np.allclose(vals, [3, 4, 5])
-    with pytest.raises(ParameterError):
-        eig_hermitian(h, window=(0, 1), nearest=(0, 1))
 
 
 def test_sparse_path_agrees_with_dense_small_instance():
-    # iterative interior solver must match the dense oracle on dim <= 500
+    # the shift-invert interior solve must match the dense oracle
     p = ModelParams(alpha=A13, nx=10, ny=10)
     h = open_hamiltonian(p)
-    dv, _ = eig_hermitian(h, nearest=(1.5, 8), method="dense")
-    sv, svec = eig_hermitian(h, nearest=(1.5, 8), method="sparse")
+    dv, _ = _dense_nearest(h, 1.5, 8)
+    sv, svec = eig_hermitian(h, nearest=(1.5, 8))
     assert np.allclose(np.sort(dv), np.sort(sv), atol=1e-8)
     mat = h.toarray()
     for k in range(sv.size):
         assert np.linalg.norm(mat @ svec[:, k] - sv[k] * svec[:, k]) < 1e-8
-    dw, _ = eig_hermitian(h, window=(1.2, 1.8), method="dense")
-    sw, _ = eig_hermitian(h, window=(1.2, 1.8), method="sparse")
-    assert np.allclose(np.sort(dw), np.sort(sw), atol=1e-8)
 
 
 def test_nearest_returns_every_requested_pair():
     # shift-invert serves at most dim - 2 pairs; larger requests go dense
     h = open_hamiltonian(ModelParams(alpha=A13, beta=0.1, lam=0.5, nx=3, ny=3))
-    dim = h.dim
-    dense_all, _ = eig_hermitian(h, method="dense")
+    dim = h.shape[0]
+    dense_all = np.linalg.eigvalsh(h.toarray())
     for count in (dim - 2, dim - 1, dim):
         vals, vecs = eig_hermitian(h, nearest=(1.5, count))
-        dv, _ = eig_hermitian(h, nearest=(1.5, count), method="dense")
+        dv, _ = _dense_nearest(h, 1.5, count)
         assert len(vals) == count and vecs.shape == (dim, count)
         assert np.allclose(vals, dv, atol=1e-10)
         assert np.allclose(vecs.conj().T @ vecs, np.eye(count), atol=1e-12)
     assert np.allclose(eig_hermitian(h, nearest=(1.5, dim))[0], dense_all)
-    with pytest.raises(SolverError) as info:
-        eig_hermitian(h, nearest=(1.5, dim - 1), method="sparse")
-    assert info.value.diagnostics["max_pairs"] == dim - 2
     for count in (0, dim + 1):
         with pytest.raises(ParameterError):
             eig_hermitian(h, nearest=(1.5, count))
-
-
-def test_sparse_window_raises_instead_of_truncating():
-    # 2101 levels spaced 1/2100 apart: the window (0.2, 0.8) holds 1259 of
-    # them, more than the 247 eigenpairs the shift-invert loop may request
-    # at this dimension
-    import scipy.sparse as sp
-
-    h = sp.diags(np.linspace(0.0, 1.0, 2101) ** 2).tocsr()
-    with pytest.raises(SolverError) as info:
-        eig_hermitian(h, window=(0.2, 0.8), method="sparse")
-    lo, hi = info.value.diagnostics["covered"]
-    assert 0.2 < lo < hi < 0.8
-    assert info.value.diagnostics["window"] == (0.2, 0.8)
-    # a window the cap does reach is solved in full
-    vals, _ = eig_hermitian(h, window=(0.49, 0.51), method="sparse")
-    levels = np.linspace(0.0, 1.0, 2101) ** 2
-    expect = levels[(levels >= 0.49) & (levels <= 0.51)]
-    assert np.allclose(vals, expect, atol=1e-10)
 
 
 def test_momentum_grid_contains_trims():
