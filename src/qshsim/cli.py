@@ -10,7 +10,7 @@ import json
 import logging
 import sys
 
-from .config import TASKS, parse_config
+from .config import TASKS, THREADS, parse_config
 from .errors import ConfigError, QshError
 from .runner import run
 
@@ -53,9 +53,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            cfg.threads = args.threads
+            cfg.threads = THREADS.check(args.threads, None, "--threads")
         if args.format is not None:
             cfg.fmt = args.format
             cfg.normalized["format"] = args.format

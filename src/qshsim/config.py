@@ -11,6 +11,10 @@ At the top level ``ny`` is the lattice height, so a ribbon's own ``ny`` goes
 in its block; the minimal layout of a ribbon with a top-level ``ny`` is
 rejected as ambiguous.
 
+Every other key is described once, by a :class:`Param` in the tables below:
+``normalize`` checks each given value against it, raising ``ConfigError`` on
+a bad one, and fills the defaults.  A task accepts only the keys it reads.
+
 Canonical serialization (sorted keys, fixed separators) of the normalized
 config, together with the package version, defines the cache key, so
 identical configs hash identically and a new version never replays old bytes.
@@ -27,57 +31,173 @@ from fractions import Fraction
 
 from . import __version__
 from .circuit import T0_MHZ
+from .edgestates import DEFAULT_RING_DEPTH
 from .errors import ConfigError
-from .model import ModelParams
-from .spectra import BULK_MIN_GRID, RIBBON_MIN_KX
-from .topology import PHASE_MIN_RESOLUTION
+from .model import LATTICE_MIN_SIDE, ModelParams
+from .spectra import BULK_MIN_GRID, GAP_THRESHOLD, RIBBON_MIN_KX
+from .topology import DEFAULT_FERMI_ENERGY, DEFAULT_WINDOW, PHASE_MIN_RESOLUTION
 
 log = logging.getLogger("qshsim")
 
-TASKS = (
-    "bands",
-    "ribbon",
-    "phase_diagram",
-    "edge_states",
-    "tones",
-    "rwa_check",
-    "lindblad",
-)
+#: the default of a key that reaches its task only when given
+ABSENT = object()
 
-MODEL_KEYS = ("alpha", "beta", "lambda", "nx", "ny", "t0")
-COMMON_KEYS = ("task", "output", "threads", "seed", "model") + MODEL_KEYS
 
-#: shared physics defaults
-DEFAULTS = {
-    "e_f": 1.5,
-    "gap_threshold": 0.05,
-    "ring_depth": 2,
-    "t0_mhz": T0_MHZ,
-}
+def _is_finite(value) -> bool:
+    """A JSON number, not a bool, with a finite float value."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
-TASK_DEFAULTS = {
-    "bands": {"grid": [32, 32]},
-    "ribbon": {"ny": 42, "kx_points": 102},
-    "phase_diagram": {
-        "beta_range": [0.0, 0.25],
-        "lambda_range": [0.0, 2.0],
-        "resolution": [16, 16],
-        "window": [1.0, 2.0],
+
+_SIGN = {"": lambda v: True, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}
+_NOUN = {"number": ("a finite number", "finite numbers"),
+         "integer": ("an integer", "integers"), "text": ("a string", "strings")}
+_COUNT = {"pair": "two", "ordered pair": "two", "list": "a list of one or more"}
+
+
+@dataclass(frozen=True)
+class Param:
+    """The values one config key takes, and its value when left out.
+
+    ``kind`` is "number" (finite, and ``sign`` "", ">= 0" or "> 0"),
+    "integer" (from ``least`` to ``most``, each a number, a function of the
+    model or None for no bound) or "text" (one of ``choices``, if any).
+    ``shape`` is "one", "pair", "ordered pair" (lo < hi) or "list" (one or
+    more values); ``nullable`` also admits null.  Numbers come out as floats
+    and sequences as lists, so equal values hash equally.
+    """
+
+    kind: str
+    default: object = ABSENT
+    shape: str = "one"
+    sign: str = ""
+    least: object = None
+    most: object = None
+    choices: tuple = ()
+    nullable: bool = False
+
+    def _valid(self, v, least, most) -> bool:
+        if self.kind == "number":
+            return _is_finite(v) and _SIGN[self.sign](v)
+        if self.kind == "integer":
+            return (isinstance(v, int) and not isinstance(v, bool)
+                    and (least is None or v >= least) and (most is None or v <= most))
+        return isinstance(v, str) and (not self.choices or v in self.choices)
+
+    def _rule(self, least, most) -> str:
+        one, many = _NOUN[self.kind]
+        rule = one if self.shape == "one" else f"{_COUNT[self.shape]} {many}"
+        if self.sign:
+            rule += f" {self.sign}"
+        if least is not None:
+            rule += f" from {least} to {most}" if most is not None else f" >= {least}"
+        if self.choices:
+            rule = "one of " + ", ".join(map(repr, self.choices))
+        if self.shape == "ordered pair":
+            rule += " lo < hi"
+        return "null or " + rule if self.nullable else rule
+
+    def check(self, value, model, name: str):
+        """``value`` in canonical form; ConfigError naming ``name`` if it is bad."""
+        if value is None and self.nullable:
+            return None
+        least, most = (b(model) if callable(b) else b for b in (self.least, self.most))
+        items = [value] if self.shape == "one" else value
+        if not (
+            isinstance(items, (list, tuple))
+            and (len(items) == 2 if "pair" in self.shape else len(items) > 0)
+            and all(self._valid(v, least, most) for v in items)
+            and (self.shape != "ordered pair" or items[0] < items[1])
+        ):
+            raise ConfigError(
+                f"field {name!r}: must be {self._rule(least, most)}, got {value!r}"
+            )
+        items = [float(v) for v in items] if self.kind == "number" else list(items)
+        return items[0] if self.shape == "one" else items
+
+
+def _ribbon_rows(model: ModelParams) -> int:
+    """Two magnetic cells: the fewest rows a ribbon accepts."""
+    return 2 * model.magnetic_height
+
+
+_WINDOW = Param("number", list(DEFAULT_WINDOW), shape="ordered pair")
+_GAP_THRESHOLD = Param("number", GAP_THRESHOLD, sign="> 0")
+
+
+#: every key of every task: its values, bounds and default
+TASK_PARAMS = {
+    "bands": {
+        "grid": Param("integer", [32, 32], shape="pair", least=BULK_MIN_GRID),
+        "window": _WINDOW,
+        "gap_threshold": _GAP_THRESHOLD,
     },
-    "edge_states": {"count": 1},
-    "tones": {"units": "t0"},
-    "rwa_check": {},
-    "lindblad": {"gammas": [0.0, 1.0 / 600.0, 1.0 / 300.0], "t_us": 2.0},
+    "ribbon": {
+        "ny": Param("integer", 42, least=_ribbon_rows),
+        "kx_points": Param("integer", 102, least=RIBBON_MIN_KX),
+    },
+    "phase_diagram": {
+        "beta_range": Param("number", [0.0, 0.25], shape="pair"),
+        "lambda_range": Param("number", [0.0, 2.0], shape="pair"),
+        "resolution": Param(
+            "integer", [16, 16], shape="pair", least=PHASE_MIN_RESOLUTION
+        ),
+        "window": _WINDOW,
+        "gap_threshold": _GAP_THRESHOLD,
+        "bulk_grid": Param("integer", shape="pair", least=BULK_MIN_GRID),
+        "ny_ribbon": Param("integer", least=_ribbon_rows),
+        "kx_points": Param("integer", least=RIBBON_MIN_KX),
+    },
+    "edge_states": {
+        "e_f": Param("number", DEFAULT_FERMI_ENERGY),
+        # at most every eigenpair of the open lattice
+        "count": Param("integer", 1, least=1, most=lambda m: 2 * m.nx * m.ny),
+        # the ring must leave an interior: depth < min(nx, ny) / 2
+        "ring_depth": Param(
+            "integer", DEFAULT_RING_DEPTH, least=1,
+            most=lambda m: (min(m.nx, m.ny) - 1) // 2,
+        ),
+    },
+    "tones": {
+        "units": Param("text", "t0", choices=("t0", "MHz")),
+        "t0_mhz": Param("number", T0_MHZ, sign="> 0"),
+    },
+    "rwa_check": {
+        "t_final": Param("number", math.pi / 2.0, sign=">= 0"),
+        # null: the automatic step
+        "dt": Param("number", None, sign="> 0", nullable=True),
+    },
+    "lindblad": {
+        "gammas": Param(
+            "number", [0.0, 1.0 / 600.0, 1.0 / 300.0], shape="list", sign=">= 0"
+        ),
+        "t_us": Param("number", 2.0, sign=">= 0"),
+    },
 }
+TASKS = tuple(TASK_PARAMS)
+#: keys still accepted but ignored, each with the reason logged when given
+DEPRECATED = {"lindblad": {"dt": "by exact propagation"}}
 
-#: task parameters without a default value (``lindblad.dt`` is deprecated)
-TASK_OPTIONAL = {
-    "bands": ("window",),
-    "phase_diagram": ("bulk_grid", "ny_ribbon", "kx_points"),
-    "rwa_check": ("t_final", "dt"),
-    "lindblad": ("dt",),
+#: model keys; ``alpha`` is parsed as p/q, and ModelParams fills the defaults
+MODEL_PARAMS = {
+    "alpha": Param("text"),
+    "beta": Param("number"),
+    "lambda": Param("number"),
+    "nx": Param("integer", least=LATTICE_MIN_SIDE),
+    "ny": Param("integer", least=LATTICE_MIN_SIDE),
+    "t0": Param("number", sign="> 0"),
 }
-OUTPUT_KEYS = ("format", "directory")
+MODEL_KEYS = tuple(MODEL_PARAMS)
+OUTPUT_PARAMS = {
+    "format": Param("text", "csv", choices=("csv", "json")),
+    "directory": Param("text", "qshsim-out"),
+}
+THREADS = Param("integer", 1, least=1)
+COMMON_KEYS = ("task", "output", "threads", "seed", "model") + MODEL_KEYS
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -86,6 +206,17 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
         raise ConfigError(
             f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
         )
+
+
+def _checked(table: dict, given: dict, model, prefix: str, where: str) -> dict:
+    """The keys of ``table``: given values checked, then defaults filled."""
+    _reject_unknown(given, table, where)
+    values = {}
+    for key, param in table.items():
+        value = given.get(key, param.default)
+        if value is not ABSENT:
+            values[key] = param.check(value, model, prefix + key)
+    return values
 
 
 @dataclass
@@ -166,158 +297,45 @@ def _find_task(data: dict):
     return named, params
 
 
-def _is_finite(value) -> bool:
-    """A JSON number, not a bool, with a finite float value."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _check_rwa_times(params: dict) -> None:
-    """``rwa_check.t_final`` must be finite and >= 0, ``rwa_check.dt`` > 0.
-
-    A ``null`` dt means the automatic step, as when the key is left out.
-    """
-    for key, positive in (("t_final", False), ("dt", True)):
-        if key not in params or (key == "dt" and params[key] is None):
-            continue
-        value = params[key]
-        if not (_is_finite(value) and (value > 0 if positive else value >= 0)):
-            bound = "> 0" if positive else ">= 0"
-            raise ConfigError(
-                f"field 'rwa_check.{key}': must be a finite number {bound}, "
-                f"got {value!r}"
-            )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_phase_solver(params: dict, model: ModelParams) -> None:
-    """``phase_diagram`` grid, window and solver settings the classifier accepts.
-
-    ``resolution`` is two integers >= ``PHASE_MIN_RESOLUTION``, ``bulk_grid``
-    two integers >= ``BULK_MIN_GRID``, ``beta_range`` and ``lambda_range``
-    two finite numbers, ``window`` two finite numbers lo < hi, ``ny_ribbon``
-    an integer of at least two magnetic cells (2*lcm(q, 2) rows) and
-    ``kx_points`` an integer >= ``RIBBON_MIN_KX``, the bounds the topology
-    and spectra modules enforce.
-    """
-    pairs = {
-        "resolution": (
-            lambda n: _is_int(n) and n >= PHASE_MIN_RESOLUTION,
-            f"two integers >= {PHASE_MIN_RESOLUTION}",
-        ),
-        "bulk_grid": (
-            lambda n: _is_int(n) and n >= BULK_MIN_GRID,
-            f"two integers >= {BULK_MIN_GRID}",
-        ),
-        "beta_range": (_is_finite, "two finite numbers"),
-        "lambda_range": (_is_finite, "two finite numbers"),
-        "window": (_is_finite, "two finite numbers lo < hi"),
-    }
-    for key, (valid, rule) in pairs.items():
-        if key not in params:
-            continue
-        value = params[key]
-        if not (
-            isinstance(value, (list, tuple)) and len(value) == 2
-            and all(valid(v) for v in value)
-            and (key != "window" or value[0] < value[1])
-        ):
-            raise ConfigError(
-                f"field 'phase_diagram.{key}': must be {rule}, got {value!r}"
-            )
-    bounds = {"ny_ribbon": 2 * model.magnetic_height, "kx_points": RIBBON_MIN_KX}
-    for key, least in bounds.items():
-        value = params.get(key, least)
-        if not (_is_int(value) and value >= least):
-            raise ConfigError(
-                f"field 'phase_diagram.{key}': must be an integer >= {least}, "
-                f"got {value!r}"
-            )
-
-
-def _task_keys(task: str) -> tuple:
-    return tuple(TASK_DEFAULTS[task]) + tuple(DEFAULTS) + TASK_OPTIONAL.get(task, ())
-
-
 def _model_from(data: dict) -> ModelParams:
     src = dict(_object(data, "model"))
-    _reject_unknown(src, MODEL_KEYS, "block 'model'")
     for key in MODEL_KEYS:
         if key in data:
             src.setdefault(key, data[key])
     if "alpha" not in src:
         raise ConfigError("field 'alpha': required (rational string, e.g. '1/3')")
     alpha = _parse_alpha(src["alpha"])
-    try:
-        return ModelParams(
-            alpha=alpha,
-            beta=float(src.get("beta", 0.0)),
-            lam=float(src.get("lambda", 0.0)),
-            nx=int(src.get("nx", 6)),
-            ny=int(src.get("ny", 6)),
-            t0=float(src.get("t0", 1.0)),
-        )
-    except Exception as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
+    values = _checked(MODEL_PARAMS, src, None, "", "block 'model'")
+    del values["alpha"]
+    if "lambda" in values:
+        values["lam"] = values.pop("lambda")
+    return ModelParams(alpha=alpha, **values)
 
 
 def normalize(data: dict) -> RunConfig:
-    """Validate a raw config dict and fill defaults."""
+    """Check a raw config dict against the tables and fill the defaults."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    task, params = _find_task(data)
-    _reject_unknown(params, _task_keys(task), f"task {task!r}")
+    task, given = _find_task(data)
+    for key, reason in DEPRECATED.get(task, {}).items():
+        if key in given:
+            log.warning("%s.%s is deprecated and ignored %s", task, key, reason)
+            del given[key]
     model = _model_from(data)
-    merged = dict(TASK_DEFAULTS.get(task, {}))
-    merged.update(params)
-    if task == "rwa_check":
-        _check_rwa_times(merged)
-    if task == "phase_diagram":
-        _check_phase_solver(merged, model)
-    if task == "lindblad" and "dt" in merged:
-        # the master equation is propagated exactly; there is no time step
-        log.warning("lindblad.dt is deprecated and ignored by exact propagation")
-        del merged["dt"]
-    for key, val in DEFAULTS.items():
-        merged.setdefault(key, val)
-
-    output = _object(data, "output")
-    _reject_unknown(output, OUTPUT_KEYS, "block 'output'")
-    fmt = output.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"field 'output.format': must be csv or json, got {fmt!r}")
-    threads = data.get("threads", 1)
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"field 'threads': must be an integer >= 1, got {threads!r}")
-
+    params = _checked(TASK_PARAMS[task], given, model, f"{task}.", f"task {task!r}")
+    output = _checked(OUTPUT_PARAMS, _object(data, "output"), None, "output.",
+                      "block 'output'")
     normalized = {
-        "model": {
-            "alpha": f"{model.p}/{model.q}",
-            "beta": model.beta,
-            "lambda": model.lam,
-            "nx": model.nx,
-            "ny": model.ny,
-            "t0": model.t0,
-        },
+        "model": {"alpha": f"{model.p}/{model.q}", "beta": model.beta,
+                  "lambda": model.lam, "nx": model.nx, "ny": model.ny, "t0": model.t0},
         "task": task,
-        "params": merged,
-        "format": fmt,
+        "params": params,
+        "format": output["format"],
     }
+    threads = THREADS.check(data.get("threads", THREADS.default), None, "threads")
     return RunConfig(
-        model=model,
-        task=task,
-        task_params=merged,
-        out_dir=output.get("directory", "qshsim-out"),
-        fmt=fmt,
-        threads=threads,
-        normalized=normalized,
+        model=model, task=task, task_params=params, out_dir=output["directory"],
+        fmt=output["format"], threads=threads, normalized=normalized,
     )
 
 

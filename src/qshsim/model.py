@@ -36,6 +36,8 @@ SPIN_DOWN = 1
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-12
+#: fewest sites along each side of an open lattice
+LATTICE_MIN_SIDE = 2
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class ModelParams:
         return math.lcm(self.q, 2)
 
     def require_lattice(self):
-        if self.nx < 2 or self.ny < 2:
+        if min(self.nx, self.ny) < LATTICE_MIN_SIDE:
             raise ParameterError(
                 f"lattice must be at least 2x2, got {self.nx}x{self.ny}"
             )

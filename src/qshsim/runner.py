@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import shutil
 import tempfile
@@ -24,7 +23,7 @@ import scipy
 
 from . import __version__
 from .config import RunConfig
-from .errors import ConfigError, QshError
+from .errors import QshError
 from . import circuit, dynamics, edgestates, model, spectra, topology
 
 MANIFEST_NAME = "run_manifest.json"
@@ -76,26 +75,21 @@ def _ext(fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _task_bands(cfg: RunConfig):
-    grid = tuple(cfg.task_params["grid"])
-    bands = spectra.bulk_bands(cfg.model, grid)
+    p = cfg.task_params
+    bands = spectra.bulk_bands(cfg.model, p["grid"])
     rows = []
     for i, kx in enumerate(bands.kx):
         for j, ky in enumerate(bands.ky):
             for b in range(bands.nbands):
                 rows.append((kx, ky, b, bands.energies[i, j, b]))
-    report = spectra.gap_in_window(
-        bands,
-        tuple(cfg.task_params.get("window", (1.0, 2.0))),
-        cfg.task_params["gap_threshold"],
-    )
+    report = spectra.gap_in_window(bands, p["window"], p["gap_threshold"])
     meta = {"is_gapped": report.is_gapped, "gap": report.gap, "window": report.window}
     return {"bands": (("kx", "ky", "band_index", "E_t0"), rows)}, meta
 
 
 def _task_ribbon(cfg: RunConfig):
-    ny = int(cfg.task_params["ny"])
-    kx_points = int(cfg.task_params["kx_points"])
-    bands = spectra.ribbon_bands(cfg.model, ny, kx_points)
+    ny = cfg.task_params["ny"]
+    bands = spectra.ribbon_bands(cfg.model, ny, cfg.task_params["kx_points"])
     rows, loc_rows = [], []
     for i, kx in enumerate(bands.kx):
         for b in range(bands.nbands):
@@ -110,20 +104,9 @@ def _task_ribbon(cfg: RunConfig):
 
 
 def _task_phase_diagram(cfg: RunConfig):
-    p = cfg.task_params
-    tuning = {
-        k: (tuple(p[k]) if k == "bulk_grid" else int(p[k]))
-        for k in ("bulk_grid", "ny_ribbon", "kx_points")
-        if k in p
-    }
+    # every task key is a keyword of phase_diagram or classify_point
     pmap = topology.phase_diagram(
-        cfg.model.alpha,
-        tuple(p["beta_range"]),
-        tuple(p["lambda_range"]),
-        tuple(p["resolution"]),
-        tuple(p["window"]),
-        threads=cfg.threads,
-        **tuning,
+        cfg.model.alpha, threads=cfg.threads, **cfg.task_params
     )
     rows = []
     errors = []
@@ -149,10 +132,8 @@ def _task_phase_diagram(cfg: RunConfig):
 
 def _task_edge_states(cfg: RunConfig):
     p = cfg.task_params
-    e_f = float(p["e_f"])
-    count = int(p["count"])
-    ring = int(p["ring_depth"])
-    states = edgestates.edge_eigenstates(cfg.model, e_f, count)
+    e_f, ring = p["e_f"], p["ring_depth"]
+    states = edgestates.edge_eigenstates(cfg.model, e_f, p["count"])
     tables = {}
     summary = []
     for idx, (energy, vec) in enumerate(states):
@@ -172,9 +153,7 @@ def _task_edge_states(cfg: RunConfig):
 
 def _task_tones(cfg: RunConfig):
     p = cfg.task_params
-    units = p.get("units", "t0")
-    if units not in ("t0", "MHz"):
-        raise ConfigError(f"field 'units': must be t0 or MHz, got {units!r}")
+    units = p["units"]
     scale = 1.0 if units == "t0" else p["t0_mhz"]
     plans = circuit.plaquette_plans(cfg.model.alpha, cfg.model.beta)
     rows = []
@@ -191,12 +170,11 @@ def _task_tones(cfg: RunConfig):
                     tone.sign,
                 )
             )
-    unit_tag = "t0" if units == "t0" else "MHz"
     header = (
         "bond",
         "channel",
-        f"freq_{unit_tag}",
-        f"amplitude_{unit_tag}",
+        f"freq_{units}",
+        f"amplitude_{units}",
         "phase_rad",
         "sign",
     )
@@ -211,13 +189,13 @@ def _task_tones(cfg: RunConfig):
 
 def _task_rwa_check(cfg: RunConfig):
     p = cfg.task_params
-    t_final = float(p.get("t_final", math.pi / 2.0))
+    t_final, dt = p["t_final"], p["dt"]
     cells = [circuit.DEVICE_CELLS[0], circuit.DEVICE_CELLS[1]]
     target = model.ModelParams(cfg.model.alpha, cfg.model.beta)
     plan = circuit.tone_plan(
         circuit.Bond(1, 0, "x"), cells, model.x_hop_block(target, 0)
     )
-    u_full = circuit.full_evolve(cells, [plan], t_final, dt=p.get("dt"))
+    u_full = circuit.full_evolve(cells, [plan], t_final, dt=dt)
     h_eff = circuit.effective_hamiltonian(cells, [plan])
     u_eff = circuit.effective_propagator(h_eff, t_final)
     fidelity = circuit.rwa_fidelity(u_full, u_eff, cells, t_final)
@@ -226,7 +204,7 @@ def _task_rwa_check(cfg: RunConfig):
         circuit.Bond(1, 0, "x"),
         [circuit.Tone(freq=550.0, amplitude=4.0, phase=0.0, sign=1, channel=("up", "up"))],
     )
-    u_det = circuit.full_evolve(cells, [detuned], t_final, dt=p.get("dt"))
+    u_det = circuit.full_evolve(cells, [detuned], t_final, dt=dt)
     u_rot = circuit.rotating_frame_propagator(u_det, cells, t_final)
     drift = float(np.max(np.abs(np.abs(np.diag(u_rot)) ** 2 - 1.0)))
     rows = [(t_final, fidelity, drift)]
@@ -237,19 +215,15 @@ def _task_rwa_check(cfg: RunConfig):
 
 def _task_lindblad(cfg: RunConfig):
     p = cfg.task_params
-    rows_out = dynamics.decay_scan(
-        [float(g) for g in p["gammas"]],
-        params=cfg.model,
-        t_us=float(p["t_us"]),
-    )
+    rows_out = dynamics.decay_scan(p["gammas"], params=cfg.model, t_us=p["t_us"])
     rows = [
         (r.gamma_t0, r.gamma_khz, r.p1, r.p2, r.p3) for r in rows_out
     ]
     meta = {
         "frame": "rotating (static effective Hamiltonian, secular dissipators)",
         "method": "expm_multiply",
-        "T_t0": dynamics.duration_from_us(float(p["t_us"])),
-        "t_us": float(p["t_us"]),
+        "T_t0": dynamics.duration_from_us(p["t_us"]),
+        "t_us": p["t_us"],
         "t0_mhz": dynamics.T0_MHZ,
         "diagnostics": [
             {

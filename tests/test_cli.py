@@ -32,11 +32,9 @@ def test_parse_minimal_bands_config(tmp_path):
     cfg = parse_config(path)
     assert cfg.task == "bands"
     assert cfg.task_params["grid"] == [16, 16]
-    # shared defaults filled
-    assert cfg.task_params["e_f"] == 1.5
+    # defaults filled
     assert cfg.task_params["gap_threshold"] == 0.05
-    assert cfg.task_params["ring_depth"] == 2
-    assert cfg.task_params["t0_mhz"] == 3.0
+    assert cfg.task_params["window"] == [1.0, 2.0]
     assert cfg.model.p == 1 and cfg.model.q == 3
 
 
@@ -98,20 +96,20 @@ JSON_VALUES = st.recursive(
 CONFIG_KEYS = st.sampled_from(
     config.COMMON_KEYS + config.TASKS + ("grid", "dt", "x", "grdi", "windwo")
 )
-#: task parameters the README task table documents, plus the shared defaults
+#: the keys each task reads, as the README task table documents them
+#: (``lindblad.dt`` is accepted, deprecated and dropped)
 DOCUMENTED_TASK_KEYS = {
     "bands": {"grid", "window", "gap_threshold"},
     "ribbon": {"ny", "kx_points"},
     "phase_diagram": {
-        "beta_range", "lambda_range", "resolution", "window",
+        "beta_range", "lambda_range", "resolution", "window", "gap_threshold",
         "bulk_grid", "ny_ribbon", "kx_points",
     },
-    "edge_states": {"count"},
-    "tones": {"units"},
+    "edge_states": {"e_f", "count", "ring_depth"},
+    "tones": {"units", "t0_mhz"},
     "rwa_check": {"t_final", "dt"},
-    "lindblad": {"gammas", "t_us"},
+    "lindblad": {"gammas", "t_us", "dt"},
 }
-SHARED_TASK_KEYS = {"e_f", "gap_threshold", "ring_depth", "t0_mhz"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,7 +121,7 @@ def test_normalize_fuzz_returns_config_or_raises_config_error(data):
         return
     assert isinstance(cfg, config.RunConfig)
     # no unknown key survives, at the top level or in the task block
-    documented = DOCUMENTED_TASK_KEYS[cfg.task] | SHARED_TASK_KEYS
+    documented = DOCUMENTED_TASK_KEYS[cfg.task]
     assert set(cfg.task_params) <= documented
     assert set(data) <= set(config.COMMON_KEYS + config.TASKS) | documented
 
@@ -244,18 +242,105 @@ def test_rwa_check_zero_duration_and_automatic_dt_accepted():
     assert cfg.task_params["dt"] is None
 
 
-#: in-range values of the optional keys that do not accept 1
-OPTIONAL_VALUES = {"bulk_grid": [64, 64], "ny_ribbon": 24, "kx_points": 101}
+#: the keys that every task accepted before each moved to the tasks reading it
+SHARED_KEYS = {"e_f": 1.5, "gap_threshold": 0.05, "ring_depth": 2, "t0_mhz": 3.0}
+
+
+BAD_TASK_VALUES = [
+    ("bands", {"grid": [8]}),
+    ("bands", {"grid": "x"}),
+    ("bands", {"gap_threshold": -1}),
+    ("lindblad", {"gammas": "x"}),
+    ("lindblad", {"gammas": [-1]}),
+    ("lindblad", {"gammas": []}),
+    ("lindblad", {"t_us": -1}),
+    ("edge_states", {"e_f": "x"}),
+    ("edge_states", {"count": 0}),
+    ("edge_states", {"ring_depth": 9}),  # on the default 6x6 lattice
+    ("ribbon", {"kx_points": 1.5}),
+    ("ribbon", {"ny": 3}),
+    ("tones", {"t0_mhz": -3}),
+    ("tones", {"units": "GHz"}),
+] + [
+    (task, {key: value}) for key, value in SHARED_KEYS.items()
+    for task in config.TASKS if key not in DOCUMENTED_TASK_KEYS[task]
+]
+
+
+@pytest.mark.parametrize(
+    "task,params", BAD_TASK_VALUES,
+    ids=[f"{t}.{k}={v!r}".replace(" ", "") for t, p in BAD_TASK_VALUES
+         for k, v in p.items()],
+)
+def test_bad_task_values_are_config_errors(tmp_path, capsys, task, params):
+    with pytest.raises(ConfigError, match=task):
+        normalize({"alpha": "1/3", task: params})
+    path = write_config(tmp_path, {"alpha": "1/3", task: params})
+    command = task.replace("_", "-")
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"nx": 1.5},
+        {"nx": 1},
+        {"ny": 0},
+        {"ny": "6"},
+        {"beta": "0.1"},
+        {"beta": True},
+        {"lambda": [1.0]},
+        {"t0": 0},
+        {"t0": -1.0},
+        {"model": {"nx": 6.0}},
+    ],
+)
+def test_bad_model_values_are_config_errors(tmp_path, model):
+    data = {"alpha": "1/3", "bands": {}, **model}
+    with pytest.raises(ConfigError, match="must be"):
+        normalize(data)
+    path = write_config(tmp_path, data)
+    assert main(["bands", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_phase_diagram_reads_its_gap_threshold(tmp_path, monkeypatch):
+    # the window 1..2 is 1 wide, so no gap reaches 2.0: every point is metal
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = normalize({"alpha": "1/3", "phase_diagram": {
+        "resolution": [16, 16], "bulk_grid": [64, 64], "ny_ribbon": 24,
+        "kx_points": 101, "gap_threshold": 2.0}})
+    cfg.out_dir = str(tmp_path / "pd")
+    run(cfg)
+    rows = (tmp_path / "pd" / "phase_map.csv").read_text().splitlines()[1:]
+    assert len(rows) == 256
+    assert {row.split(",")[2] for row in rows} == {"metal"}
+
+
+def test_defaults_are_checked_against_the_model():
+    # the default ring depth 2 leaves no interior on a 4x4 lattice
+    with pytest.raises(ConfigError, match="edge_states.ring_depth"):
+        normalize({"alpha": "1/3", "nx": 4, "ny": 4, "edge_states": {}})
+    small = {"alpha": "1/3", "nx": 4, "ny": 4, "edge_states": {"ring_depth": 1}}
+    assert normalize(small).task_params["ring_depth"] == 1
+
+
+#: an in-range value of every documented task key
+IN_RANGE_VALUES = {
+    "grid": [16, 20], "window": [0.5, 2.5], "gap_threshold": 0.1, "ny": 12,
+    "kx_points": 101, "beta_range": [0.0, 0.1], "lambda_range": [0.0, 1.0],
+    "resolution": [16, 16], "bulk_grid": [64, 64], "ny_ribbon": 24,
+    "e_f": 1.0, "count": 2, "ring_depth": 1, "units": "MHz", "t0_mhz": 3.5,
+    "t_final": 1.0, "dt": 0.01, "gammas": [0.0], "t_us": 0.5,
+}
 
 
 def test_documented_optional_keys_accepted():
     for task, keys in DOCUMENTED_TASK_KEYS.items():
-        block = {
-            key: config.TASK_DEFAULTS[task].get(key, OPTIONAL_VALUES.get(key, 1))
-            for key in keys
-        }
+        given = keys - {"dt"} if task == "lindblad" else keys  # dropped there
+        block = {key: IN_RANGE_VALUES[key] for key in given}
         cfg = normalize({"alpha": "1/3", task: block})
-        assert set(block) <= set(cfg.task_params)
+        assert cfg.task_params == block
     cfg = normalize({"alpha": "1/3", "tones": {"units": "MHz", "t0_mhz": 3.5}})
     assert cfg.task_params["t0_mhz"] == 3.5
 
