@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from . import __version__
 from .circuit import T0_MHZ
+from .dynamics import MAX_SITES
 from .edgestates import DEFAULT_RING_DEPTH
 from .errors import ConfigError
 from .model import LATTICE_MIN_SIDE, ModelParams
@@ -197,7 +198,7 @@ OUTPUT_PARAMS = {
     "directory": Param("text", "qshsim-out"),
 }
 THREADS = Param("integer", 1, least=1)
-COMMON_KEYS = ("task", "output", "threads", "seed", "model") + MODEL_KEYS
+COMMON_KEYS = ("task", "output", "threads", "model") + MODEL_KEYS
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -322,6 +323,11 @@ def normalize(data: dict) -> RunConfig:
             log.warning("%s.%s is deprecated and ignored %s", task, key, reason)
             del given[key]
     model = _model_from(data)
+    if task == "lindblad" and model.nx * model.ny > MAX_SITES:
+        raise ConfigError(
+            f"fields 'nx', 'ny': the lindblad lattice holds at most {MAX_SITES} "
+            f"sites (8x8), got {model.nx}x{model.ny}"
+        )
     params = _checked(TASK_PARAMS[task], given, model, f"{task}.", f"task {task!r}")
     output = _checked(OUTPUT_PARAMS, _object(data, "output"), None, "output.",
                       "block 'output'")

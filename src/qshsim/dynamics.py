@@ -38,6 +38,8 @@ from .errors import ParameterError
 from .model import ModelParams, open_hamiltonian
 
 TRACE_TOL = 1e-8
+#: most lattice sites the master equation accepts (8x8)
+MAX_SITES = 64
 HERM_TOL = 1e-10
 POSITIVITY_TOL = -1e-8
 
@@ -342,8 +344,8 @@ def decay_scan(
     t_final = duration_from_us(t_us)
     if params is None:
         params = ModelParams(alpha="1/3", nx=6, ny=6)
-    if params.nx * params.ny > 64:
-        raise ParameterError("master-equation lattice capped at 8x8 sites")
+    if params.nx * params.ny > MAX_SITES:
+        raise ParameterError(f"master-equation lattice capped at {MAX_SITES} sites (8x8)")
     basis = SubspaceBasis(params.nx, params.ny)
     lh = hamiltonian_liouvillian(
         embed_excited_hamiltonian(open_hamiltonian(params), basis)

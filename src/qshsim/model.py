@@ -11,10 +11,15 @@ adjacent rows.  There is one builder per representation:
 * ``bloch_stack``      -- fully periodic, magnetic unit cell of height
   ``lcm(q, 2)`` so that both the flux and the row-alternating potential fit,
   one matrix per (kx, ky).  ``spin_bloch_stack`` is its single-spin slice at
-  beta = 0.
+  beta = 0, and ``real_bloch_stack`` the same matrices in a real basis.
 
 The ribbon and the Bloch cell share one row-chain kernel; the Bloch cell adds
-the wrap bond.
+the wrap bond.  Inversion with sigma_z on every site (P') times time reversal
+is an antiunitary symmetry squaring to +1, so every Bloch matrix is real
+symmetric in a fixed basis of P'T-invariant vectors (``real_form``).  The
+eigenvalue-only scans solve that form: a stack of real symmetric matrices
+takes less time than the complex Hermitian one, and two threads solving it
+in one process scale 1.4-1.9x where the complex stack gains 1.0-1.2x.
 
 All energies are expressed in units of the hopping strength ``t0``.
 """
@@ -141,23 +146,31 @@ def _chain(params: ModelParams, rows: int, kxs) -> np.ndarray:
     """
     kxs = np.asarray(kxs, dtype=float)
     h = np.zeros((kxs.size, 2 * rows, 2 * rows), dtype=complex)
+    n = np.arange(rows)
+    # the angles of _x_phase and the signs of onsite_energy, row by row
+    theta = 2.0 * math.pi * ((params.p * n) % params.q) / params.q
+    eps = np.where(n % 2, -1.0, 1.0) * params.lam * params.t0
+    h[:, 2 * n, 2 * n] = -2.0 * params.t0 * np.cos(kxs[:, None] + theta) + eps
+    h[:, 2 * n + 1, 2 * n + 1] = -2.0 * params.t0 * np.cos(kxs[:, None] - theta) + eps
+    # the 2x2 block of each bond (n, n + 1), indexed [bond, spin row, spin column]
+    spin = np.arange(2)
+    lower = 2 * n[1:, None, None] + spin[:, None]
+    upper = 2 * n[:-1, None, None] + spin[None, :]
     by = y_hop_block(params)
-    for n in range(rows):
-        theta = _x_phase(params, n)
-        eps = onsite_energy(params, n)
-        i = 2 * n
-        h[:, i, i] = -2.0 * params.t0 * np.cos(kxs + theta) + eps
-        h[:, i + 1, i + 1] = -2.0 * params.t0 * np.cos(kxs - theta) + eps
-        if n + 1 < rows:
-            j = 2 * (n + 1)
-            h[:, j : j + 2, i : i + 2] = by
-            h[:, i : i + 2, j : j + 2] = by.conj().T
+    h[:, lower, upper] = by
+    h[:, upper.transpose(0, 2, 1), lower.transpose(0, 2, 1)] = by.conj().T
     return h
 
 
 def ribbon_stack(params: ModelParams, ny: int, kxs: np.ndarray) -> np.ndarray:
     """Ribbon Hamiltonians, periodic in x, open in y: shape (len(kxs), 2*ny, 2*ny)."""
     return _chain(params, ny, kxs)
+
+
+def _wrap_bond(params: ModelParams, kys) -> np.ndarray:
+    """The y hop from row Q-1 to row 0 of the next cell, shape (len(kys), 2, 2)."""
+    kys = np.asarray(kys, dtype=float)
+    return y_hop_block(params) * np.exp(1j * kys * params.magnetic_height)[:, None, None]
 
 
 def bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
@@ -170,11 +183,69 @@ def bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.nda
     Q = params.magnetic_height
     kys = np.asarray(kys, dtype=float)
     h = np.repeat(_chain(params, Q, kxs)[:, None], kys.size, axis=1)
-    wrap = y_hop_block(params) * np.exp(1j * kys * Q)[:, None, None]
+    wrap = _wrap_bond(params, kys)
     # add: at Q = 2 the wrap bond and the in-chain bond share a block
     h[:, :, 0:2, -2:] += wrap
     h[:, :, -2:, 0:2] += wrap.conj().transpose(0, 2, 1)
     return h
+
+
+def _pt_basis(Q: int) -> tuple:
+    """(W0, shifted): the real basis of P'T at ky = 0, and its ky-phased columns.
+
+    P'T maps row n to row (Q - n) mod Q with sigma_x on the spin; at momentum
+    ky it also puts exp(-i*ky*Q) on every row but row 0 (V = D(ky) R in
+    :func:`real_form`).  Every basis vector e_i has a partner e_j with
+    V e_i = c e_j, c = exp(-i*phi), and each pair gives the columns
+    exp(-i*phi/2) (e_i + e_j)/sqrt(2) and i exp(-i*phi/2) (e_i - e_j)/sqrt(2),
+    which V K leaves unchanged.  ``shifted`` marks the columns with
+    phi = ky*Q (the pairs off row 0).
+    """
+    idx = np.arange(2 * Q)
+    partner = 2 * ((Q - idx // 2) % Q) + 1 - idx % 2
+    i = idx[idx < partner]
+    j = partner[i]
+    cols = 2 * np.arange(Q)
+    w0 = np.zeros((2 * Q, 2 * Q), dtype=complex)
+    w0[i, cols] = w0[j, cols] = 1.0 / math.sqrt(2.0)
+    w0[i, cols + 1] = 1j / math.sqrt(2.0)
+    w0[j, cols + 1] = -1j / math.sqrt(2.0)
+    return w0, np.repeat(i >= 2, 2)
+
+
+def real_form(params: ModelParams, h: np.ndarray, kys) -> np.ndarray:
+    """Bloch-form matrices ``h`` in the real basis of P'T: Re(W^H h W), real symmetric.
+
+    P' is inversion (m, n) -> (-m, -n) with sigma_z on every site: it commutes
+    with the x hops exp(i*theta_n*sigma_z) (theta_{-n} = -theta_n and the hop
+    reverses) and sigma_z flips the sigma_x of the reversed y hop.  With time
+    reversal it gives the antiunitary V K, V V* = 1, under which every H(k)
+    is invariant (the inversion-plus-time-reversal structure of Fu & Kane,
+    PRB 76, 045302 (2007)), so H(k) is real in a basis of V K-invariant
+    vectors, W(ky) = W0 diag(exp(-i*phi_a/2)).  The imaginary part dropped
+    here is rounding.  ``h`` has shape (..., len(kys), 2Q, 2Q), or a 1 in
+    the ky axis for a part that does not depend on ky.
+    """
+    Q = params.magnetic_height
+    w0, shifted = _pt_basis(Q)
+    half = 0.5 * Q * np.asarray(kys, dtype=float)[:, None] * shifted  # phi_a / 2
+    phase = np.exp(1j * (half[:, :, None] - half[:, None, :]))
+    return (w0.conj().T @ h @ w0 * phase).real
+
+
+def real_bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
+    """:func:`bloch_stack` in the real basis of :func:`real_form`, real symmetric.
+
+    H = chain(kx) + wrap(ky), so each part is rotated once, per kx or per
+    ky, and only the sum is formed on the (kx, ky) grid.
+    """
+    Q = params.magnetic_height
+    kys = np.asarray(kys, dtype=float)
+    wrap = np.zeros((kys.size, 2 * Q, 2 * Q), dtype=complex)
+    wrap[:, 0:2, -2:] = _wrap_bond(params, kys)
+    wrap[:, -2:, 0:2] = wrap[:, 0:2, -2:].conj().transpose(0, 2, 1)
+    chain = _chain(params, Q, kxs)[:, None]
+    return real_form(params, chain, kys) + real_form(params, wrap, kys)
 
 
 def spin_bloch_stack(

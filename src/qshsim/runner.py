@@ -50,20 +50,42 @@ def _json_cell(x):
     return float(fmt_cell(x))
 
 
-def write_table(path: Path, header, rows, fmt: str):
-    """Write one table as CSV or as a JSON record list (both deterministic)."""
+def _csv_column(col) -> tuple:
+    """(%-conversion, cells) of one column; numbers skip ``fmt_cell``."""
+    arr = np.asarray(col)
+    if arr.dtype.kind == "f":
+        return "%.12g", arr.tolist()
+    if arr.dtype.kind in "iu":
+        return "%d", arr.tolist()
+    return "%s", ["" if v is None else fmt_cell(v) for v in col]
+
+
+def _json_column(col) -> list:
+    arr = np.asarray(col)
+    if arr.dtype.kind == "f":
+        return [float("%.12g" % v) for v in arr.tolist()]
+    if arr.dtype.kind in "iu":
+        return arr.tolist()
+    return [_json_cell(v) for v in col]
+
+
+def write_table(path: Path, header, rows, fmt: str) -> bytes:
+    """Write one table as CSV or as a JSON record list (both deterministic).
+
+    ``rows`` holds the table by column: one sequence per header field, all
+    of one length.  Returns the bytes written.
+    """
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("" if v is None else fmt_cell(v) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        convs, cells = zip(*map(_csv_column, rows))
+        line = ",".join(convs)
+        text = "\n".join([",".join(header)] + [line % r for r in zip(*cells)]) + "\n"
     else:
-        records = [
-            {k: _json_cell(v) for k, v in zip(header, row)} for row in rows
-        ]
-        path.write_text(
-            json.dumps(records, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        cells = [_json_column(col) for col in rows]
+        records = [dict(zip(header, r)) for r in zip(*cells)]
+        text = json.dumps(records, sort_keys=True, indent=1) + "\n"
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
 def _ext(fmt: str) -> str:
@@ -71,35 +93,35 @@ def _ext(fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# task implementations: each returns {filename: (header, rows)} plus metadata
+# task implementations: each returns {filename: (header, columns)} plus
+# metadata, one column per header field
 # ---------------------------------------------------------------------------
+
+def _grid_columns(*axes) -> list:
+    """The coordinate columns of every point of the grid ``axes``, last fastest."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
 
 def _task_bands(cfg: RunConfig):
     p = cfg.task_params
     bands = spectra.bulk_bands(cfg.model, p["grid"])
-    rows = []
-    for i, kx in enumerate(bands.kx):
-        for j, ky in enumerate(bands.ky):
-            for b in range(bands.nbands):
-                rows.append((kx, ky, b, bands.energies[i, j, b]))
+    cols = _grid_columns(bands.kx, bands.ky, np.arange(bands.nbands))
+    cols.append(bands.energies.ravel())
     report = spectra.gap_in_window(bands, p["window"], p["gap_threshold"])
     meta = {"is_gapped": report.is_gapped, "gap": report.gap, "window": report.window}
-    return {"bands": (("kx", "ky", "band_index", "E_t0"), rows)}, meta
+    return {"bands": (("kx", "ky", "band_index", "E_t0"), cols)}, meta
 
 
 def _task_ribbon(cfg: RunConfig):
     ny = cfg.task_params["ny"]
     bands = spectra.ribbon_bands(cfg.model, ny, cfg.task_params["kx_points"])
-    rows, loc_rows = [], []
-    for i, kx in enumerate(bands.kx):
-        for b in range(bands.nbands):
-            rows.append((kx, b, bands.energies[i, b]))
-            loc_rows.append(
-                (kx, b, bands.localization[i, b, 0], bands.localization[i, b, 1])
-            )
+    kx, b = _grid_columns(bands.kx, np.arange(bands.nbands))
+    loc = bands.localization.reshape(-1, 2)
     return {
-        "bands": (("kx", "band_index", "E_t0"), rows),
-        "localization": (("kx", "band_index", "edge_bottom", "edge_top"), loc_rows),
+        "bands": (("kx", "band_index", "E_t0"), [kx, b, bands.energies.ravel()]),
+        "localization": (
+            ("kx", "band_index", "edge_bottom", "edge_top"), [kx, b, loc[:, 0], loc[:, 1]]
+        ),
     }, {"ny": ny}
 
 
@@ -108,26 +130,22 @@ def _task_phase_diagram(cfg: RunConfig):
     pmap = topology.phase_diagram(
         cfg.model.alpha, threads=cfg.threads, **cfg.task_params
     )
-    rows = []
+    points = [pt for row in pmap.points for pt in row]
+    betas, lams = _grid_columns(np.asarray(pmap.beta_grid), np.asarray(pmap.lambda_grid))
     errors = []
     settled = []
-    for i, beta in enumerate(pmap.beta_grid):
-        for j, lam in enumerate(pmap.lambda_grid):
-            pt = pmap.points[i][j]
-            rows.append((beta, lam, pt.phase, pt.nu))
-            if pt.error:
-                errors.append({"beta": float(beta), "lambda": float(lam), "error": pt.error})
-            if pt.route:
-                settled.append(
-                    {"beta": float(beta), "lambda": float(lam), "route": pt.route,
-                     "phase": pt.phase}
-                )
+    for beta, lam, pt in zip(betas.tolist(), lams.tolist(), points):
+        if pt.error:
+            errors.append({"beta": beta, "lambda": lam, "error": pt.error})
+        if pt.route:
+            settled.append({"beta": beta, "lambda": lam, "route": pt.route, "phase": pt.phase})
     meta = {
         "point_errors": errors,
         "bulk_fallback": settled,
         "blas_pinned": pmap.blas_pinned,
     }
-    return {"phase_map": (("beta", "lambda", "phase", "nu"), rows)}, meta
+    cols = [betas, lams, [pt.phase for pt in points], [pt.nu for pt in points]]
+    return {"phase_map": (("beta", "lambda", "phase", "nu"), cols)}, meta
 
 
 def _task_edge_states(cfg: RunConfig):
@@ -135,19 +153,18 @@ def _task_edge_states(cfg: RunConfig):
     e_f, ring = p["e_f"], p["ring_depth"]
     states = edgestates.edge_eigenstates(cfg.model, e_f, p["count"])
     tables = {}
-    summary = []
-    for idx, (energy, vec) in enumerate(states):
+    weights = []
+    # sites n-major: n runs over the rows, m along each row
+    n, m = _grid_columns(np.arange(1, cfg.model.ny + 1), np.arange(1, cfg.model.nx + 1))
+    for idx, (_, vec) in enumerate(states):
         dmap = edgestates.site_density(vec, cfg.model.nx, cfg.model.ny)
-        rows = [
-            (m + 1, n + 1, dmap.density[m, n])
-            for n in range(cfg.model.ny)
-            for m in range(cfg.model.nx)
-        ]
-        tables[f"density_{idx:03d}"] = (("m", "n", "density"), rows)
-        summary.append(
-            (idx, energy, edgestates.edge_weight(dmap, ring))
-        )
-    tables["states"] = (("state_index", "E_t0", "edge_weight"), summary)
+        density = dmap.density.T.ravel()
+        tables[f"density_{idx:03d}"] = (("m", "n", "density"), [m, n, density])
+        weights.append(edgestates.edge_weight(dmap, ring))
+    tables["states"] = (
+        ("state_index", "E_t0", "edge_weight"),
+        [np.arange(len(states)), [energy for energy, _ in states], weights],
+    )
     return tables, {"e_f": e_f, "ring_depth": ring}
 
 
@@ -156,20 +173,15 @@ def _task_tones(cfg: RunConfig):
     units = p["units"]
     scale = 1.0 if units == "t0" else p["t0_mhz"]
     plans = circuit.plaquette_plans(cfg.model.alpha, cfg.model.beta)
-    rows = []
-    for plan in plans:
-        bond_label = f"{plan.bond.direction}:{plan.bond.from_cell}->{plan.bond.to_cell}"
-        for tone in plan.tones:
-            rows.append(
-                (
-                    bond_label,
-                    "-".join(tone.channel),
-                    tone.freq * scale,
-                    tone.amplitude * scale,
-                    tone.phase,
-                    tone.sign,
-                )
-            )
+    tones = [(plan.bond, tone) for plan in plans for tone in plan.tones]
+    cols = [
+        [f"{b.direction}:{b.from_cell}->{b.to_cell}" for b, _ in tones],
+        ["-".join(t.channel) for _, t in tones],
+        np.array([t.freq for _, t in tones], dtype=float) * scale,
+        np.array([t.amplitude for _, t in tones], dtype=float) * scale,
+        np.array([t.phase for _, t in tones], dtype=float),
+        np.array([t.sign for _, t in tones], dtype=int),
+    ]
     header = (
         "bond",
         "channel",
@@ -184,7 +196,7 @@ def _task_tones(cfg: RunConfig):
         "min_tone_freq_t0": float(min_freq),
         "min_per_bond_separation_t0": float(min_sep),
     }
-    return {"tones": (header, rows)}, meta
+    return {"tones": (header, cols)}, meta
 
 
 def _task_rwa_check(cfg: RunConfig):
@@ -207,17 +219,18 @@ def _task_rwa_check(cfg: RunConfig):
     u_det = circuit.full_evolve(cells, [detuned], t_final, dt=dt)
     u_rot = circuit.rotating_frame_propagator(u_det, cells, t_final)
     drift = float(np.max(np.abs(np.abs(np.diag(u_rot)) ** 2 - 1.0)))
-    rows = [(t_final, fidelity, drift)]
+    cols = [[t_final], [fidelity], [drift]]
     return {
-        "rwa_check": (("T_t0", "fidelity", "detuned_population_change"), rows)
+        "rwa_check": (("T_t0", "fidelity", "detuned_population_change"), cols)
     }, {"fidelity": fidelity, "detuned_population_change": drift}
 
 
 def _task_lindblad(cfg: RunConfig):
     p = cfg.task_params
     rows_out = dynamics.decay_scan(p["gammas"], params=cfg.model, t_us=p["t_us"])
-    rows = [
-        (r.gamma_t0, r.gamma_khz, r.p1, r.p2, r.p3) for r in rows_out
+    cols = [
+        np.array([getattr(r, f) for r in rows_out], dtype=float)
+        for f in ("gamma_t0", "gamma_khz", "p1", "p2", "p3")
     ]
     meta = {
         "frame": "rotating (static effective Hamiltonian, secular dissipators)",
@@ -236,7 +249,7 @@ def _task_lindblad(cfg: RunConfig):
         ],
     }
     return {
-        "decay_scan": (("gamma_t0", "gamma_kHz_over_2pi", "P1", "P2", "P3"), rows)
+        "decay_scan": (("gamma_t0", "gamma_kHz_over_2pi", "P1", "P2", "P3"), cols)
     }, meta
 
 
@@ -396,10 +409,10 @@ def run(cfg: RunConfig, force: bool = False) -> dict:
             fn = _TASK_FN[cfg.task]
             tables, meta = fn(cfg)
             files = {}
-            for stem, (header, rows) in sorted(tables.items()):
+            for stem, (header, columns) in sorted(tables.items()):
                 name = f"{stem}.{_ext(cfg.fmt)}"
-                write_table(out_dir / name, header, rows, cfg.fmt)
-                files[name] = _sha256_file(out_dir / name)
+                data = write_table(out_dir / name, header, columns, cfg.fmt)
+                files[name] = (data, hashlib.sha256(data).hexdigest())
 
         outputs = [
             {"name": name, "sha256": digest, "bytes": len(data)}

@@ -12,7 +12,8 @@ count is the invariant.  The crossings are located by counting the ribbon
 levels below each vote energy from the inertia of a block LDL^T
 factorization, so only the momenta next to a crossing are diagonalized.  At
 beta = 0 it is cross-checked against the spin Chern number.  The bulk gap is
-sampled on a quarter of the zone (time reversal plus the x mirror).  Where
+sampled on a quarter of the zone (time reversal plus the x mirror), with the
+Bloch matrices in their real P'T form.  Where
 the ribbon vote cannot attribute a crossing to an edge,
 :func:`classify_point` settles the point from the bulk: a refined gap scan,
 then the Wilson-loop Z2 of Soluyanov & Vanderbilt, PRB 83, 235401 (2011).

@@ -304,6 +304,27 @@ def test_bad_model_values_are_config_errors(tmp_path, model):
     assert main(["bands", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_unread_seed_key_is_a_config_error(tmp_path):
+    # nothing reads a top-level seed, so it is rejected like any unknown key
+    data = {"alpha": "1/3", "bands": {"grid": [16, 16]}, "seed": "anything"}
+    with pytest.raises(ConfigError, match="seed"):
+        normalize(data)
+    path = write_config(tmp_path, data)
+    assert main(["bands", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_lindblad_lattice_cap_is_a_config_error(tmp_path, capsys):
+    data = {"alpha": "1/3", "nx": 9, "ny": 8, "lindblad": {"gammas": [0.0]}}
+    with pytest.raises(ConfigError, match="at most 64 sites"):
+        normalize(data)
+    path = write_config(tmp_path, data)
+    assert main(["lindblad", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert normalize(dict(data, nx=8)).model.nx == 8
+    # the cap is the master equation's: other tasks take larger lattices
+    assert normalize({"alpha": "1/3", "nx": 9, "ny": 8, "tones": {}}).model.nx == 9
+
+
 def test_phase_diagram_reads_its_gap_threshold(tmp_path, monkeypatch):
     # the window 1..2 is 1 wide, so no gap reaches 2.0: every point is metal
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))

@@ -13,10 +13,14 @@ from qshsim.errors import ParameterError
 from qshsim.model import (
     PAULI_X,
     ModelParams,
+    _chain,
+    _x_phase,
     apply_time_reversal,
     bloch_stack,
     onsite_energy,
     open_hamiltonian,
+    real_bloch_stack,
+    real_form,
     ribbon_stack,
     spin_bloch_stack,
     time_reversal_check,
@@ -254,6 +258,112 @@ def test_mirror_maps_kx_to_minus_kx(alpha):
         mirror = np.kron(np.eye(Q), PAULI_X)
         h = bloch_stack(p, kxs, kys)
         assert np.max(np.abs(mirror @ h @ mirror - bloch_stack(p, -kxs, kys))) <= 1e-12
+
+
+#: the flux values of the real-form tests; alpha 0 and 1/2 have Q = 2, where the
+#: wrap bond and the in-chain bond share a block
+PT_ALPHAS = [Fraction(0, 1), Fraction(1, 2), A13, Fraction(1, 4), Fraction(2, 5)]
+
+
+def _pt_operator(Q: int, ky: float) -> np.ndarray:
+    """V(ky) = D(ky) R: R sends row n to row (Q - n) mod Q with sigma_x on the
+    spin, D puts exp(-i*ky*Q) on every row but row 0."""
+    r = np.kron(np.eye(Q)[(Q - np.arange(Q)) % Q], PAULI_X)
+    d = np.repeat(np.r_[1.0, np.full(Q - 1, np.exp(-1j * ky * Q))], 2)
+    return d[:, None] * r
+
+
+def _pt_real_basis(v: np.ndarray) -> np.ndarray:
+    """Columns exp(-i phi/2)(e_i + e_j)/sqrt2, i exp(-i phi/2)(e_i - e_j)/sqrt2
+    of each pair V e_i = exp(-i phi) e_j, in order of i."""
+    dim = v.shape[0]
+    cols = []
+    for i in range(dim):
+        j = int(np.argmax(np.abs(v[:, i])))
+        if j > i:
+            half = np.exp(0.5j * np.angle(v[j, i]))  # exp(-i phi/2)
+            e_i, e_j = np.eye(dim)[i], np.eye(dim)[j]
+            cols += [half * (e_i + e_j), 1j * half * (e_i - e_j)]
+    return np.array(cols).T / math.sqrt(2.0)
+
+
+def _random_params(rng, alpha) -> ModelParams:
+    return ModelParams(
+        alpha=alpha,
+        beta=rng.uniform(0.05, 0.5),
+        lam=rng.uniform(-2.0, 2.0),
+        t0=rng.uniform(0.5, 2.0),
+    )
+
+
+@pytest.mark.parametrize("alpha", PT_ALPHAS)
+def test_pt_symmetry_makes_bloch_matrices_real(alpha):
+    # inversion with sigma_z on every site, times time reversal: V H(k)* V^H
+    # = H(k) with V V* = 1, so H(k) is real in a basis of V K-invariant vectors
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        p = _random_params(rng, alpha)
+        Q = p.magnetic_height
+        kxs = rng.uniform(-math.pi, math.pi, 4)
+        kys = rng.uniform(-math.pi / Q, math.pi / Q, 3)
+        h = bloch_stack(p, kxs, kys)
+        real = real_bloch_stack(p, kxs, kys)
+        assert real.dtype == np.float64
+        for iy, ky in enumerate(kys):
+            v = _pt_operator(Q, ky)
+            assert np.max(np.abs(v @ v.conj() - np.eye(2 * Q))) <= 1e-14
+            hk = h[:, iy]
+            assert np.max(np.abs(v @ hk.conj() @ v.conj().T - hk)) <= 1e-13
+            w = _pt_real_basis(v)
+            assert np.max(np.abs(w.conj().T @ w - np.eye(2 * Q))) <= 1e-14
+            rotated = w.conj().T @ hk @ w
+            assert np.max(np.abs(rotated.imag)) <= 1e-13
+            assert np.max(np.abs(rotated.real - real[:, iy])) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", PT_ALPHAS)
+def test_real_form_keeps_the_bloch_spectrum(alpha):
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        p = _random_params(rng, alpha)
+        Q = p.magnetic_height
+        kxs = rng.uniform(-math.pi, math.pi, 6)
+        kys = np.r_[rng.uniform(-math.pi / Q, math.pi / Q, 4), -math.pi / Q, 0.0]
+        h = bloch_stack(p, kxs, kys)
+        exact = np.linalg.eigvalsh(h)
+        built = real_bloch_stack(p, kxs, kys)
+        assert np.max(np.abs(built - built.transpose(0, 1, 3, 2))) <= 1e-14
+        assert np.max(np.abs(np.linalg.eigvalsh(built) - exact)) <= 1e-12
+        rotated = real_form(p, h, kys)
+        assert np.max(np.abs(np.linalg.eigvalsh(rotated) - exact)) <= 1e-12
+        assert np.max(np.abs(rotated - built)) <= 1e-13
+
+
+def _loop_chain(params, rows, kxs):
+    """The row-by-row chain builder that ``_chain`` vectorizes."""
+    kxs = np.asarray(kxs, dtype=float)
+    h = np.zeros((kxs.size, 2 * rows, 2 * rows), dtype=complex)
+    by = y_hop_block(params)
+    for n in range(rows):
+        theta = _x_phase(params, n)
+        eps = onsite_energy(params, n)
+        i = 2 * n
+        h[:, i, i] = -2.0 * params.t0 * np.cos(kxs + theta) + eps
+        h[:, i + 1, i + 1] = -2.0 * params.t0 * np.cos(kxs - theta) + eps
+        if n + 1 < rows:
+            j = 2 * (n + 1)
+            h[:, j : j + 2, i : i + 2] = by
+            h[:, i : i + 2, j : j + 2] = by.conj().T
+    return h
+
+
+@pytest.mark.parametrize("alpha", [A13, Fraction(1, 4), Fraction(2, 5), Fraction(1, 6)])
+def test_chain_matches_the_row_loop_bit_for_bit(alpha):
+    kxs = np.linspace(-math.pi, math.pi, 101, endpoint=False)
+    for beta, lam in ((0.0, 0.0), (0.13, 1.1), (0.21, -0.7)):
+        p = ModelParams(alpha=alpha, beta=beta, lam=lam, t0=1.3)
+        for rows in (1, 2, 6, 24, 48):
+            assert np.array_equal(_chain(p, rows, kxs), _loop_chain(p, rows, kxs))
 
 
 def test_theta_squared_is_minus_one():
