@@ -185,7 +185,7 @@ def test_spin_degeneracy_even_multiplicity_any_lambda():
         assert np.allclose(e[:, 0::2], e[:, 1::2], atol=1e-9)
 
 
-@pytest.mark.parametrize("chunk", [spectra.BLOCH_CHUNK, 100])
+@pytest.mark.parametrize("chunk", [4096, 100])
 @pytest.mark.parametrize(
     "alpha, beta, lam",
     [
@@ -199,7 +199,7 @@ def test_spin_degeneracy_even_multiplicity_any_lambda():
 def test_half_zone_energies_match_full_grid(monkeypatch, chunk, alpha, beta, lam):
     # time reversal plus the x mirror: the kx <= 0, ky <= 0 quarter of the
     # grid carries every level of the whole grid (alpha 1/2 and 0 have Q = 2);
-    # chunk 100 splits the kx columns
+    # chunk 4096 solves each stack in one piece, chunk 100 splits the kx columns
     monkeypatch.setattr(spectra, "BLOCH_CHUNK", chunk)
     params = ModelParams(alpha=alpha, beta=beta, lam=lam)
     Q = params.magnetic_height
