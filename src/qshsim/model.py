@@ -7,7 +7,8 @@ exp(i*2*pi*beta*sigma_x), and an on-site potential alternates sign between
 adjacent rows.  There is one builder per representation:
 
 * ``open_hamiltonian`` -- finite lattice, open boundaries in x and y, CSR;
-* ``ribbon_stack``     -- periodic in x, open in y, one matrix per kx;
+* ``ribbon_stack``     -- periodic in x, open in y, one real symmetric
+  matrix per kx;
 * ``bloch_stack``      -- fully periodic, magnetic unit cell of height
   ``lcm(q, 2)`` so that both the flux and the row-alternating potential fit,
   one matrix per (kx, ky).  ``spin_bloch_stack`` is its single-spin slice at
@@ -19,7 +20,12 @@ is an antiunitary symmetry squaring to +1, so every Bloch matrix is real
 symmetric in a fixed basis of P'T-invariant vectors (``real_form``).  The
 eigenvalue-only scans solve that form: a stack of real symmetric matrices
 takes less time than the complex Hermitian one, and two threads solving it
-in one process scale 1.4-1.9x where the complex stack gains 1.0-1.2x.
+in one process scale 1.4-1.9x where the complex stack gains 1.0-1.2x.  The
+ribbon has no ky to reverse: there the mirror x -> -x with sigma_x on every
+site, times time reversal (M T), fixes kx and squares to +1, and the ribbon
+is built real in the gauge where every spin-down component is multiplied
+by i.  ``bloch_step_bounds`` bounds how far a Bloch matrix moves between
+two momenta, which by Weyl's inequality bounds how far each level moves.
 
 All energies are expressed in units of the hopping strength ``t0``.
 """
@@ -138,14 +144,18 @@ def open_hamiltonian(params: ModelParams) -> sp.csr_matrix:
     return mat
 
 
-def _chain(params: ModelParams, rows: int, kxs) -> np.ndarray:
+def _chain(params: ModelParams, rows: int, kxs, by=None) -> np.ndarray:
     """On-site terms, x hops at momentum kx and the y bonds of an open chain of rows.
 
     Shape (len(kxs), 2*rows, 2*rows); the ribbon and the magnetic Bloch cell
-    are both built from it.
+    are both built from it.  ``by`` is the 2x2 block of each y bond from row
+    n to row n + 1, :func:`y_hop_block` unless given; a real ``by`` gives a
+    real chain.  Only the diagonal depends on kx.
     """
+    if by is None:
+        by = y_hop_block(params)
     kxs = np.asarray(kxs, dtype=float)
-    h = np.zeros((kxs.size, 2 * rows, 2 * rows), dtype=complex)
+    h = np.zeros((kxs.size, 2 * rows, 2 * rows), dtype=by.dtype)
     n = np.arange(rows)
     # the angles of _x_phase and the signs of onsite_energy, row by row
     theta = 2.0 * math.pi * ((params.p * n) % params.q) / params.q
@@ -156,15 +166,26 @@ def _chain(params: ModelParams, rows: int, kxs) -> np.ndarray:
     spin = np.arange(2)
     lower = 2 * n[1:, None, None] + spin[:, None]
     upper = 2 * n[:-1, None, None] + spin[None, :]
-    by = y_hop_block(params)
     h[:, lower, upper] = by
     h[:, upper.transpose(0, 2, 1), lower.transpose(0, 2, 1)] = by.conj().T
     return h
 
 
 def ribbon_stack(params: ModelParams, ny: int, kxs: np.ndarray) -> np.ndarray:
-    """Ribbon Hamiltonians, periodic in x, open in y: shape (len(kxs), 2*ny, 2*ny)."""
-    return _chain(params, ny, kxs)
+    """Ribbon Hamiltonians, periodic in x, open in y, real symmetric.
+
+    Shape (len(kxs), 2*ny, 2*ny).  The ribbon is built in the gauge D^H H D,
+    D = diag(1, i) on every site (each spin-down component times i).  There
+    the y hop -t0 exp(i*2*pi*beta*sigma_x) becomes -t0 [[cos, -sin],
+    [sin, cos]] and the diagonal x hops and on-site terms stay as they are.
+    The gauge is real because the mirror x -> -x with sigma_x on every
+    site, times time reversal, is an antiunitary that fixes kx and squares
+    to +1.  D is diagonal and unitary, so the eigenvalues and the per-site
+    weights are those of the complex ribbon.
+    """
+    ang = 2.0 * math.pi * params.beta
+    cos, sin = math.cos(ang), math.sin(ang)
+    return _chain(params, ny, kxs, -params.t0 * np.array([[cos, -sin], [sin, cos]]))
 
 
 def _wrap_bond(params: ModelParams, kys) -> np.ndarray:
@@ -213,6 +234,14 @@ def _pt_basis(Q: int) -> tuple:
     return w0, np.repeat(i >= 2, 2)
 
 
+def _pt_phase(params: ModelParams, kys) -> np.ndarray:
+    """exp(i*(phi_a - phi_b)/2) for the columns a, b of W(ky), shape (len(kys), 2Q, 2Q)."""
+    Q = params.magnetic_height
+    _, shifted = _pt_basis(Q)
+    half = 0.5 * Q * np.asarray(kys, dtype=float)[:, None] * shifted  # phi_a / 2
+    return np.exp(1j * (half[:, :, None] - half[:, None, :]))
+
+
 def real_form(params: ModelParams, h: np.ndarray, kys) -> np.ndarray:
     """Bloch-form matrices ``h`` in the real basis of P'T: Re(W^H h W), real symmetric.
 
@@ -226,26 +255,66 @@ def real_form(params: ModelParams, h: np.ndarray, kys) -> np.ndarray:
     here is rounding.  ``h`` has shape (..., len(kys), 2Q, 2Q), or a 1 in
     the ky axis for a part that does not depend on ky.
     """
-    Q = params.magnetic_height
-    w0, shifted = _pt_basis(Q)
-    half = 0.5 * Q * np.asarray(kys, dtype=float)[:, None] * shifted  # phi_a / 2
-    phase = np.exp(1j * (half[:, :, None] - half[:, None, :]))
-    return (w0.conj().T @ h @ w0 * phase).real
+    w0, _ = _pt_basis(params.magnetic_height)
+    return (w0.conj().T @ h @ w0 * _pt_phase(params, kys)).real
 
 
-def real_bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
-    """:func:`bloch_stack` in the real basis of :func:`real_form`, real symmetric.
+def real_bloch_parts(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> tuple:
+    """(chain, phase, wrap): the parts of the real Bloch matrices on a grid.
 
-    H = chain(kx) + wrap(ky), so each part is rotated once, per kx or per
-    ky, and only the sum is formed on the (kx, ky) grid.
+    H = chain(kx) + wrap(ky), so each part is rotated once: ``chain`` is
+    W0^H chain(kx) W0 per kx (complex), ``phase`` the ky factor of
+    :func:`real_form` and ``wrap`` the real form of the wrap bond, per ky.
+    :func:`real_bloch_at` assembles the matrices from them.
     """
     Q = params.magnetic_height
     kys = np.asarray(kys, dtype=float)
     wrap = np.zeros((kys.size, 2 * Q, 2 * Q), dtype=complex)
     wrap[:, 0:2, -2:] = _wrap_bond(params, kys)
     wrap[:, -2:, 0:2] = wrap[:, 0:2, -2:].conj().transpose(0, 2, 1)
-    chain = _chain(params, Q, kxs)[:, None]
-    return real_form(params, chain, kys) + real_form(params, wrap, kys)
+    w0, _ = _pt_basis(Q)
+    chain = w0.conj().T @ _chain(params, Q, kxs) @ w0
+    return chain, _pt_phase(params, kys), real_form(params, wrap, kys)
+
+
+def real_bloch_at(parts: tuple, ix, iy) -> np.ndarray:
+    """Real Bloch matrices at the grid indices (ix, iy) of :func:`real_bloch_parts`.
+
+    Re(chain[ix] * phase[iy]) + wrap[iy], with ix and iy broadcast: pairs
+    of points or a whole grid.  The arithmetic is elementwise, so a matrix
+    has the same bits whichever set of points it is built in.
+    """
+    chain, phase, wrap = parts
+    return (chain[ix] * phase[iy]).real + wrap[iy]
+
+
+def real_bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
+    """:func:`bloch_stack` in the real basis of :func:`real_form`, real symmetric.
+
+    Built from :func:`real_bloch_parts`; only the sum is formed on the
+    (kx, ky) grid.
+    """
+    parts = real_bloch_parts(params, kxs, kys)
+    return real_bloch_at(parts, np.arange(len(kxs))[:, None], np.arange(len(kys)))
+
+
+def bloch_step_bounds(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> tuple:
+    """(dx, dy): bounds on the spectral norm of a Bloch matrix's change,
+    ||H(kxs[i], ky) - H(kxs[j], ky)|| <= dx[i, j] and
+    ||H(kx, kys[i]) - H(kx, kys[j])|| <= dy[i, j].
+
+    Only the diagonal of the chain depends on kx, so dx is the largest change
+    of a diagonal entry.  Only the wrap bond depends on ky; it is t0 times a
+    unitary times exp(i*ky*Q), so dy = t0 |exp(i*ky_i*Q) - exp(i*ky_j*Q)|.
+    By Weyl's inequality, |E_n(k) - E_n(k')| <= ||H(k) - H(k')|| for the
+    n-th sorted levels (Bhatia, *Matrix Analysis*, III.2), and the triangle
+    inequality adds the two steps.
+    """
+    Q = params.magnetic_height
+    diag = np.diagonal(_chain(params, Q, kxs), axis1=1, axis2=2).real
+    wrap = np.exp(1j * Q * np.asarray(kys, dtype=float))
+    dx = np.abs(diag[:, None] - diag[None]).max(axis=-1)
+    return dx, params.t0 * np.abs(wrap[:, None] - wrap[None])
 
 
 def spin_bloch_stack(

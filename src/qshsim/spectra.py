@@ -3,7 +3,12 @@
 The eigenpairs of a real-space operator nearest an energy come from ARPACK
 shift-invert wherever ARPACK can serve the count, and from a dense solve
 otherwise; band structures use batched dense solves, the bulk ones on the
-real symmetric Bloch matrices of :func:`qshsim.model.real_form`.
+real symmetric Bloch matrices of :func:`qshsim.model.real_form` and the
+ribbon ones on the real ribbon of :func:`qshsim.model.ribbon_stack`.  The
+window gap of a bulk grid comes from :func:`quarter_zone_gap`, which solves
+only the grid points whose levels, bounded by Weyl's inequality from the
+points already solved, could still change the answer, and returns exactly
+what the full scan returns.
 Momentum grids always contain k = 0 and k = pi exactly (even point counts
 spanning [-pi, pi)), so time-reversal invariant momenta are sampled.
 """
@@ -11,7 +16,7 @@ spanning [-pi, pi)), so time-reversal invariant momenta are sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -19,7 +24,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
-from .model import ModelParams, bloch_stack, real_bloch_stack, real_form, ribbon_stack
+from .model import (
+    ModelParams,
+    bloch_stack,
+    bloch_step_bounds,
+    real_bloch_at,
+    real_bloch_parts,
+    real_bloch_stack,
+    real_form,
+    ribbon_stack,
+)
 
 #: minimum empty-interval width (units of t0) accepted as a true spectral gap
 GAP_THRESHOLD = 0.05
@@ -28,6 +42,12 @@ BULK_MIN_GRID = 16
 #: most Bloch matrices a bulk band scan builds and solves at once; a 64x64
 #: grid peaks about 8 MiB above its result instead of 28 MiB in one piece
 BLOCH_CHUNK = 1024
+#: grid steps between the points of the coarse lattice that
+#: :func:`quarter_zone_gap` solves first; a power of two
+PRUNE_STRIDE = 8
+#: added to every Weyl radius of :func:`quarter_zone_gap`, far above the
+#: rounding of a solved level and far below any gap it decides
+WEYL_SLACK = 1e-9
 
 
 @dataclass
@@ -61,6 +81,9 @@ class GapReport:
     gap: Optional[tuple]
     is_gapped: bool
     gap_threshold: float = GAP_THRESHOLD
+    #: Bloch matrices :func:`quarter_zone_gap` solved; None when the report
+    #: comes from given bands.  Not part of the report's value.
+    solved: Optional[int] = field(default=None, compare=False)
 
 
 def eig_hermitian(h, nearest: tuple):
@@ -152,6 +175,12 @@ def bulk_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
     return BandData(kx=kxs, ky=kys, energies=energies)
 
 
+def _quarter_grid(params: ModelParams, grid: tuple) -> tuple:
+    """(kxs, kys) of the kx <= 0, ky <= 0 quarter of an (nkx, nky) zone grid."""
+    kxs, kys = _zone_grid(params, grid)
+    return kxs[kxs <= 0.0], kys[kys <= 0.0]
+
+
 def quarter_zone_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
     """Band energies of the kx <= 0, ky <= 0 quarter of the :func:`bulk_bands` grid.
 
@@ -164,10 +193,105 @@ def quarter_zone_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
     grid: 33 x 33 of 64 x 64 points.  The stack is built real symmetric by
     :func:`real_bloch_stack`.
     """
-    kxs, kys = _zone_grid(params, grid)
-    kxs, kys = kxs[kxs <= 0.0], kys[kys <= 0.0]
+    kxs, kys = _quarter_grid(params, grid)
     energies = _zone_energies(lambda kx, ky: real_bloch_stack(params, kx, ky), kxs, kys)
     return BandData(kx=kxs, ky=kys, energies=energies)
+
+
+def _lattice(n: int, stride: int) -> np.ndarray:
+    """Mask of the indices 0, stride, 2*stride, ... and n - 1 of an axis of n points."""
+    idx = np.arange(n)
+    return (idx % stride == 0) | (idx == n - 1)
+
+
+def _corners(n: int, stride: int, idx: np.ndarray) -> tuple:
+    """The stride-lattice points around each index: itself twice when on the lattice."""
+    on = _lattice(n, stride)[idx]
+    below = np.where(on, idx, idx - idx % stride)
+    return below, np.where(on, idx, np.minimum(below + stride, n - 1))
+
+
+def quarter_zone_gap(
+    params: ModelParams,
+    grid: tuple,
+    window: tuple,
+    gap_threshold: float = GAP_THRESHOLD,
+) -> GapReport:
+    """``gap_in_window(quarter_zone_bands(params, grid), window, gap_threshold)``,
+    solving only the grid points whose levels could change that answer.
+
+    Every unsolved point carries an interval for each sorted level.  The
+    scan solves the lattice of every ``PRUNE_STRIDE``-th point of the
+    quarter grid (and its last point per axis), then halves the stride down
+    to 1.  A new point's level n lies within r of level n at each of its four
+    corners on the coarser lattice, r the bound of :func:`bloch_step_bounds`
+    on ||H(k) - H(corner)|| plus ``WEYL_SLACK`` (Weyl's inequality), so its
+    interval is the intersection of the four corners' intervals widened by
+    r.  After each step the unsolved points whose intervals meet the largest
+    gap of the solved levels are solved, until none does.
+
+    The answer is exact, down to the bits of the gap edges.  Once no
+    unsolved level can lie inside the largest gap (a, b) of the solved
+    levels, (a, b) is also a gap between consecutive levels of the whole
+    grid.  Every other gap of the whole grid lies inside a gap of the solved
+    levels, so it is no wider (rounding is monotone), and one as wide as
+    (a, b) lies inside a solved gap that np.argmax reaches after (a, b):
+    the first-maximum rule picks (a, b) again.  Solved levels without a gap
+    >= ``gap_threshold`` mean a metal: more levels only narrow the gaps.
+    The matrices come from :func:`real_bloch_at`, bit for bit those of
+    :func:`quarter_zone_bands`.  The report's ``solved`` counts them.
+    """
+    kxs, kys = _quarter_grid(params, grid)
+    parts = real_bloch_parts(params, kxs, kys)
+    dx, dy = bloch_step_bounds(params, kxs, kys)
+    nx, ny = kxs.size, kys.size
+    lo = np.empty((nx, ny, 2 * params.magnetic_height))
+    hi = np.empty_like(lo)
+    known = np.zeros((nx, ny), dtype=bool)
+    solved = np.zeros_like(known)
+    levels = []
+
+    def solve(ix, iy):
+        lo[ix, iy] = hi[ix, iy] = np.linalg.eigvalsh(real_bloch_at(parts, ix, iy))
+        solved[ix, iy] = known[ix, iy] = True
+        levels.append(lo[ix, iy].ravel())
+
+    def report(gap):
+        return GapReport(
+            window=(float(window[0]), float(window[1])),
+            gap=gap,
+            is_gapped=gap is not None,
+            gap_threshold=gap_threshold,
+            solved=int(solved.sum()),
+        )
+
+    stride = PRUNE_STRIDE
+    solve(*np.nonzero(_lattice(nx, stride)[:, None] & _lattice(ny, stride)))
+    while True:
+        while True:
+            gap = find_gap(np.concatenate(levels), window, gap_threshold)
+            if gap is None:
+                return report(None)
+            meets = ((lo < gap[1]) & (hi > gap[0])).any(axis=-1) & known & ~solved
+            if not meets.any():
+                break
+            solve(*np.nonzero(meets))
+        if stride == 1:
+            return report(gap)
+        ix, iy = np.nonzero(
+            _lattice(nx, stride // 2)[:, None] & _lattice(ny, stride // 2) & ~known
+        )
+        x_corners, y_corners = _corners(nx, stride, ix), _corners(ny, stride, iy)
+        new_lo = np.full((ix.size, lo.shape[-1]), -np.inf)
+        new_hi = np.full_like(new_lo, np.inf)
+        for cx in x_corners:
+            for cy in y_corners:
+                r = (dx[ix, cx] + dy[iy, cy] + WEYL_SLACK)[:, None]
+                np.maximum(new_lo, lo[cx, cy] - r, out=new_lo)
+                np.minimum(new_hi, hi[cx, cy] + r, out=new_hi)
+        lo[ix, iy], hi[ix, iy] = new_lo, new_hi
+        known[ix, iy] = True
+        stride //= 2
 
 
 #: fewest ribbon momenta accepted, over [-pi, pi) for the bands and over
@@ -191,7 +315,7 @@ def check_ribbon_grid(params: ModelParams, ny: int, kx_count: int) -> None:
 def ribbon_states(params: ModelParams, ny: int, kxs: np.ndarray):
     """Ribbon eigenvalues and per-row weights, shape (nkx, ny, nbands)."""
     energies, vecs = np.linalg.eigh(ribbon_stack(params, ny, kxs))
-    weights = (np.abs(vecs) ** 2).reshape(len(kxs), ny, 2, 2 * ny)
+    weights = np.square(vecs).reshape(len(kxs), ny, 2, 2 * ny)
     return energies, weights.sum(axis=2)
 
 

@@ -10,13 +10,16 @@ The Z2 index is obtained on a ribbon: count the crossings of the Fermi level
 by states localized on one chosen edge for kx in [0, pi]; the parity of that
 count is the invariant.  The crossings are located by counting the ribbon
 levels below each vote energy from the inertia of a block LDL^T
-factorization, so only the momenta next to a crossing are diagonalized.  At
-beta = 0 it is cross-checked against the spin Chern number.  The bulk gap is
-sampled on a quarter of the zone (time reversal plus the x mirror), with the
-Bloch matrices in their real P'T form.  Where
+factorization, in real arithmetic on the real ribbon, so only the momenta
+next to a crossing are diagonalized.  At beta = 0 it is cross-checked
+against the spin Chern number.  The bulk gap is sampled on a quarter of the
+zone (time reversal plus the x mirror), with the Bloch matrices in their
+real P'T form, and :func:`classify_point` solves only the points that can
+change the sampled gap (:func:`qshsim.spectra.quarter_zone_gap`).  Where
 the ribbon vote cannot attribute a crossing to an edge,
 :func:`classify_point` settles the point from the bulk: a refined gap scan,
-then the Wilson-loop Z2 of Soluyanov & Vanderbilt, PRB 83, 235401 (2011).
+then the Wilson-loop Z2 of Soluyanov & Vanderbilt, PRB 83, 235401 (2011),
+solved in chunks of kx lines.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .spectra import (
     GAP_THRESHOLD,
     GapReport,
     check_ribbon_grid,
-    gap_in_window,
     quarter_zone_bands,
+    quarter_zone_gap,
     ribbon_states,
 )
 
@@ -68,6 +71,9 @@ PHASE_MIN_RESOLUTION = 16
 #: points per loop
 WILSON_KX_LINES = (129, 257)
 WILSON_KY_POINTS = 24
+#: kx lines of a Wilson loop solved as one stack: 32 lines of 24 ky points
+#: hold about 2 MB of 12x12 eigenvectors
+WILSON_CHUNK = 32
 #: bulk routes that settle a point whose ribbon vote failed
 ROUTE_REFINED_GAP = "refined_gap"
 ROUTE_WILSON = "wilson"
@@ -288,14 +294,15 @@ def _ribbon_level_counts(params: ModelParams, ny: int, kxs, energies):
     """Ribbon levels below each energy at each kx, from the inertia of H - E.
 
     The ribbon H(kx) is block tridiagonal in 2x2 row blocks: A_n on the
-    diagonal, C_n coupling row n to row n-1, both read from
-    :func:`ribbon_stack`.  Its block LDL^T factorization has the pivots
-    D_0 = A_0 - E and D_n = A_n - E - C_n D_{n-1}^{-1} C_n^+, and by
+    diagonal, C_n coupling row n to row n-1, both read from the real
+    symmetric :func:`ribbon_stack`.  Its block LDL^T factorization has the
+    pivots D_0 = A_0 - E and D_n = A_n - E - C_n D_{n-1}^{-1} C_n^T, and by
     Sylvester's law of inertia H - E has as many negative eigenvalues as the
     pivots together (the Sturm count; Parlett, *The Symmetric Eigenvalue
-    Problem*, SIAM 1998).  A Hermitian 2x2 pivot has one when its determinant
-    is negative, two when its determinant is positive and its trace negative.
-    The recursion runs elementwise over (energies x kx), one row at a time.
+    Problem*, SIAM 1998).  A symmetric 2x2 pivot has one when its
+    determinant is negative, two when its determinant is positive and its
+    trace negative.  The recursion runs elementwise over (energies x kx),
+    one row at a time.
 
     Returns the counts, shape (len(energies), len(kxs)), and a mask of the kx
     where some pivot was singular or non-finite; the counts there are
@@ -308,21 +315,18 @@ def _ribbon_level_counts(params: ModelParams, ny: int, kxs, energies):
     with np.errstate(all="ignore"):  # a failed pivot poisons only its own kx
         for n in range(ny):
             i = 2 * n
-            a = h[:, i, i].real - e
-            c = h[:, i + 1, i + 1].real - e
+            a = h[:, i, i] - e
+            c = h[:, i + 1, i + 1] - e
             b = h[:, i, i + 1]
             if n:
-                # C adj(D) C^+ / det(D) for the previous pivot D = [[pa, pb],
-                # [pb*, pc]], with adj(D) = [[pc, -pb], [-pb*, pa]]
+                # C adj(D) C^T / det(D) for the previous pivot D = [[pa, pb],
+                # [pb, pc]], with adj(D) = [[pc, -pb], [-pb, pa]]
                 p, q = h[:, i, i - 2], h[:, i, i - 1]
                 r, s = h[:, i + 1, i - 2], h[:, i + 1, i - 1]
-                a -= (pc * abs(p) ** 2 + pa * abs(q) ** 2
-                      - 2.0 * (pb * (p * q.conj())).real) / det
-                c -= (pc * abs(r) ** 2 + pa * abs(s) ** 2
-                      - 2.0 * (pb * (r * s.conj())).real) / det
-                b = b - (pc * (p * r.conj()) - pb * (p * s.conj())
-                      - pb.conj() * (q * r.conj()) + pa * (q * s.conj())) / det
-            det = a * c - (b.real ** 2 + b.imag ** 2)
+                a -= (pc * p * p + pa * q * q - 2.0 * pb * p * q) / det
+                c -= (pc * r * r + pa * s * s - 2.0 * pb * r * s) / det
+                b = b - (pc * p * r - pb * (p * s + q * r) + pa * q * s) / det
+            det = a * c - b * b
             counts += (det < 0) + 2 * ((det > 0) & (a + c < 0))
             sound &= np.isfinite(det) & (det != 0)
             pa, pb, pc = a, b, c
@@ -357,7 +361,7 @@ def z2_invariant(
     check_ribbon_grid(params, ny_ribbon, kx_points)
     g_lo, g_hi = gap_bounds if gap_bounds is not None else bulk_gap_at(params, e_f)
     if not g_lo < e_f < g_hi:
-        raise GaplessError(f"E={e_f} outside the certified bulk gap {gap_bounds}")
+        raise GaplessError(f"E={e_f} outside the sampled bulk gap ({g_lo}, {g_hi})")
     kxs = np.linspace(0.0, math.pi, int(kx_points))
     # shifted vote energies stay inside the gap; semi-infinite gaps (Fermi
     # level beyond the whole spectrum) shift by a fixed margin instead
@@ -395,29 +399,38 @@ def z2_invariant(
     return int(round(np.median(parities)))
 
 
-def _ky_wilson_phases(params: ModelParams, kx: float, kys: np.ndarray, e_f: float):
+def _ky_wilson_phases(params: ModelParams, kxs, kys: np.ndarray, e_f: float, occupied):
     """Wilson-loop eigenphases / 2pi in [0, 1) of the bands below e_f along ky.
 
-    The wrap gauge makes H periodic in ky, so the loop closes on the first
-    point; each overlap matrix is replaced by the unitary of its polar
-    decomposition.  Returns (sorted phases, number of occupied bands).
+    One ky loop per kx, all solved as one stack.  The wrap gauge makes H
+    periodic in ky, so each loop closes on its first point; each overlap
+    matrix is replaced by the unitary of its polar decomposition.  Raises
+    ResolutionError at the first kx, in order, whose occupation varies
+    along ky or differs from ``occupied`` (the first line's when None).
+    Returns (sorted phases, shape (len(kxs), nocc), the number of occupied
+    bands nocc).
     """
-    vals, vecs = np.linalg.eigh(bloch_stack(params, [kx], kys)[0])
-    counts = (vals < e_f).sum(axis=-1)
-    if counts.min() != counts.max():
-        raise ResolutionError(
-            f"occupation below E={e_f} varies along ky at kx={kx:.4f} "
-            f"({counts.min()}..{counts.max()})"
-        )
-    nocc = int(counts[0])
-    u = vecs[..., :nocc]
-    overlaps = u.conj().transpose(0, 2, 1) @ np.roll(u, -1, axis=0)
+    vals, vecs = np.linalg.eigh(bloch_stack(params, kxs, kys))
+    for kx, counts in zip(kxs, (vals < e_f).sum(axis=-1)):
+        if counts.min() != counts.max():
+            raise ResolutionError(
+                f"occupation below E={e_f} varies along ky at kx={kx:.4f} "
+                f"({counts.min()}..{counts.max()})"
+            )
+        if occupied is not None and counts[0] != occupied:
+            raise ResolutionError(
+                f"occupation below E={e_f} varies across kx ({occupied} vs {counts[0]})"
+            )
+        occupied = int(counts[0])
+    u = vecs[..., :occupied]
+    overlaps = u.conj().swapaxes(-1, -2) @ np.roll(u, -1, axis=1)
     left, _, right = np.linalg.svd(overlaps)
-    loop = np.eye(nocc, dtype=complex)
-    for unitary in left @ right:
-        loop = loop @ unitary
+    unitaries = left @ right
+    loop = np.broadcast_to(np.eye(occupied, dtype=complex), unitaries[:, 0].shape)
+    for j in range(kys.size):
+        loop = loop @ unitaries[:, j]
     phases = np.angle(np.linalg.eigvals(loop)) / (2.0 * math.pi) % 1.0
-    return np.sort(phases), nocc
+    return np.sort(phases, axis=-1), occupied
 
 
 def _largest_gap_midpoint(phases: np.ndarray) -> float:
@@ -445,20 +458,18 @@ def wilson_z2(
     """
     Q = params.magnetic_height
     kys = np.linspace(-math.pi / Q, math.pi / Q, WILSON_KY_POINTS, endpoint=False)
+    kxs = np.linspace(0.0, math.pi, int(kx_lines))
     parity, occupied, gap_prev = 0, None, None
-    # one line at a time keeps the memory of a fine grid to one ky loop
-    for kx in np.linspace(0.0, math.pi, int(kx_lines)):
-        phases, nocc = _ky_wilson_phases(params, float(kx), kys, e_f)
-        if occupied is not None and nocc != occupied:
-            raise ResolutionError(
-                f"occupation below E={e_f} varies across kx ({occupied} vs {nocc})"
-            )
-        occupied = nocc
-        gap = _largest_gap_midpoint(phases)
-        if gap_prev is not None:
-            lo, hi = sorted((gap_prev, gap))
-            parity += int(np.count_nonzero((phases > lo) & (phases < hi)))
-        gap_prev = gap
+    # chunks of lines bound the eigenvectors of a fine grid held at once
+    for start in range(0, kxs.size, WILSON_CHUNK):
+        chunk = kxs[start : start + WILSON_CHUNK]
+        lines, occupied = _ky_wilson_phases(params, chunk, kys, e_f, occupied)
+        for phases in lines:
+            gap = _largest_gap_midpoint(phases)
+            if gap_prev is not None:
+                lo, hi = sorted((gap_prev, gap))
+                parity += int(np.count_nonzero((phases > lo) & (phases < hi)))
+            gap_prev = gap
     return parity % 2
 
 
@@ -483,7 +494,7 @@ def _settle_from_bulk(params, window, bulk_grid, gap_threshold) -> PhasePoint:
     ``WILSON_KX_LINES`` kx resolutions (ResolutionError if not).
     """
     fine = (2 * bulk_grid[0], 2 * bulk_grid[1])
-    report = gap_in_window(quarter_zone_bands(params, fine), window, gap_threshold)
+    report = quarter_zone_gap(params, fine, window, gap_threshold)
     if not report.is_gapped:
         return PhasePoint(
             params.beta, params.lam, PHASE_METAL, None, report, route=ROUTE_REFINED_GAP
@@ -514,7 +525,7 @@ def classify_point(
     (DegeneracyError), the point is settled from the bulk and its ``route``
     says how.
     """
-    report = gap_in_window(quarter_zone_bands(params, bulk_grid), window, gap_threshold)
+    report = quarter_zone_gap(params, bulk_grid, window, gap_threshold)
     if not report.is_gapped:
         return PhasePoint(params.beta, params.lam, PHASE_METAL, None, report)
     e_f = _fermi_level(window, report.gap)

@@ -17,6 +17,7 @@ from qshsim.model import (
     _x_phase,
     apply_time_reversal,
     bloch_stack,
+    bloch_step_bounds,
     onsite_energy,
     open_hamiltonian,
     real_bloch_stack,
@@ -364,6 +365,71 @@ def test_chain_matches_the_row_loop_bit_for_bit(alpha):
         p = ModelParams(alpha=alpha, beta=beta, lam=lam, t0=1.3)
         for rows in (1, 2, 6, 24, 48):
             assert np.array_equal(_chain(p, rows, kxs), _loop_chain(p, rows, kxs))
+
+
+@pytest.mark.parametrize("alpha", [A13, Fraction(1, 4), Fraction(2, 5), Fraction(1, 2)])
+def test_ribbon_is_the_complex_chain_in_the_real_gauge(alpha):
+    # D = diag(1, i) on every site: D^H chain D is real, and it is the ribbon
+    rng = np.random.default_rng(61)
+    kxs = rng.uniform(-math.pi, math.pi, 9)
+    for beta, lam in ((0.13, 1.1), (0.21, -0.7), (0.41, 0.3)):
+        p = ModelParams(alpha=alpha, beta=beta, lam=lam, t0=1.3)
+        for ny in (4, 12, 25):
+            ribbon = ribbon_stack(p, ny, kxs)
+            assert ribbon.dtype == np.float64
+            assert np.array_equal(ribbon, ribbon.transpose(0, 2, 1))
+            d = np.tile([1.0, 1j], ny)
+            gauged = d.conj()[:, None] * _chain(p, ny, kxs) * d
+            assert not gauged.imag.any()
+            assert np.array_equal(ribbon, gauged.real)
+
+
+@pytest.mark.parametrize("alpha", [A13, Fraction(1, 4), Fraction(2, 5), Fraction(1, 2)])
+def test_real_ribbon_keeps_levels_and_row_weights(alpha):
+    rng = np.random.default_rng(67)
+    kxs = rng.uniform(-math.pi, math.pi, 12)
+    for beta, lam in ((0.07, 0.4), (0.19, 1.6)):
+        p = ModelParams(alpha=alpha, beta=beta, lam=lam)
+        ny = 2 * p.magnetic_height + 3
+        levels, states = np.linalg.eigh(ribbon_stack(p, ny, kxs))
+        exact, vecs = np.linalg.eigh(_chain(p, ny, kxs))
+        assert np.max(np.abs(levels - exact)) <= 1e-12
+        # row weights summed over each cluster of degenerate levels, the
+        # diagonal of its spectral projector; at alpha 1/2 every level is
+        # doubly degenerate
+        rows = (len(kxs), ny, 2, 2 * ny)
+        real_w = np.square(states).reshape(rows).sum(axis=2)
+        complex_w = (np.abs(vecs) ** 2).reshape(rows).sum(axis=2)
+        for i in range(len(kxs)):
+            cluster = np.r_[0, np.cumsum(np.diff(exact[i]) > 1e-6)]
+            real_c = np.zeros((ny, cluster[-1] + 1))
+            complex_c = np.zeros_like(real_c)
+            np.add.at(real_c.T, cluster, real_w[i].T)
+            np.add.at(complex_c.T, cluster, complex_w[i].T)
+            assert np.max(np.abs(real_c - complex_c)) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.sampled_from(PT_ALPHAS),
+    beta=st.floats(0.0, 0.5, allow_nan=False),
+    lam=st.floats(-2.0, 2.0, allow_nan=False),
+    k=st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.0, 1.0)),
+    k0=st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.0, 1.0)),
+)
+def test_levels_move_no_more_than_the_step_bound(alpha, beta, lam, k, k0):
+    # Weyl: |E_n(k) - E_n(k0)| <= ||H(k) - H(k0)|| <= dx + dy, the radius of
+    # the pruned gap scan without its slack
+    p = ModelParams(alpha=alpha, beta=beta, lam=lam)
+    Q = p.magnetic_height
+    kxs, kys = [k[0], k0[0]], [k[1] * math.pi / Q, k0[1] * math.pi / Q]
+    dx, dy = bloch_step_bounds(p, kxs, kys)
+    radius = dx[0, 1] + dy[0, 1]
+    assert dx[0, 1] == dx[1, 0] and dy[0, 1] == dy[1, 0]
+    h = bloch_stack(p, kxs, kys)
+    assert np.linalg.norm(h[0, 0] - h[1, 1], 2) <= radius + 1e-12
+    levels = np.linalg.eigvalsh(real_bloch_stack(p, kxs, kys))
+    assert np.max(np.abs(levels[0, 0] - levels[1, 1])) <= radius + 1e-12
 
 
 def test_theta_squared_is_minus_one():

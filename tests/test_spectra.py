@@ -17,6 +17,7 @@ from qshsim.spectra import (
     gap_in_window,
     momentum_grid,
     quarter_zone_bands,
+    quarter_zone_gap,
     ribbon_bands,
 )
 
@@ -224,3 +225,35 @@ def _set_distance(values, ref):
     i = np.clip(np.searchsorted(ref, values), 1, ref.size - 1)
     gaps = np.minimum(np.abs(values - ref[i - 1]), np.abs(values - ref[i]))
     return float(np.max(gaps))
+
+
+@pytest.mark.parametrize(
+    "alpha", [Fraction(0, 1), Fraction(1, 2), Fraction(1, 4), Fraction(2, 5)]
+)
+def test_pruned_gap_scan_matches_the_full_quarter_scan(alpha):
+    # == on the report: the same gap edges, bit for bit, or the same metal;
+    # alpha 0 and 1/2 have Q = 2, where the wrap and in-chain bonds share a block
+    rng = np.random.default_rng(alpha.denominator)
+    points = [(0.0, 0.0)] + [
+        (rng.uniform(0.0, 0.25), rng.uniform(0.0, 2.0)) for _ in range(3)
+    ]
+    windows = [((1.0, 2.0), 0.05), ((-0.6, 0.9), 0.05), ((1.35, 1.55), 0.02)]
+    outcomes = set()
+    for beta, lam in points:
+        params = ModelParams(alpha=alpha, beta=beta, lam=lam)
+        for grid in ((16, 16), (48, 48), (64, 64), (128, 128)):
+            bands = quarter_zone_bands(params, grid)
+            for window, threshold in windows:
+                got = quarter_zone_gap(params, grid, window, threshold)
+                assert got == gap_in_window(bands, window, threshold)
+                assert 0 < got.solved <= bands.energies[..., 0].size
+                outcomes.add(got.is_gapped)
+    assert outcomes == {True, False}
+
+
+def test_pruned_gap_scan_rejects_what_the_full_scan_rejects():
+    params = ModelParams(alpha=A13)
+    with pytest.raises(ParameterError):
+        quarter_zone_gap(params, (8, 8), (1.0, 2.0))
+    with pytest.raises(ParameterError):
+        quarter_zone_gap(params, (32, 32), (2.0, 1.0))

@@ -16,7 +16,7 @@ from qshsim.errors import (
     ParameterError,
     ResolutionError,
 )
-from qshsim.model import SPIN_DOWN, SPIN_UP, ModelParams, ribbon_stack
+from qshsim.model import SPIN_DOWN, SPIN_UP, ModelParams, bloch_stack, ribbon_stack
 from qshsim.spectra import gap_in_window, quarter_zone_bands
 from qshsim.topology import (
     DEFAULT_WINDOW,
@@ -97,6 +97,15 @@ def test_z2_requires_bulk_gap():
         z2_invariant(ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5)
     with pytest.raises(GaplessError):
         bulk_gap_at(ModelParams(alpha=Fraction(0, 1)), 1.5)
+
+
+def test_z2_gapless_error_names_the_bounds_it_used():
+    params = ModelParams(alpha=A13)
+    with pytest.raises(GaplessError, match=r"sampled bulk gap \(1\.0, 2\.0\)"):
+        z2_invariant(params, 2.5, gap_bounds=(1.0, 2.0))
+    # no level compares below or above NaN: the bounds computed here are infinite
+    with pytest.raises(GaplessError, match=r"sampled bulk gap \(-inf, inf\)"):
+        z2_invariant(params, math.nan)
 
 
 def test_classify_reference_points():
@@ -195,6 +204,23 @@ def test_wilson_z2_agrees_over_the_phase_map(tier1_map):
     ]
 
 
+def test_map_gaps_equal_the_full_quarter_scan(tier1_map):
+    # every report of the map, bit for bit that of the full 128^2 quarter
+    # scan (256^2 where the bulk settled the point), from under 30 % of it
+    points = [pt for row in tier1_map.points for pt in row]
+
+    def full_scan(pt):
+        params = ModelParams(alpha=A13, beta=pt.beta, lam=pt.lam)
+        grid = (256, 256) if pt.route else (128, 128)
+        return gap_in_window(quarter_zone_bands(params, grid), DEFAULT_WINDOW)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:  # LAPACK releases the GIL
+        reports = list(pool.map(full_scan, points))
+    assert [pt.gap for pt in points] == reports
+    solved = [pt.gap.solved / 65**2 for pt in points if not pt.route]
+    assert len(solved) >= 200 and np.mean(solved) < 0.3
+
+
 def test_phase_diagram_resolution_guard():
     with pytest.raises(ParameterError):
         phase_diagram(A13, resolution=(8, 8))
@@ -217,6 +243,69 @@ def test_wilson_z2_matches_ribbon_z2():
     # the metal reference point has no gap to fill: the occupation varies
     with pytest.raises(ResolutionError):
         wilson_z2(ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5)
+
+
+def _per_line_wilson_z2(params, e_f, kx_lines):
+    """Test oracle: the Wilson-loop Z2 solving and chaining one kx line at a time."""
+    Q = params.magnetic_height
+    kys = np.linspace(-math.pi / Q, math.pi / Q, topology.WILSON_KY_POINTS, endpoint=False)
+    parity, occupied, gap_prev = 0, None, None
+    for kx in np.linspace(0.0, math.pi, int(kx_lines)):
+        vals, vecs = np.linalg.eigh(bloch_stack(params, [kx], kys)[0])
+        counts = (vals < e_f).sum(axis=-1)
+        if counts.min() != counts.max():
+            raise ResolutionError(
+                f"occupation below E={e_f} varies along ky at kx={kx:.4f} "
+                f"({counts.min()}..{counts.max()})"
+            )
+        nocc = int(counts[0])
+        if occupied is not None and nocc != occupied:
+            raise ResolutionError(
+                f"occupation below E={e_f} varies across kx ({occupied} vs {nocc})"
+            )
+        occupied = nocc
+        u = vecs[..., :nocc]
+        left, _, right = np.linalg.svd(u.conj().transpose(0, 2, 1) @ np.roll(u, -1, axis=0))
+        loop = np.eye(nocc, dtype=complex)
+        for unitary in left @ right:
+            loop = loop @ unitary
+        phases = np.sort(np.angle(np.linalg.eigvals(loop)) / (2.0 * math.pi) % 1.0)
+        gap = topology._largest_gap_midpoint(phases)
+        if gap_prev is not None:
+            lo, hi = sorted((gap_prev, gap))
+            parity += int(np.count_nonzero((phases > lo) & (phases < hi)))
+        gap_prev = gap
+    return parity % 2
+
+
+def _wilson_outcome(fn, *args):
+    """The value of ``fn``, or the ResolutionError message it raises."""
+    try:
+        return fn(*args)
+    except ResolutionError as exc:
+        return str(exc)
+
+
+def test_chunked_wilson_z2_matches_the_per_line_loop():
+    cases = [  # (params, e_f): gapped, a trivial gap, no occupied band, metals
+        (ModelParams(alpha=A13, lam=0.5), 1.5),
+        (ModelParams(alpha=A13, beta=1.0 / 6.0), 1.5),
+        (ModelParams(alpha=A13, beta=0.05, lam=3.0), 0.0),
+        (ModelParams(alpha=Fraction(2, 5), beta=0.05, lam=1.0), 0.95),
+        (ModelParams(alpha=Fraction(1, 4), beta=0.03, lam=0.4), 1.6),
+        (ModelParams(alpha=A13), -5.0),
+        (ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5),
+        (ModelParams(alpha=A13, beta=0.05, lam=0.5), -2.8),
+    ]
+    outcomes = []
+    for params, e_f in cases:
+        for lines in (33, topology.WILSON_KX_LINES[0]):
+            got = _wilson_outcome(wilson_z2, params, e_f, lines)
+            assert got == _wilson_outcome(_per_line_wilson_z2, params, e_f, lines)
+            outcomes.append(got)
+    assert {0, 1} <= set(outcomes)
+    assert any("along ky" in str(o) for o in outcomes)
+    assert any("across kx" in str(o) for o in outcomes)
 
 
 # the solver settings of the benchmark's phase-map workload
