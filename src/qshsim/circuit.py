@@ -259,6 +259,9 @@ _CF4_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
 #: most CF4 steps :func:`_propagate` exponentiates and multiplies at once
 CF4_CHUNK = 512
+#: largest max-norm difference accepted between the dt and dt/2 propagators
+#: of :func:`full_evolve`
+STEP_CHECK_TOL = 1e-6
 
 
 def _expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
@@ -320,16 +323,15 @@ def full_evolve(
     plans: Sequence[TonePlan],
     t_final: float,
     dt: Optional[float] = None,
-    check_tol: float = 1e-6,
 ) -> np.ndarray:
     """Time-ordered propagator of the driven lattice on the bare basis.
 
     Commutator-free 4th-order integrator with a built-in step-halving
-    acceptance check: the dt and dt/2 propagators must agree to ``check_tol``
-    in max norm or StepSizeError is raised.  The returned propagator is the
-    dt/2 result and is unitary to machine precision by construction; at
-    ``t_final = 0`` it is the identity.  ``t_final`` must be finite and
-    nonnegative, a given ``dt`` finite and positive.
+    acceptance check: the dt and dt/2 propagators must agree to
+    ``STEP_CHECK_TOL`` in max norm or StepSizeError is raised.  The returned
+    propagator is the dt/2 result and is unitary to machine precision by
+    construction; at ``t_final = 0`` it is the identity.  ``t_final`` must be
+    finite and nonnegative, a given ``dt`` finite and positive.
     """
     if not 2 <= len(cells) <= 4:
         raise ParameterError("full evolution supports plaquettes of 2 to 4 cells")
@@ -353,10 +355,10 @@ def full_evolve(
     u_coarse = _propagate(cells, plans, t_final, dt)
     u_fine = _propagate(cells, plans, t_final, dt / 2.0)
     defect = float(np.max(np.abs(u_coarse - u_fine)))
-    if defect > check_tol:
+    if defect > STEP_CHECK_TOL:
         raise StepSizeError(
             f"step-halving check failed: propagators differ by {defect:.2e} "
-            f"(tolerance {check_tol:.1e}); reduce dt"
+            f"(tolerance {STEP_CHECK_TOL:.1e}); reduce dt"
         )
     return u_fine
 
@@ -385,15 +387,12 @@ def dressed_transform(n_cells: int) -> np.ndarray:
 
 
 def effective_hamiltonian(
-    cells: Sequence[CellParams],
-    plans: Sequence[TonePlan],
-    onsite: Optional[Sequence[float]] = None,
+    cells: Sequence[CellParams], plans: Sequence[TonePlan]
 ) -> np.ndarray:
     """Static rotating-frame Hamiltonian on the single-excitation dressed space.
 
     Dimension 2*n_cells (vacuum dropped; it is stationary).  Hopping blocks
-    come from the tone plans via the exact round trip; ``onsite`` optionally
-    adds a per-cell energy shared by both dressed states.
+    come from the tone plans via the exact round trip.
     """
     n = len(cells)
     h = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -402,10 +401,6 @@ def effective_hamiltonian(
         a, b = plan.bond.to_cell, plan.bond.from_cell
         h[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] += block
         h[2 * b : 2 * b + 2, 2 * a : 2 * a + 2] += block.conj().T
-    if onsite is not None:
-        for i, eps in enumerate(onsite):
-            h[2 * i, 2 * i] += eps
-            h[2 * i + 1, 2 * i + 1] += eps
     return h
 
 
@@ -449,21 +444,17 @@ def rwa_fidelity(
     return float(abs(np.trace(u_eff.conj().T @ u_rot)) / dim)
 
 
-def plaquette_plans(
-    alpha, beta: float, cells: Sequence[CellParams] = DEVICE_CELLS, n0: int = 0
-) -> List[TonePlan]:
-    """Tone plans for one four-cell plaquette (rows n0, n0+1).
+def plaquette_plans(alpha, beta: float, n0: int = 0) -> List[TonePlan]:
+    """Tone plans for one plaquette of the ``DEVICE_CELLS`` (rows n0, n0+1).
 
     Cell list order matches the sublattice layout: index 0 at (0, n0),
     1 at (1, n0), 2 at (0, n0+1), 3 at (1, n0+1).  Bonds: two x bonds and two
     y bonds, open (no wrap), with the target model's hop blocks at t0 = 1.
     """
-    if len(cells) != 4:
-        raise ParameterError("a plaquette needs exactly four cells")
     target = ModelParams(alpha, beta)
     return [
-        tone_plan(Bond(1, 0, "x"), cells, x_hop_block(target, n0)),
-        tone_plan(Bond(3, 2, "x"), cells, x_hop_block(target, n0 + 1)),
-        tone_plan(Bond(2, 0, "y"), cells, y_hop_block(target)),
-        tone_plan(Bond(3, 1, "y"), cells, y_hop_block(target)),
+        tone_plan(Bond(1, 0, "x"), DEVICE_CELLS, x_hop_block(target, n0)),
+        tone_plan(Bond(3, 2, "x"), DEVICE_CELLS, x_hop_block(target, n0 + 1)),
+        tone_plan(Bond(2, 0, "y"), DEVICE_CELLS, y_hop_block(target)),
+        tone_plan(Bond(3, 1, "y"), DEVICE_CELLS, y_hop_block(target)),
     ]

@@ -44,16 +44,16 @@ HERM_TOL = 1e-10
 POSITIVITY_TOL = -1e-8
 
 
-def duration_from_us(t_us: float, t0_mhz: float = T0_MHZ) -> float:
-    """Convert microseconds to dimensionless time t0*T (t0 = 2*pi * t0_mhz)."""
+def duration_from_us(t_us: float) -> float:
+    """Convert microseconds to dimensionless time t0*T (t0 = 2*pi * T0_MHZ)."""
     if not math.isfinite(t_us) or t_us < 0:
         raise ParameterError(f"duration must be finite and nonnegative, got {t_us} us")
-    return 2.0 * math.pi * t0_mhz * t_us
+    return 2.0 * math.pi * T0_MHZ * t_us
 
 
-def gamma_to_khz(gamma_t0: float, t0_mhz: float = T0_MHZ) -> float:
+def gamma_to_khz(gamma_t0: float) -> float:
     """Decay rate in units of t0 -> gamma/(2*pi) in kHz."""
-    return gamma_t0 * t0_mhz * 1e3
+    return gamma_t0 * T0_MHZ * 1e3
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def embed_excited_hamiltonian(h, basis: SubspaceBasis) -> np.ndarray:
     return full
 
 
-def validate_density_matrix(rho: np.ndarray, check_positivity: bool = True):
+def validate_density_matrix(rho: np.ndarray):
     """Enforce finiteness / Hermiticity / unit trace / positivity tolerances."""
     if not np.all(np.isfinite(rho)):
         raise ParameterError("density matrix has non-finite entries")
@@ -125,10 +125,9 @@ def validate_density_matrix(rho: np.ndarray, check_positivity: bool = True):
     tr = float(rho.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ParameterError(f"density matrix trace {tr} deviates from 1")
-    if check_positivity:
-        evmin = float(np.linalg.eigvalsh(rho).min())
-        if evmin < POSITIVITY_TOL:
-            raise ParameterError(f"density matrix has eigenvalue {evmin:.2e}")
+    evmin = float(np.linalg.eigvalsh(rho).min())
+    if evmin < POSITIVITY_TOL:
+        raise ParameterError(f"density matrix has eigenvalue {evmin:.2e}")
 
 
 def hamiltonian_liouvillian(h_full) -> sp.csr_matrix:

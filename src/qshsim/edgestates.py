@@ -10,7 +10,7 @@ the detection protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -27,13 +27,11 @@ DEFAULT_RING_DEPTH = 2
 
 @dataclass
 class DensityMap:
-    """Per-site probability density of one eigenstate (summed over a spin channel)."""
+    """Per-site probability density of one eigenstate, summed over both spins."""
 
     nx: int
     ny: int
     density: np.ndarray  # shape (nx, ny), density[m, n], 0-based internally
-    energy: Optional[float] = None
-    spin_channel: str = "both"
 
     def total(self) -> float:
         return float(self.density.sum())
@@ -57,24 +55,14 @@ def edge_eigenstates(
     return [(float(vals[i]), vecs[:, i]) for i in order]
 
 
-def site_density(
-    state: np.ndarray, nx: int, ny: int, spin_channel: str = "both"
-) -> DensityMap:
-    """Per-site density of a normalized state: sum over the requested spins."""
+def site_density(state: np.ndarray, nx: int, ny: int) -> DensityMap:
+    """Per-site density of a normalized state, summed over both spins."""
     if state.shape[0] != 2 * nx * ny:
         raise ParameterError(
             f"state dimension {state.shape[0]} does not match 2*{nx}*{ny}"
         )
-    prob = (np.abs(state) ** 2).reshape(ny, nx, 2)
-    if spin_channel == "both":
-        dens = prob.sum(axis=2)
-    elif spin_channel == "up":
-        dens = prob[:, :, 0]
-    elif spin_channel == "down":
-        dens = prob[:, :, 1]
-    else:
-        raise ParameterError(f"unknown spin channel {spin_channel!r}")
-    return DensityMap(nx=nx, ny=ny, density=dens.T.copy(), spin_channel=spin_channel)
+    dens = (np.abs(state) ** 2).reshape(ny, nx, 2).sum(axis=2)
+    return DensityMap(nx=nx, ny=ny, density=dens.T.copy())
 
 
 def edge_ring_mask(nx: int, ny: int, ring_depth: int) -> np.ndarray:

@@ -68,9 +68,13 @@ class ModelParams:
     t0: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha.denominator < 1:
-            raise ParameterError("alpha must have positive denominator")
+        try:
+            alpha = Fraction(self.alpha)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ParameterError(
+                f"alpha must be a rational p/q, got {self.alpha!r}"
+            ) from exc
+        object.__setattr__(self, "alpha", alpha)
         for name in ("beta", "lam", "t0"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -396,7 +396,7 @@ def run(cfg: RunConfig, force: bool = False) -> dict:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = _cache_dir(cfg)
-    started = time.time()
+    started = time.perf_counter()
 
     with _Lock(out_dir):
         hit = None if force else _read_cache(cache)
@@ -428,7 +428,7 @@ def run(cfg: RunConfig, force: bool = False) -> dict:
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
-            "timing_s": round(time.time() - started, 3),
+            "timing_s": round(time.perf_counter() - started, 3),
             "outputs": outputs,
             "meta": meta,
         }

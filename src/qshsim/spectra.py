@@ -297,6 +297,8 @@ def quarter_zone_gap(
 #: fewest ribbon momenta accepted, over [-pi, pi) for the bands and over
 #: [0, pi] for the Z2 vote
 RIBBON_MIN_KX = 101
+#: outermost rows of each ribbon edge whose weight tags a state's localization
+EDGE_ROWS = 2
 
 
 def check_ribbon_grid(params: ModelParams, ny: int, kx_count: int) -> None:
@@ -319,23 +321,18 @@ def ribbon_states(params: ModelParams, ny: int, kxs: np.ndarray):
     return energies, weights.sum(axis=2)
 
 
-def ribbon_bands(
-    params: ModelParams,
-    ny: int,
-    kx_count: int = 102,
-    ring_rows: int = 2,
-) -> BandData:
+def ribbon_bands(params: ModelParams, ny: int, kx_count: int = 102) -> BandData:
     """Ribbon bands with per-state edge weights.
 
     The localization tag of each state is the probability weight inside the
-    outermost ``ring_rows`` rows, reported separately for the bottom and the
+    outermost ``EDGE_ROWS`` rows, reported separately for the bottom and the
     top edge.
     """
     check_ribbon_grid(params, ny, kx_count)
     kxs = momentum_grid(kx_count)
     energies, w = ribbon_states(params, ny, kxs)
-    bottom = w[:, :ring_rows].sum(axis=1)
-    top = w[:, -ring_rows:].sum(axis=1)
+    bottom = w[:, :EDGE_ROWS].sum(axis=1)
+    top = w[:, -EDGE_ROWS:].sum(axis=1)
     localization = np.stack([bottom, top], axis=-1)
     return BandData(kx=kxs, energies=energies, localization=localization)
 

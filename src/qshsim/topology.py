@@ -11,8 +11,9 @@ by states localized on one chosen edge for kx in [0, pi]; the parity of that
 count is the invariant.  The crossings are located by counting the ribbon
 levels below each vote energy from the inertia of a block LDL^T
 factorization, in real arithmetic on the real ribbon, so only the momenta
-next to a crossing are diagonalized.  At beta = 0 it is cross-checked
-against the spin Chern number.  The bulk gap is sampled on a quarter of the
+next to a crossing are diagonalized.  At beta = 0 the tests cross-check
+it against the spin Chern number (``test_z2_matches_spin_chern_on_lambda_sweep``
+and acceptance criterion 4).  The bulk gap is sampled on a quarter of the
 zone (time reversal plus the x mirror), with the Bloch matrices in their
 real P'T form, and :func:`classify_point` solves only the points that can
 change the sampled gap (:func:`qshsim.spectra.quarter_zone_gap`).  Where
@@ -67,6 +68,13 @@ DEFAULT_FERMI_ENERGY = 1.5
 DEFAULT_WINDOW = (1.0, 2.0)
 #: fewest beta and lambda values of a phase diagram
 PHASE_MIN_RESOLUTION = 16
+#: the classifier's settings: the bulk gap grid, and the ribbon rows and kx
+#: points of the Z2 vote
+BULK_GRID = (128, 128)
+NY_RIBBON = 48
+KX_POINTS = 201
+#: bottom-half weight from which a ribbon state counts as a bottom-edge state
+EDGE_WEIGHT_MIN = 0.5
 #: kx lines of the two Wilson-loop Z2 evaluations that must agree, and ky
 #: points per loop
 WILSON_KX_LINES = (129, 257)
@@ -208,27 +216,22 @@ def spin_chern(
     return c_up, c_down
 
 
-def bulk_gap_at(
-    params: ModelParams,
-    e_f: float,
-    grid: tuple = (128, 128),
-    gap_threshold: float = GAP_THRESHOLD,
-) -> tuple:
+def bulk_gap_at(params: ModelParams, e_f: float) -> tuple:
     """Sampled bulk gap (e_below, e_above) around e_f, or GaplessError if none.
 
-    The levels come from the ``grid`` sample of the zone, so the gap is
+    The levels come from the ``BULK_GRID`` sample of the zone, so the gap is
     sampled, not certified.  Band extrema between grid points can narrow the
-    true gap below ``gap_threshold``: at alpha = 1/3, (beta, lambda) =
+    true gap below ``GAP_THRESHOLD``: at alpha = 1/3, (beta, lambda) =
     (0.2333, 1.3333), the 128x128 sample leaves a gap of 0.061 that refined
     k points close below 0.05.  Every sampled level is a true eigenvalue, so
     a GaplessError is certain.
     """
-    flat = quarter_zone_bands(params, grid).flat_energies()
+    flat = quarter_zone_bands(params, BULK_GRID).flat_energies()
     below = flat[flat < e_f]
     above = flat[flat > e_f]
     e_below = float(below.max()) if below.size else -np.inf
     e_above = float(above.min()) if above.size else np.inf
-    if np.any(flat == e_f) or (e_above - e_below) < gap_threshold:
+    if np.any(flat == e_f) or (e_above - e_below) < GAP_THRESHOLD:
         raise GaplessError(
             f"no bulk gap at E={e_f}: nearest levels ({e_below:.4f}, {e_above:.4f})"
         )
@@ -246,9 +249,7 @@ def _ribbon_slab(params: ModelParams, ny: int, kxs: np.ndarray):
     return vals, bottom
 
 
-def _count_bottom_crossings(
-    params, ny, e_f, k_lo, k_hi, e_lo, e_hi, w_lo, w_hi, depth, edge_weight_min
-):
+def _count_bottom_crossings(params, ny, e_f, k_lo, k_hi, e_lo, e_hi, w_lo, w_hi, depth):
     """Bottom-edge crossings of e_f between two solved momenta.
 
     Sign changes are tracked per sorted band index, which also resolves pairs
@@ -263,19 +264,17 @@ def _count_bottom_crossings(
         j
         for j in flipped
         if not (
-            min(w_lo[j], w_hi[j]) >= edge_weight_min
-            or max(w_lo[j], w_hi[j]) < 1.0 - edge_weight_min
+            min(w_lo[j], w_hi[j]) >= EDGE_WEIGHT_MIN
+            or max(w_lo[j], w_hi[j]) < 1.0 - EDGE_WEIGHT_MIN
         )
     ]
     if (flipped.size > 1 or ambiguous) and depth < 2:
         k_mid = 0.5 * (k_lo + k_hi)
         e_mid, w_mid = _ribbon_slab(params, ny, np.array([k_mid]))
         return _count_bottom_crossings(
-            params, ny, e_f, k_lo, k_mid, e_lo, e_mid[0], w_lo, w_mid[0],
-            depth + 1, edge_weight_min,
+            params, ny, e_f, k_lo, k_mid, e_lo, e_mid[0], w_lo, w_mid[0], depth + 1
         ) + _count_bottom_crossings(
-            params, ny, e_f, k_mid, k_hi, e_mid[0], e_hi, w_mid[0], w_hi,
-            depth + 1, edge_weight_min,
+            params, ny, e_f, k_mid, k_hi, e_mid[0], e_hi, w_mid[0], w_hi, depth + 1
         )
     total = 0
     for j in flipped:
@@ -285,7 +284,7 @@ def _count_bottom_crossings(
                 f"ambiguous edge weight {w:.3f} for a Fermi crossing near "
                 f"kx={k_lo:.4f}; refine the momentum grid"
             )
-        if w >= edge_weight_min:
+        if w >= EDGE_WEIGHT_MIN:
             total += 1
     return total
 
@@ -336,16 +335,15 @@ def _ribbon_level_counts(params: ModelParams, ny: int, kxs, energies):
 def z2_invariant(
     params: ModelParams,
     e_f: float = DEFAULT_FERMI_ENERGY,
-    ny_ribbon: int = 48,
-    kx_points: int = 201,
-    edge_weight_min: float = 0.5,
+    ny_ribbon: int = NY_RIBBON,
+    kx_points: int = KX_POINTS,
     gap_bounds: Optional[tuple] = None,
 ) -> int:
     """Z2 index from the parity of Fermi-level edge crossings on a ribbon.
 
     Counts, for kx in [0, pi], the states crossing the Fermi level whose
     weight sits on the bottom half of the ribbon (threshold
-    ``edge_weight_min``); nu is the count mod 2.  The bulk must be gapped at
+    ``EDGE_WEIGHT_MIN``); nu is the count mod 2.  The bulk must be gapped at
     e_f (GaplessError otherwise).  The parity is evaluated at three Fermi
     levels inside the bulk gap and the majority is returned: an accidental
     coincidence of opposite-edge branches at one level (where the finite
@@ -388,8 +386,7 @@ def z2_invariant(
                 lo, hi = slot[i], slot[i + 1]
                 crossings += _count_bottom_crossings(
                     params, ny_ribbon, ef, kxs[i], kxs[i + 1],
-                    vals[lo], vals[hi], bottom[lo], bottom[hi],
-                    0, edge_weight_min,
+                    vals[lo], vals[hi], bottom[lo], bottom[hi], 0,
                 )
             parities.append(crossings % 2)
         except DegeneracyError as exc:
@@ -512,9 +509,9 @@ def _settle_from_bulk(params, window, bulk_grid, gap_threshold) -> PhasePoint:
 def classify_point(
     params: ModelParams,
     window: tuple = DEFAULT_WINDOW,
-    bulk_grid: tuple = (128, 128),
-    ny_ribbon: int = 48,
-    kx_points: int = 201,
+    bulk_grid: tuple = BULK_GRID,
+    ny_ribbon: int = NY_RIBBON,
+    kx_points: int = KX_POINTS,
     gap_threshold: float = GAP_THRESHOLD,
 ) -> PhasePoint:
     """Classify one (beta, lambda) point as topological, trivial or metal.

@@ -158,7 +158,7 @@ def test_criterion_5b_ring2_discrimination_on_6x6():
 
 def test_criterion_6_addressing_margins():
     with criterion("criterion 6: addressing margins") as c:
-        plans = plaquette_plans(A13, 0.1, DEVICE_CELLS)
+        plans = plaquette_plans(A13, 0.1)
         min_freq, min_sep = addressing_margin(plans)
         assert min_freq == 50 and isinstance(min_freq, int)
         assert min_sep == 100 and isinstance(min_sep, int)

@@ -215,12 +215,13 @@ def test_full_evolve_rabi_transfer():
     assert abs(u_rot[3, 1]) ** 2 > 0.995  # |down>_0 -> |down>_1
 
 
-def test_full_evolve_step_guards():
+def test_full_evolve_step_guards(monkeypatch):
     plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     with pytest.raises(ParameterError):
         full_evolve(TWO_CELLS, [plan], 0.5, dt=0.01)  # above the 1/40 bound
+    monkeypatch.setattr(circuit, "STEP_CHECK_TOL", 1e-12)
     with pytest.raises(StepSizeError):
-        full_evolve(TWO_CELLS, [plan], 0.5, check_tol=1e-12)
+        full_evolve(TWO_CELLS, [plan], 0.5)
     with pytest.raises(ParameterError):
         full_evolve([DEVICE_CELLS[0]], [], 0.1)
 

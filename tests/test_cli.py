@@ -1,12 +1,14 @@
 """Config parsing, artifact output, caching, determinism, CLI surface."""
 
 import hashlib
+import itertools
 import json
 import logging
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,6 +412,15 @@ def test_run_bands_and_cache(tmp_path, monkeypatch):
             (tmp_path / "out2" / entry["name"]).read_bytes()
         ).hexdigest()
         assert digest == entry["sha256"]
+
+
+def test_run_timing_ignores_a_wall_clock_stepped_back(tmp_path, monkeypatch):
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    wall = itertools.count(1e9, -60.0)  # each reading a minute earlier
+    monkeypatch.setattr(time, "time", lambda: next(wall))
+    cfg = normalize({"alpha": "1/3", "tones": {}})
+    cfg.out_dir = str(tmp_path / "out")
+    assert run(cfg)["timing_s"] >= 0
 
 
 def test_lock_excludes_concurrent_runs(tmp_path, monkeypatch):

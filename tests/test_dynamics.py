@@ -302,11 +302,18 @@ def test_non_finite_or_negative_duration_rejected(t):
         )
 
 
-@pytest.mark.parametrize("check_positivity", [False, True])
-def test_non_finite_density_matrix_rejected(check_positivity):
-    rho = np.full((3, 3), np.nan, dtype=complex)
+@pytest.mark.parametrize("on_diagonal", [False, True])
+def test_non_finite_density_matrix_rejected(on_diagonal):
+    # One NaN in an otherwise valid state: the Hermiticity, trace and
+    # positivity comparisons all read False on NaN, so only the explicit
+    # finiteness check can catch it.
+    rho = np.diag([0.5, 0.25, 0.25]).astype(complex)
+    if on_diagonal:
+        rho[1, 1] = np.nan
+    else:
+        rho[0, 1] = rho[1, 0] = np.nan
     with pytest.raises(ParameterError, match="non-finite"):
-        validate_density_matrix(rho, check_positivity=check_positivity)
+        validate_density_matrix(rho)
 
 
 def test_snapshot_validation_raises():

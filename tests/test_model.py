@@ -48,6 +48,12 @@ def test_params_validation():
         ModelParams(alpha=A13, nx=1, ny=4).require_lattice()
 
 
+@pytest.mark.parametrize("alpha", ["1/0", "x", math.nan, math.inf, None])
+def test_params_reject_bad_alpha(alpha):
+    with pytest.raises(ParameterError, match="alpha"):
+        ModelParams(alpha=alpha)
+
+
 @pytest.mark.parametrize("field", ["beta", "lam", "t0"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite(field, value):

@@ -1,11 +1,12 @@
-"""The README task table lists exactly each task's keys and their defaults."""
+"""The README task table lists exactly each task's keys and their defaults,
+and its prose names the classifier's own settings."""
 
 import json
 import math
 import re
 from pathlib import Path
 
-from qshsim import config
+from qshsim import config, topology
 from qshsim.config import normalize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,3 +48,13 @@ def test_readme_task_table_matches_config_table():
                 assert key not in filled, f"{task}.{key}"
             else:
                 assert _value(cell) == filled[key], f"{task}.{key}"
+
+
+def test_readme_names_the_classifier_settings():
+    """The phase_diagram fallbacks the README names are topology's constants."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    nkx, nky = topology.BULK_GRID
+    assert (
+        f"{nkx}×{nky} bulk grid, {topology.NY_RIBBON} ribbon rows and "
+        f"{topology.KX_POINTS} momenta"
+    ) in text

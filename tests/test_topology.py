@@ -374,7 +374,7 @@ def _all_kx_vote(params, e_f, ny_ribbon=48, kx_points=201, gap_bounds=None):
             parities.append(sum(
                 topology._count_bottom_crossings(
                     params, ny_ribbon, ef, kxs[i], kxs[i + 1], vals[i],
-                    vals[i + 1], bottom[i], bottom[i + 1], 0, 0.5,
+                    vals[i + 1], bottom[i], bottom[i + 1], 0,
                 )
                 for i in range(kx_points - 1)
             ) % 2)
