@@ -322,7 +322,7 @@ def full_evolve(
     cells: Sequence[CellParams],
     plans: Sequence[TonePlan],
     t_final: float,
-    dt: Optional[float] = None,
+    dt: Optional[float],
 ) -> np.ndarray:
     """Time-ordered propagator of the driven lattice on the bare basis.
 
@@ -331,7 +331,8 @@ def full_evolve(
     ``STEP_CHECK_TOL`` in max norm or StepSizeError is raised.  The returned
     propagator is the dt/2 result and is unitary to machine precision by
     construction; at ``t_final = 0`` it is the identity.  ``t_final`` must be
-    finite and nonnegative, a given ``dt`` finite and positive.
+    finite and nonnegative; ``dt`` finite and positive, or None for 1/40 of
+    the fastest tone period (one step without tones).
     """
     if not 2 <= len(cells) <= 4:
         raise ParameterError("full evolution supports plaquettes of 2 to 4 cells")

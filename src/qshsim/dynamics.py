@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -328,21 +328,16 @@ def corner_up_state(basis: SubspaceBasis) -> np.ndarray:
 
 
 def decay_scan(
-    gammas: Sequence[float],
-    params: Optional[ModelParams] = None,
-    t_us: float = 2.0,
+    gammas: Sequence[float], params: ModelParams, t_us: float
 ) -> List[DecayScanRow]:
     """Final edge/inner/total populations after ``t_us`` for each decay rate.
 
-    Protocol: 6x6 lattice (flux 1/3, no spin mixing or staggering unless
-    overridden), initial |up> excitation at the (1,1) corner site, all three
-    channels on.  L_H and the unit dissipator D are built once per scan;
-    each rate propagates L_H + gamma*D.
+    Protocol: the open ``params`` lattice, initial |up> excitation at the
+    (1,1) corner site, all three channels on.  L_H and the unit dissipator D
+    are built once per scan; each rate propagates L_H + gamma*D.
     """
     specs = [LindbladSpec(gamma=float(g)) for g in gammas]
     t_final = duration_from_us(t_us)
-    if params is None:
-        params = ModelParams(alpha="1/3", nx=6, ny=6)
     if params.nx * params.ny > MAX_SITES:
         raise ParameterError(f"master-equation lattice capped at {MAX_SITES} sites (8x8)")
     basis = SubspaceBasis(params.nx, params.ny)

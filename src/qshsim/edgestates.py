@@ -19,9 +19,9 @@ from .model import ModelParams, open_hamiltonian
 from .spectra import eig_hermitian
 # bulk_gap_at is unused here; the benchmark's tracer test checks that a name
 # imported from topology is patched in this namespace too
-from .topology import DEFAULT_FERMI_ENERGY, bulk_gap_at  # noqa: F401
+from .topology import bulk_gap_at  # noqa: F401
 
-#: default ring depth for edge weights (the plotted edge halo is ~2 sites wide)
+#: the edge_states task's ring depth (the plotted edge halo is ~2 sites wide)
 DEFAULT_RING_DEPTH = 2
 
 
@@ -38,7 +38,7 @@ class DensityMap:
 
 
 def edge_eigenstates(
-    params: ModelParams, e_f: float = DEFAULT_FERMI_ENERGY, count: int = 1
+    params: ModelParams, e_f: float, count: int
 ) -> List[Tuple[float, np.ndarray]]:
     """The ``count`` open-lattice eigenpairs nearest ``e_f``, ordered by |E - e_f|.
 
@@ -79,7 +79,7 @@ def edge_ring_mask(nx: int, ny: int, ring_depth: int) -> np.ndarray:
     return mask
 
 
-def edge_weight(dmap: DensityMap, ring_depth: int = DEFAULT_RING_DEPTH) -> float:
+def edge_weight(dmap: DensityMap, ring_depth: int) -> float:
     """Fraction of the map's density inside the outermost ring."""
     mask = edge_ring_mask(dmap.nx, dmap.ny, ring_depth)
     total = dmap.density.sum()

@@ -81,8 +81,15 @@ class ModelParams:
                 raise ParameterError(f"{name} must be finite, got {value}")
         if self.t0 <= 0:
             raise ParameterError(f"t0 must be positive, got {self.t0}")
-        if int(self.nx) != self.nx or int(self.ny) != self.ny:
-            raise ParameterError("nx, ny must be integers")
+        for name in ("nx", "ny"):
+            value = getattr(self, name)
+            try:
+                integral = int(value) == value  # int() fails on NaN and inf
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def p(self) -> int:

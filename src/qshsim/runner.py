@@ -280,11 +280,14 @@ def _read_cache(cache: Path):
     """({name: (bytes, sha256)}, meta) of a complete, intact cache entry.
 
     None when the entry is missing, has no manifest (a run stopped before
-    publishing it) or holds a file whose hash differs from the one recorded
-    when it was published.
+    publishing it), has a manifest of the wrong shape, or holds a file whose
+    hash differs from the one recorded when it was published.
     """
     try:
         stored = json.loads((cache / MANIFEST_NAME).read_text())
+        if not isinstance(stored, dict) or not isinstance(stored.get("sha256"), dict):
+            log.warning("cache manifest in %s has the wrong shape; recomputing", cache)
+            return None
         files = {}
         for name, digest in sorted(stored["sha256"].items()):
             files[name] = _sha256_file(cache / name)

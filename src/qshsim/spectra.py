@@ -79,11 +79,14 @@ class GapReport:
 
     window: tuple
     gap: Optional[tuple]
-    is_gapped: bool
-    gap_threshold: float = GAP_THRESHOLD
+    gap_threshold: float
     #: Bloch matrices :func:`quarter_zone_gap` solved; None when the report
     #: comes from given bands.  Not part of the report's value.
     solved: Optional[int] = field(default=None, compare=False)
+
+    @property
+    def is_gapped(self) -> bool:
+        return self.gap is not None
 
 
 def eig_hermitian(h, nearest: tuple):
@@ -163,7 +166,7 @@ def _zone_energies(build, kxs, kys) -> np.ndarray:
     ])
 
 
-def bulk_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
+def bulk_bands(params: ModelParams, grid: tuple) -> BandData:
     """Band energies over the magnetic Brillouin zone on an (nkx, nky) grid.
 
     The Bloch matrices are solved in the real basis of :func:`real_form`.
@@ -181,7 +184,7 @@ def _quarter_grid(params: ModelParams, grid: tuple) -> tuple:
     return kxs[kxs <= 0.0], kys[kys <= 0.0]
 
 
-def quarter_zone_bands(params: ModelParams, grid: tuple = (32, 32)) -> BandData:
+def quarter_zone_bands(params: ModelParams, grid: tuple) -> BandData:
     """Band energies of the kx <= 0, ky <= 0 quarter of the :func:`bulk_bands` grid.
 
     Time reversal gives E(kx, ky) = E(-kx, -ky).  The mirror x -> -x combined
@@ -212,10 +215,7 @@ def _corners(n: int, stride: int, idx: np.ndarray) -> tuple:
 
 
 def quarter_zone_gap(
-    params: ModelParams,
-    grid: tuple,
-    window: tuple,
-    gap_threshold: float = GAP_THRESHOLD,
+    params: ModelParams, grid: tuple, window: tuple, gap_threshold: float
 ) -> GapReport:
     """``gap_in_window(quarter_zone_bands(params, grid), window, gap_threshold)``,
     solving only the grid points whose levels could change that answer.
@@ -260,7 +260,6 @@ def quarter_zone_gap(
         return GapReport(
             window=(float(window[0]), float(window[1])),
             gap=gap,
-            is_gapped=gap is not None,
             gap_threshold=gap_threshold,
             solved=int(solved.sum()),
         )
@@ -321,7 +320,7 @@ def ribbon_states(params: ModelParams, ny: int, kxs: np.ndarray):
     return energies, weights.sum(axis=2)
 
 
-def ribbon_bands(params: ModelParams, ny: int, kx_count: int = 102) -> BandData:
+def ribbon_bands(params: ModelParams, ny: int, kx_count: int) -> BandData:
     """Ribbon bands with per-state edge weights.
 
     The localization tag of each state is the probability weight inside the
@@ -337,7 +336,7 @@ def ribbon_bands(params: ModelParams, ny: int, kx_count: int = 102) -> BandData:
     return BandData(kx=kxs, energies=energies, localization=localization)
 
 
-def find_gap(values: np.ndarray, window: tuple, gap_threshold: float = GAP_THRESHOLD):
+def find_gap(values: np.ndarray, window: tuple, gap_threshold: float):
     """Maximal empty subinterval of sorted ``values`` inside ``window``."""
     lo, hi = window
     if not hi > lo:
@@ -352,14 +351,11 @@ def find_gap(values: np.ndarray, window: tuple, gap_threshold: float = GAP_THRES
     return None
 
 
-def gap_in_window(
-    bands: BandData, window: tuple, gap_threshold: float = GAP_THRESHOLD
-) -> GapReport:
+def gap_in_window(bands: BandData, window: tuple, gap_threshold: float) -> GapReport:
     """Scan merged band energies for the largest gap inside the window."""
     gap = find_gap(bands.flat_energies(), window, gap_threshold)
     return GapReport(
         window=(float(window[0]), float(window[1])),
         gap=gap,
-        is_gapped=gap is not None,
         gap_threshold=gap_threshold,
     )

@@ -137,16 +137,12 @@ def _select_band_indices(vals: np.ndarray, bands) -> List[int]:
     return idx
 
 
-def chern_fhs(
-    params: ModelParams,
-    bands,
-    kgrid: tuple = (24, 24),
-    spin: Optional[int] = None,
-) -> int:
+def chern_fhs(params: ModelParams, bands, kgrid: tuple, spin: Optional[int]) -> int:
     """Chern number of a band group via the lattice field-strength sum.
 
     ``bands`` is either an explicit list of band indices or ``("below", E)``.
-    ``spin`` restricts to one decoupled spin sector (requires beta = 0).
+    ``spin`` restricts to one decoupled spin sector (requires beta = 0); None
+    takes both spins.
     Raises DegeneracyError if the group touches its complement anywhere on the
     grid and ResolutionError if the rounded total is not integer to within
     ``CHERN_RESIDUAL_TOL``.
@@ -333,18 +329,15 @@ def _ribbon_level_counts(params: ModelParams, ny: int, kxs, energies):
 
 
 def z2_invariant(
-    params: ModelParams,
-    e_f: float = DEFAULT_FERMI_ENERGY,
-    ny_ribbon: int = NY_RIBBON,
-    kx_points: int = KX_POINTS,
-    gap_bounds: Optional[tuple] = None,
+    params: ModelParams, e_f: float, ny_ribbon: int, kx_points: int, gap_bounds: tuple
 ) -> int:
     """Z2 index from the parity of Fermi-level edge crossings on a ribbon.
 
     Counts, for kx in [0, pi], the states crossing the Fermi level whose
     weight sits on the bottom half of the ribbon (threshold
-    ``EDGE_WEIGHT_MIN``); nu is the count mod 2.  The bulk must be gapped at
-    e_f (GaplessError otherwise).  The parity is evaluated at three Fermi
+    ``EDGE_WEIGHT_MIN``); nu is the count mod 2.  ``gap_bounds`` is the
+    caller's bulk gap (e_below, e_above), and e_f must lie inside it
+    (GaplessError otherwise).  The parity is evaluated at three Fermi
     levels inside the bulk gap and the majority is returned: an accidental
     coincidence of opposite-edge branches at one level (where the finite
     ribbon hybridizes them into avoided curves) cannot then flip the result.
@@ -357,7 +350,7 @@ def z2_invariant(
     least 2*lcm(q, 2) rows and 101 momenta (ParameterError otherwise).
     """
     check_ribbon_grid(params, ny_ribbon, kx_points)
-    g_lo, g_hi = gap_bounds if gap_bounds is not None else bulk_gap_at(params, e_f)
+    g_lo, g_hi = gap_bounds
     if not g_lo < e_f < g_hi:
         raise GaplessError(f"E={e_f} outside the sampled bulk gap ({g_lo}, {g_hi})")
     kxs = np.linspace(0.0, math.pi, int(kx_points))
@@ -439,11 +432,7 @@ def _largest_gap_midpoint(phases: np.ndarray) -> float:
     return float((0.5 * (ring[i] + ring[i + 1])) % 1.0)
 
 
-def wilson_z2(
-    params: ModelParams,
-    e_f: float = DEFAULT_FERMI_ENERGY,
-    kx_lines: int = WILSON_KX_LINES[0],
-) -> int:
+def wilson_z2(params: ModelParams, e_f: float, kx_lines: int) -> int:
     """Bulk Z2 index from the flow of the hybrid Wannier centres.
 
     ky Wilson loops of the bands below e_f, ``WILSON_KY_POINTS`` points

@@ -39,8 +39,11 @@ from qshsim.model import (
 )
 from qshsim.runner import run
 from qshsim.topology import (
+    KX_POINTS,
+    NY_RIBBON,
     PHASE_METAL,
     PHASE_TOPOLOGICAL,
+    bulk_gap_at,
     chern_fhs,
     classify_point,
     hofstadter_band_groups,
@@ -115,7 +118,7 @@ def test_criterion_4_z2_spin_chern_consistency():
     with criterion("criterion 4: Z2 / spin-Chern consistency sweep") as c:
         for lam in np.linspace(0.0, 1.0, 9):
             p = ModelParams(alpha=A13, lam=float(lam))
-            nu = z2_invariant(p, 1.5)
+            nu = z2_invariant(p, 1.5, NY_RIBBON, KX_POINTS, bulk_gap_at(p, 1.5))
             c_up, c_down = spin_chern(p, 1.5)
             assert c_up == -c_down
             assert nu == abs(c_up) % 2
@@ -171,7 +174,7 @@ def test_criterion_7_rwa_validation():
         cells = [DEVICE_CELLS[0], DEVICE_CELLS[1]]
         plan = tone_plan(Bond(1, 0, "x"), cells, x_hop_block(ModelParams(A13), 0))
         T = math.pi / 2.0
-        u_full = full_evolve(cells, [plan], T)
+        u_full = full_evolve(cells, [plan], T, dt=None)
         u_eff = effective_propagator(effective_hamiltonian(cells, [plan]), T)
         assert rwa_fidelity(u_full, u_eff, cells, T) >= 0.99
 
@@ -179,7 +182,7 @@ def test_criterion_7_rwa_validation():
             Bond(1, 0, "x"),
             [Tone(freq=550.0, amplitude=4.0, phase=0.0, sign=1, channel=("up", "up"))],
         )
-        u_det = full_evolve(cells, [detuned], T)
+        u_det = full_evolve(cells, [detuned], T, dt=None)
         u_rot = rotating_frame_propagator(u_det, cells, T)
         assert np.max(np.abs(np.abs(np.diag(u_rot)) ** 2 - 1.0)) < 0.01
         assert time.time() - c.start < 120.0
@@ -188,7 +191,7 @@ def test_criterion_7_rwa_validation():
 def test_criterion_8_lindblad_decay_law():
     with criterion("criterion 8: detection-protocol decay law") as c:
         gammas = [0.0, 1.0 / 600.0, 1.0 / 300.0]
-        rows = decay_scan(gammas)
+        rows = decay_scan(gammas, ModelParams(alpha=A13, nx=6, ny=6), t_us=2.0)
         T = duration_from_us(2.0)
         p3s = []
         for row in rows:

@@ -199,7 +199,7 @@ def test_full_evolve_free_case():
 
 def test_full_evolve_unitary_and_excitation_conserving():
     plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
-    u = full_evolve(TWO_CELLS, [plan], math.pi / 2.0)
+    u = full_evolve(TWO_CELLS, [plan], math.pi / 2.0, dt=None)
     assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-8
     assert np.max(np.abs(u[0, 1:])) < 1e-10  # vacuum block decoupled
     assert np.max(np.abs(u[1:, 0])) < 1e-10
@@ -209,7 +209,7 @@ def test_full_evolve_rabi_transfer():
     # resonant tones on one x bond swap the dressed excitation in T = pi/(2 t)
     plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     T = math.pi / 2.0
-    u = full_evolve(TWO_CELLS, [plan], T)
+    u = full_evolve(TWO_CELLS, [plan], T, dt=None)
     u_rot = rotating_frame_propagator(u, TWO_CELLS, T)
     assert abs(u_rot[2, 0]) ** 2 > 0.995  # |up>_0 -> |up>_1
     assert abs(u_rot[3, 1]) ** 2 > 0.995  # |down>_0 -> |down>_1
@@ -221,9 +221,9 @@ def test_full_evolve_step_guards(monkeypatch):
         full_evolve(TWO_CELLS, [plan], 0.5, dt=0.01)  # above the 1/40 bound
     monkeypatch.setattr(circuit, "STEP_CHECK_TOL", 1e-12)
     with pytest.raises(StepSizeError):
-        full_evolve(TWO_CELLS, [plan], 0.5)
+        full_evolve(TWO_CELLS, [plan], 0.5, dt=None)
     with pytest.raises(ParameterError):
-        full_evolve([DEVICE_CELLS[0]], [], 0.1)
+        full_evolve([DEVICE_CELLS[0]], [], 0.1, dt=None)
 
 
 @pytest.mark.parametrize(
@@ -259,7 +259,7 @@ def test_effective_coupling_matches_rabi_period():
     t_target = 0.5
     plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, -t_target * np.eye(2))
     T = 1.0
-    u = full_evolve(TWO_CELLS, [plan], T)
+    u = full_evolve(TWO_CELLS, [plan], T, dt=None)
     u_rot = rotating_frame_propagator(u, TWO_CELLS, T)
     p = abs(u_rot[2, 0]) ** 2
     t_measured = math.asin(min(1.0, math.sqrt(p))) / T
@@ -269,21 +269,21 @@ def test_effective_coupling_matches_rabi_period():
 def test_rwa_fidelity_two_cell():
     plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
     T = math.pi / 2.0
-    u_full = full_evolve(TWO_CELLS, [plan], T)
+    u_full = full_evolve(TWO_CELLS, [plan], T, dt=None)
     u_eff = effective_propagator(effective_hamiltonian(TWO_CELLS, [plan]), T)
     assert rwa_fidelity(u_full, u_eff, TWO_CELLS, T) >= 0.99
 
 
 def test_rwa_fidelity_identity_at_zero_time():
     plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
-    u_full = full_evolve(TWO_CELLS, [plan], 0.0)
+    u_full = full_evolve(TWO_CELLS, [plan], 0.0, dt=None)
     u_eff = effective_propagator(effective_hamiltonian(TWO_CELLS, [plan]), 0.0)
     assert rwa_fidelity(u_full, u_eff, TWO_CELLS, 0.0) > 1 - 1e-12
 
 
 def test_rwa_fidelity_dimension_guard():
     plan = tone_plan(Bond(1, 0, "x"), TWO_CELLS, x_target(A13, 0))
-    u_full = full_evolve(TWO_CELLS, [plan], 0.1)
+    u_full = full_evolve(TWO_CELLS, [plan], 0.1, dt=None)
     with pytest.raises(ParameterError):
         rwa_fidelity(u_full, np.eye(6), TWO_CELLS, 0.1)
 
@@ -295,7 +295,7 @@ def test_detuned_drive_leaves_populations_unchanged():
         [Tone(freq=550.0, amplitude=4.0, phase=0.0, sign=1, channel=("up", "up"))],
     )
     T = math.pi / 2.0
-    u = full_evolve(TWO_CELLS, [detuned], T)
+    u = full_evolve(TWO_CELLS, [detuned], T, dt=None)
     u_rot = rotating_frame_propagator(u, TWO_CELLS, T)
     drift = np.max(np.abs(np.abs(np.diag(u_rot)) ** 2 - 1.0))
     assert drift < 0.01
@@ -304,7 +304,7 @@ def test_detuned_drive_leaves_populations_unchanged():
 def test_four_cell_plaquette_evolution():
     plans = plaquette_plans(A13, 0.1)
     T = 0.4
-    u = full_evolve(DEVICE_CELLS, plans, T)
+    u = full_evolve(DEVICE_CELLS, plans, T, dt=None)
     dim = 1 + 2 * 4
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-8
     assert np.max(np.abs(u[0, 1:])) < 1e-10

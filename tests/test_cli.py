@@ -499,6 +499,24 @@ def test_corrupted_cache_file_is_recomputed_not_replayed(tmp_path, monkeypatch):
     assert (tmp_path / "out3" / "bands.csv").read_bytes() == expected
 
 
+@pytest.mark.parametrize("stored", [[], "x", {"sha256": [], "meta": {}}])
+def test_misshapen_cache_manifest_is_recomputed(tmp_path, monkeypatch, caplog, stored):
+    """A cache manifest that is valid JSON of the wrong shape is a miss."""
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = normalize(BANDS_CFG)
+    cfg.out_dir = str(tmp_path / "out1")
+    good = run(cfg)
+    (runner._cache_dir(cfg) / runner.MANIFEST_NAME).write_text(json.dumps(stored))
+
+    cfg.out_dir = str(tmp_path / "out2")
+    with caplog.at_level(logging.WARNING, logger="qshsim"):
+        m = run(cfg)
+    assert not m["cached"] and m["outputs"] == good["outputs"]
+    assert "wrong shape" in caplog.text
+    cfg.out_dir = str(tmp_path / "out3")
+    assert run(cfg)["cached"]  # the entry was republished
+
+
 def test_tones_task_units(tmp_path, monkeypatch):
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
     cfg = normalize({"alpha": "1/3", "beta": 0.1, "tones": {}})

@@ -28,6 +28,8 @@ from qshsim.errors import ParameterError
 from qshsim.model import ModelParams, open_hamiltonian
 
 A13 = Fraction(1, 3)
+#: the detection protocol's 6x6 lattice at flux 1/3
+PROTOCOL = ModelParams(alpha=A13, nx=6, ny=6)
 
 
 def subspace_jump_operators(basis, spec):
@@ -277,7 +279,7 @@ def test_step_guards():
     with pytest.raises(ParameterError):
         LindbladSpec(gamma=-0.1)
     with pytest.raises(ParameterError):
-        decay_scan([-1.0])
+        decay_scan([-1.0], PROTOCOL, t_us=2.0)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])
@@ -285,7 +287,7 @@ def test_non_finite_gamma_rejected(gamma):
     with pytest.raises(ParameterError, match="finite"):
         LindbladSpec(gamma=gamma)
     with pytest.raises(ParameterError, match="finite"):
-        decay_scan([0.0, gamma])
+        decay_scan([0.0, gamma], PROTOCOL, t_us=2.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
@@ -294,7 +296,7 @@ def test_non_finite_or_negative_duration_rejected(t):
     with pytest.raises(ParameterError, match="finite and nonnegative"):
         duration_from_us(t)
     with pytest.raises(ParameterError, match="finite and nonnegative"):
-        decay_scan([0.0], t_us=t)
+        decay_scan([0.0], PROTOCOL, t_us=t)
     with pytest.raises(ParameterError, match="finite and nonnegative"):
         lindblad_evolve(
             corner_up_state(basis), np.zeros((2, 2)), LindbladSpec(gamma=0.0),
@@ -342,7 +344,7 @@ def test_decay_scan_bit_identical_under_global_rng():
     for seed in (0, 7, 2024):
         np.random.seed(seed)
         before = np.random.get_state()
-        rows = decay_scan(gammas, t_us=2.0)
+        rows = decay_scan(gammas, PROTOCOL, t_us=2.0)
         after = np.random.get_state()
         assert before[0] == after[0] and before[2:] == after[2:]
         assert np.array_equal(before[1], after[1])
@@ -355,7 +357,7 @@ def test_decay_scan_bit_identical_under_global_rng():
 
 def test_decay_scan_lattice_guard():
     with pytest.raises(ParameterError):
-        decay_scan([0.0], params=ModelParams(alpha=A13, nx=9, ny=9))
+        decay_scan([0.0], params=ModelParams(alpha=A13, nx=9, ny=9), t_us=2.0)
 
 
 def test_lab_frame_cross_check():

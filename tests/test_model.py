@@ -61,6 +61,21 @@ def test_params_reject_non_finite(field, value):
         ModelParams(alpha=A13, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["nx", "ny"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 6.5, "6"])
+def test_params_reject_non_integer_sides(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        ModelParams(alpha=A13, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["nx", "ny"])
+def test_params_store_integral_sides_as_int(field):
+    """A whole float side is stored as an int, which the builders index with."""
+    p = ModelParams(alpha=A13, **{field: 6.0})
+    assert type(getattr(p, field)) is int and getattr(p, field) == 6
+    assert open_hamiltonian(p).shape == (72, 72)
+
+
 def test_site_linearization_bijection():
     nx, ny = 5, 4
     seen = {

@@ -1,5 +1,6 @@
 """The README task table lists exactly each task's keys and their defaults,
-and its prose names the classifier's own settings."""
+its prose names the classifier's own settings, and its library quick tour
+runs and prints what its comments say."""
 
 import json
 import math
@@ -58,3 +59,16 @@ def test_readme_names_the_classifier_settings():
         f"{nkx}×{nky} bulk grid, {topology.NY_RIBBON} ribbon rows and "
         f"{topology.KX_POINTS} momenta"
     ) in text
+
+
+def test_readme_quick_tour_prints_what_it_claims(capsys):
+    text = README.read_text(encoding="utf-8")
+    tour = text[text.index("## Library quick tour"):]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README quick tour", "exec"), {})
+    phase, chern, weight, margin, *decay = capsys.readouterr().out.splitlines()
+    assert phase == "topological"
+    assert chern == "(-1, 1)"
+    assert float(weight) > 0.95
+    assert margin == "(50, 100)"
+    assert len(decay) == 3  # one row per decay rate

@@ -10,6 +10,7 @@ from qshsim.errors import ParameterError
 from qshsim.model import ModelParams, bloch_stack, open_hamiltonian, ribbon_stack
 from qshsim import spectra
 from qshsim.spectra import (
+    GAP_THRESHOLD,
     BandData,
     bulk_bands,
     eig_hermitian,
@@ -153,19 +154,19 @@ def test_ribbon_preconditions():
 
 def test_gap_in_window_examples():
     topo = bulk_bands(ModelParams(alpha=A13), (64, 64))
-    r = gap_in_window(topo, (1.0, 2.0))
+    r = gap_in_window(topo, (1.0, 2.0), GAP_THRESHOLD)
     assert r.is_gapped and r.gap[0] < 1.5 < r.gap[1]
 
     metal = bulk_bands(ModelParams(alpha=A13, beta=0.1, lam=1.0), (64, 64))
-    assert not gap_in_window(metal, (1.0, 2.0)).is_gapped
+    assert not gap_in_window(metal, (1.0, 2.0), GAP_THRESHOLD).is_gapped
 
     # the flux-free cosine band is continuous through the window; at the
     # reference 64x64 grid the sampling artifacts stay below the threshold
     cosine = bulk_bands(ModelParams(alpha=Fraction(0, 1)), (64, 64))
-    assert not gap_in_window(cosine, (1.0, 2.0)).is_gapped
+    assert not gap_in_window(cosine, (1.0, 2.0), GAP_THRESHOLD).is_gapped
 
     with pytest.raises(ParameterError):
-        find_gap(np.array([1.0]), (2.0, 2.0))
+        find_gap(np.array([1.0]), (2.0, 2.0), GAP_THRESHOLD)
 
 
 def test_gap_report_grid_refinement_stable():
@@ -174,8 +175,8 @@ def test_gap_report_grid_refinement_stable():
         (ModelParams(alpha=A13, beta=0.1, lam=1.0), False),
         (ModelParams(alpha=Fraction(0, 1)), False),
     ]:
-        r1 = gap_in_window(bulk_bands(params, (64, 64)), (1.0, 2.0))
-        r2 = gap_in_window(bulk_bands(params, (128, 128)), (1.0, 2.0))
+        r1 = gap_in_window(bulk_bands(params, (64, 64)), (1.0, 2.0), GAP_THRESHOLD)
+        r2 = gap_in_window(bulk_bands(params, (128, 128)), (1.0, 2.0), GAP_THRESHOLD)
         assert r1.is_gapped == r2.is_gapped == expect
 
 
@@ -254,6 +255,6 @@ def test_pruned_gap_scan_matches_the_full_quarter_scan(alpha):
 def test_pruned_gap_scan_rejects_what_the_full_scan_rejects():
     params = ModelParams(alpha=A13)
     with pytest.raises(ParameterError):
-        quarter_zone_gap(params, (8, 8), (1.0, 2.0))
+        quarter_zone_gap(params, (8, 8), (1.0, 2.0), GAP_THRESHOLD)
     with pytest.raises(ParameterError):
-        quarter_zone_gap(params, (32, 32), (2.0, 1.0))
+        quarter_zone_gap(params, (32, 32), (2.0, 1.0), GAP_THRESHOLD)

@@ -17,9 +17,11 @@ from qshsim.errors import (
     ResolutionError,
 )
 from qshsim.model import SPIN_DOWN, SPIN_UP, ModelParams, bloch_stack, ribbon_stack
-from qshsim.spectra import gap_in_window, quarter_zone_bands
+from qshsim.spectra import GAP_THRESHOLD, gap_in_window, quarter_zone_bands
 from qshsim.topology import (
     DEFAULT_WINDOW,
+    KX_POINTS,
+    NY_RIBBON,
     PHASE_ERROR,
     PHASE_METAL,
     PHASE_TOPOLOGICAL,
@@ -37,6 +39,16 @@ from qshsim.topology import (
 )
 
 A13 = Fraction(1, 3)
+
+
+def _vote_in_gap(
+    vote, params, e_f, gap_bounds=None, ny_ribbon=NY_RIBBON, kx_points=KX_POINTS
+):
+    """``vote`` (:func:`z2_invariant` or its oracle) inside ``gap_bounds``, or
+    inside the sampled bulk gap around e_f when None (GaplessError if none)."""
+    if gap_bounds is None:
+        gap_bounds = bulk_gap_at(params, e_f)
+    return vote(params, e_f, ny_ribbon, kx_points, gap_bounds)
 
 
 def test_chern_flux_third_band_groups():
@@ -61,7 +73,7 @@ def test_chern_grid_stability():
 
 def test_chern_zero_flux():
     p = ModelParams(alpha=Fraction(0, 1))
-    assert chern_fhs(p, [0, 1], spin=SPIN_UP) == 0
+    assert chern_fhs(p, [0, 1], (24, 24), spin=SPIN_UP) == 0
 
 
 def test_chern_degenerate_selection_rejected():
@@ -73,7 +85,7 @@ def test_chern_degenerate_selection_rejected():
 
 def test_chern_full_set_kramers_cancellation():
     p = ModelParams(alpha=A13, beta=0.05)
-    assert chern_fhs(p, ("below", 1.5), (24, 24)) == 0
+    assert chern_fhs(p, ("below", 1.5), (24, 24), spin=None) == 0
 
 
 def test_spin_chern_examples():
@@ -87,14 +99,15 @@ def test_spin_chern_examples():
 
 
 def test_z2_examples():
-    assert z2_invariant(ModelParams(alpha=A13), 1.5) == 1
-    assert z2_invariant(ModelParams(alpha=A13, lam=1.0), 1.5) == 1
-    assert z2_invariant(ModelParams(alpha=A13), -5.0) == 0  # below all bands
+    assert _vote_in_gap(z2_invariant, ModelParams(alpha=A13), 1.5) == 1
+    assert _vote_in_gap(z2_invariant, ModelParams(alpha=A13, lam=1.0), 1.5) == 1
+    # below all bands
+    assert _vote_in_gap(z2_invariant, ModelParams(alpha=A13), -5.0) == 0
 
 
 def test_z2_requires_bulk_gap():
     with pytest.raises(GaplessError):
-        z2_invariant(ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5)
+        _vote_in_gap(z2_invariant, ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5)
     with pytest.raises(GaplessError):
         bulk_gap_at(ModelParams(alpha=Fraction(0, 1)), 1.5)
 
@@ -102,10 +115,10 @@ def test_z2_requires_bulk_gap():
 def test_z2_gapless_error_names_the_bounds_it_used():
     params = ModelParams(alpha=A13)
     with pytest.raises(GaplessError, match=r"sampled bulk gap \(1\.0, 2\.0\)"):
-        z2_invariant(params, 2.5, gap_bounds=(1.0, 2.0))
-    # no level compares below or above NaN: the bounds computed here are infinite
+        z2_invariant(params, 2.5, NY_RIBBON, KX_POINTS, gap_bounds=(1.0, 2.0))
+    # no level compares below or above NaN: the sampled bounds are infinite
     with pytest.raises(GaplessError, match=r"sampled bulk gap \(-inf, inf\)"):
-        z2_invariant(params, math.nan)
+        _vote_in_gap(z2_invariant, params, math.nan)
 
 
 def test_classify_reference_points():
@@ -119,7 +132,7 @@ def test_classify_reference_points():
 def test_z2_matches_spin_chern_on_lambda_sweep():
     for lam in np.linspace(0.0, 1.0, 5):
         p = ModelParams(alpha=A13, lam=float(lam))
-        nu = z2_invariant(p, 1.5)
+        nu = _vote_in_gap(z2_invariant, p, 1.5)
         c_up, _ = spin_chern(p, 1.5)
         assert nu == abs(c_up) % 2 == 1
 
@@ -195,7 +208,8 @@ def test_wilson_z2_agrees_over_the_phase_map(tier1_map):
 
     def wilson(pt):
         params = ModelParams(alpha=A13, beta=pt.beta, lam=pt.lam)
-        return wilson_z2(params, topology._fermi_level(DEFAULT_WINDOW, pt.gap.gap))
+        e_f = topology._fermi_level(DEFAULT_WINDOW, pt.gap.gap)
+        return wilson_z2(params, e_f, topology.WILSON_KX_LINES[0])
 
     with ThreadPoolExecutor(max_workers=4) as pool:  # LAPACK releases the GIL
         nus = list(pool.map(wilson, gapped))
@@ -212,7 +226,8 @@ def test_map_gaps_equal_the_full_quarter_scan(tier1_map):
     def full_scan(pt):
         params = ModelParams(alpha=A13, beta=pt.beta, lam=pt.lam)
         grid = (256, 256) if pt.route else (128, 128)
-        return gap_in_window(quarter_zone_bands(params, grid), DEFAULT_WINDOW)
+        bands = quarter_zone_bands(params, grid)
+        return gap_in_window(bands, DEFAULT_WINDOW, GAP_THRESHOLD)
 
     with ThreadPoolExecutor(max_workers=4) as pool:  # LAPACK releases the GIL
         reports = list(pool.map(full_scan, points))
@@ -237,12 +252,13 @@ def test_wilson_z2_matches_ribbon_z2():
         (ModelParams(alpha=Fraction(2, 5), beta=0.05, lam=1.0), 0.95),
         (ModelParams(alpha=A13), -5.0),
     ]
-    nus = [wilson_z2(params, e_f) for params, e_f in cases]
-    assert nus == [z2_invariant(params, e_f) for params, e_f in cases]
+    lines = topology.WILSON_KX_LINES[0]
+    nus = [wilson_z2(params, e_f, lines) for params, e_f in cases]
+    assert nus == [_vote_in_gap(z2_invariant, params, e_f) for params, e_f in cases]
     assert nus == [1] * 5 + [0, 0, 1, 0]
     # the metal reference point has no gap to fill: the occupation varies
     with pytest.raises(ResolutionError):
-        wilson_z2(ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5)
+        wilson_z2(ModelParams(alpha=A13, beta=0.1, lam=1.0), 1.5, lines)
 
 
 def _per_line_wilson_z2(params, e_f, kx_lines):
@@ -318,7 +334,7 @@ def test_bulk_fallback_settles_failed_ribbon_votes():
     metal = ModelParams(alpha=A13, beta=0.1, lam=0.5666666666666667)
     for params in (topo, metal):
         bands = quarter_zone_bands(params, LIGHT["bulk_grid"])
-        gap = gap_in_window(bands, (1.0, 2.0)).gap
+        gap = gap_in_window(bands, (1.0, 2.0), GAP_THRESHOLD).gap
         e_f = 1.5 if gap[0] < 1.5 < gap[1] else 0.5 * (gap[0] + gap[1])
         with pytest.raises(DegeneracyError):
             z2_invariant(
@@ -355,13 +371,13 @@ def test_phase_diagram_errors_and_pool_lifetime(monkeypatch):
     assert threading.active_count() == threads_before
 
 
-def _all_kx_vote(params, e_f, ny_ribbon=48, kx_points=201, gap_bounds=None):
+def _all_kx_vote(params, e_f, ny_ribbon, kx_points, gap_bounds):
     """Test oracle: the ribbon vote with every kx diagonalized.
 
     Each vote energy walks all ``kx_points - 1`` intervals with the dense
     eigenpairs at both ends.
     """
-    g_lo, g_hi = gap_bounds if gap_bounds is not None else bulk_gap_at(params, e_f)
+    g_lo, g_hi = gap_bounds
     if not g_lo < e_f < g_hi:
         raise GaplessError(f"E={e_f} outside the bulk gap")
     kxs = np.linspace(0.0, math.pi, kx_points)
@@ -396,7 +412,7 @@ def _outcome(fn, *args, **kwargs):
 def _vote_case(params, settings):
     """(e_f, gap bounds) as classify_point picks them; (1.5, None) without a gap."""
     report = gap_in_window(
-        quarter_zone_bands(params, settings["bulk_grid"]), DEFAULT_WINDOW
+        quarter_zone_bands(params, settings["bulk_grid"]), DEFAULT_WINDOW, GAP_THRESHOLD
     )
     if not report.is_gapped:
         return 1.5, None
@@ -457,12 +473,13 @@ def test_zero_pivot_takes_the_dense_route(monkeypatch):
 
 def test_z2_rejects_ribbons_too_small_to_classify():
     params = ModelParams(alpha=A13)  # nu = 1 at the defaults
+    gap = bulk_gap_at(params, 1.5)
     for kx_points in (1, 2, 100):
         with pytest.raises(ParameterError, match="momentum"):
-            z2_invariant(params, 1.5, 48, kx_points)
+            z2_invariant(params, 1.5, 48, kx_points, gap)
     for ny in (1, 3, 11):
         with pytest.raises(ParameterError, match="height"):
-            z2_invariant(params, 1.5, ny, 201)
+            z2_invariant(params, 1.5, ny, 201, gap)
 
 
 def test_counted_vote_matches_all_kx_vote():
@@ -498,8 +515,8 @@ def test_counted_vote_matches_all_kx_vote():
             cases.append((params, e_f, solver, gap))
     outcomes = set()
     for params, e_f, solver, gap in cases:
-        got = _outcome(z2_invariant, params, e_f, gap_bounds=gap, **solver)
-        want = _outcome(_all_kx_vote, params, e_f, gap_bounds=gap, **solver)
+        got = _outcome(_vote_in_gap, z2_invariant, params, e_f, gap, **solver)
+        want = _outcome(_vote_in_gap, _all_kx_vote, params, e_f, gap, **solver)
         assert got == want, (params, e_f, solver)
         outcomes.add(got)
     assert outcomes == {0, 1, DegeneracyError, GaplessError}
