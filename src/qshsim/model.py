@@ -168,9 +168,7 @@ def _chain(params: ModelParams, rows: int, kxs, by=None) -> np.ndarray:
     kxs = np.asarray(kxs, dtype=float)
     h = np.zeros((kxs.size, 2 * rows, 2 * rows), dtype=by.dtype)
     n = np.arange(rows)
-    # the angles of _x_phase and the signs of onsite_energy, row by row
-    theta = 2.0 * math.pi * ((params.p * n) % params.q) / params.q
-    eps = np.where(n % 2, -1.0, 1.0) * params.lam * params.t0
+    theta, eps = _x_phase(params, n), onsite_energy(params, n)
     h[:, 2 * n, 2 * n] = -2.0 * params.t0 * np.cos(kxs[:, None] + theta) + eps
     h[:, 2 * n + 1, 2 * n + 1] = -2.0 * params.t0 * np.cos(kxs[:, None] - theta) + eps
     # the 2x2 block of each bond (n, n + 1), indexed [bond, spin row, spin column]

@@ -4,11 +4,13 @@ Data files are byte-deterministic: fixed column order, fixed row order and
 floats printed with 12 significant digits.  Results are cached under a
 SHA-256 of the package version and the canonical config (QSH_CACHE_DIR
 overrides the location); a cache hit replays the stored bytes.  One run at a
-time per output directory, enforced with an exclusive lock file.
+time per output directory, enforced with an exclusive ``flock`` on a lock
+file that the kernel releases when the run exits.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -280,21 +282,29 @@ def _read_cache(cache: Path):
     """({name: (bytes, sha256)}, meta) of a complete, intact cache entry.
 
     None when the entry is missing, has no manifest (a run stopped before
-    publishing it), has a manifest of the wrong shape, or holds a file whose
-    hash differs from the one recorded when it was published.
+    publishing it), has a manifest of the wrong shape (no files, or a name
+    that is not a plain file name of the entry), holds a file that cannot be
+    read, or holds a file whose hash differs from the one recorded when it
+    was published.
     """
     try:
         stored = json.loads((cache / MANIFEST_NAME).read_text())
-        if not isinstance(stored, dict) or not isinstance(stored.get("sha256"), dict):
+        digests = stored.get("sha256") if isinstance(stored, dict) else None
+        if not isinstance(digests, dict) or not digests or any(
+            name in ("", ".", "..") or os.sep in name for name in digests
+        ):
             log.warning("cache manifest in %s has the wrong shape; recomputing", cache)
             return None
         files = {}
-        for name, digest in sorted(stored["sha256"].items()):
+        for name, digest in sorted(digests.items()):
             files[name] = _sha256_file(cache / name)
             if files[name][1] != digest:
                 log.warning("cached %s fails its hash; recomputing", cache / name)
                 return None
     except (FileNotFoundError, ValueError, KeyError):
+        return None
+    except OSError as exc:
+        log.warning("cannot read the cache entry %s (%s); recomputing", cache, exc)
         return None
     return files, stored["meta"]
 
@@ -324,69 +334,37 @@ def _publish_cache(cache: Path, files: dict, meta) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):  # no such process, or no pid
-        return False
-    except PermissionError:  # alive, owned by another user
-        return True
-    return True
-
-
 class _Lock:
-    """Exclusive lock file holding the pid of the run that owns it.
+    """An exclusive ``flock`` on ``<out>/.qshsim.lock`` for the length of a run.
 
-    A lock whose pid no longer exists (its run was killed) is taken over; a
-    lock with a live pid, or one that names no pid, blocks.  Pids are only
-    meaningful on one host, so runs sharing an output directory across hosts
-    are not protected against each other.
+    The kernel releases the lock when its holder closes the file or exits,
+    however it exits, so no file contents can block a run.  The empty file
+    stays: after an unlink a run holding the old inode and one that opened a
+    new file could both hold "the" lock.  Runs on different hosts sharing a
+    network file system may not exclude each other.
     """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / LOCK_NAME
 
-    def _holder(self):
-        """The pid in the lock file: None once it is gone, 0 if it names none."""
-        try:
-            text = self.path.read_text(encoding="ascii").strip()
-        except FileNotFoundError:
-            return None
-        except (OSError, UnicodeDecodeError):
-            return 0
-        return int(text) if text.isdigit() else 0
-
     def __enter__(self):
-        for _ in range(2):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                holder = self._holder()
-                if holder is None:
-                    continue  # released in between
-                if holder <= 0 or _pid_alive(holder):
-                    raise QshError(
-                        f"output directory is locked by another run: {self.path}"
-                        + (f" (pid {holder})" if holder > 0 else "")
-                    ) from None
-                log.warning("taking over %s left by dead pid %d", self.path, holder)
-                self._release()
-                continue
-            try:
-                os.write(fd, b"%d\n" % os.getpid())
-            finally:
-                os.close(fd)
-            return self
-        raise QshError(f"could not take the lock {self.path}")
-
-    def _release(self):
         try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+            self.fd = os.open(self.path, os.O_RDONLY | os.O_CREAT, 0o666)
+        except OSError as exc:
+            raise QshError(
+                f"cannot open the lock file {self.path}: {exc.strerror}"
+            ) from None
+        try:
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
+            raise QshError(
+                f"output directory is locked by another run: {self.path}"
+            ) from None
+        return self
 
     def __exit__(self, *exc):
-        self._release()
+        os.close(self.fd)
         return False
 
 

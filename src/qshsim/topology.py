@@ -336,7 +336,7 @@ def z2_invariant(
     Counts, for kx in [0, pi], the states crossing the Fermi level whose
     weight sits on the bottom half of the ribbon (threshold
     ``EDGE_WEIGHT_MIN``); nu is the count mod 2.  ``gap_bounds`` is the
-    caller's bulk gap (e_below, e_above), and e_f must lie inside it
+    caller's finite bulk gap (e_below, e_above), and e_f must lie inside it
     (GaplessError otherwise).  The parity is evaluated at three Fermi
     levels inside the bulk gap and the majority is returned: an accidental
     coincidence of opposite-edge branches at one level (where the finite
@@ -351,14 +351,11 @@ def z2_invariant(
     """
     check_ribbon_grid(params, ny_ribbon, kx_points)
     g_lo, g_hi = gap_bounds
-    if not g_lo < e_f < g_hi:
+    if not -math.inf < g_lo < e_f < g_hi < math.inf:
         raise GaplessError(f"E={e_f} outside the sampled bulk gap ({g_lo}, {g_hi})")
     kxs = np.linspace(0.0, math.pi, int(kx_points))
-    # shifted vote energies stay inside the gap; semi-infinite gaps (Fermi
-    # level beyond the whole spectrum) shift by a fixed margin instead
-    lo_shift = 0.25 * (e_f - g_lo) if math.isfinite(g_lo) else 0.5
-    hi_shift = 0.25 * (g_hi - e_f) if math.isfinite(g_hi) else 0.5
-    candidates = (e_f, e_f - lo_shift, e_f + hi_shift)
+    # the shifted vote energies stay inside the gap
+    candidates = (e_f, e_f - 0.25 * (e_f - g_lo), e_f + 0.25 * (g_hi - e_f))
     counts, failed = _ribbon_level_counts(params, ny_ribbon, kxs, candidates)
     # solve both ends of every interval whose count changes, and of every
     # interval next to a failed kx, whose counts the dense solve supplies

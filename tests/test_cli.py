@@ -1,5 +1,7 @@
 """Config parsing, artifact output, caching, determinism, CLI surface."""
 
+import contextlib
+import fcntl
 import hashlib
 import itertools
 import json
@@ -9,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -423,33 +426,73 @@ def test_run_timing_ignores_a_wall_clock_stepped_back(tmp_path, monkeypatch):
     assert run(cfg)["timing_s"] >= 0
 
 
+@contextlib.contextmanager
+def _holding_lock(out):
+    """Hold the output directory's lock from this process, as a run would."""
+    with open(out / LOCK_NAME, "a") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        yield
+
+
 def test_lock_excludes_concurrent_runs(tmp_path, monkeypatch):
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "out"
     out.mkdir()
-    (out / LOCK_NAME).touch()
     cfg = normalize(BANDS_CFG)
     cfg.out_dir = str(out)
-    with pytest.raises(QshError, match="locked"):
-        run(cfg)
+    with _holding_lock(out):
+        with pytest.raises(QshError, match="locked"):
+            run(cfg)
+    assert not run(cfg)["cached"]
+    assert (out / LOCK_NAME).read_text() == ""  # the released file stays
 
 
-def test_dead_pid_lock_taken_over_live_pid_lock_blocks(tmp_path, monkeypatch):
+def test_stale_lock_file_does_not_block(tmp_path, monkeypatch):
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "out"
     out.mkdir()
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait(timeout=60)  # reaped: its pid names no process now
-    (out / LOCK_NAME).write_text(f"{child.pid}\n")
     cfg = normalize(BANDS_CFG)
     cfg.out_dir = str(out)
-    assert not run(cfg)["cached"]
-    assert not (out / LOCK_NAME).exists()
+    # an empty file, a live pid (this process) and a dead pid: none is held
+    for text in ("", f"{os.getpid()}\n", f"{child.pid}\n"):
+        (out / LOCK_NAME).write_text(text)
+        assert [o["name"] for o in run(cfg)["outputs"]] == ["bands.csv"]
+        assert (out / LOCK_NAME).exists()
 
-    (out / LOCK_NAME).write_text(f"{os.getpid()}\n")
-    with pytest.raises(QshError, match="locked"):
-        run(cfg)
-    assert (out / LOCK_NAME).read_text() == f"{os.getpid()}\n"
+
+#: a run that takes the lock of the directory argv[1] and never finishes
+HOLD_LOCK = """
+import sys, time
+from pathlib import Path
+from qshsim import runner
+with runner._Lock(Path(sys.argv[1])):
+    print("held", flush=True)
+    time.sleep(600)
+"""
+
+
+def test_lock_of_a_killed_run_is_released(tmp_path, monkeypatch):
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = normalize(BANDS_CFG)
+    cfg.out_dir = str(out)
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(out)],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        assert child.stdout.readline() == "held\n"
+        with pytest.raises(QshError, match="locked"):
+            run(cfg)
+    finally:
+        child.kill()  # SIGKILL: the child runs no exit handler
+        child.wait(timeout=60)
+        child.stdout.close()
+    assert not run(cfg)["cached"]
 
 
 def test_run_stopped_before_publishing_is_recomputed(tmp_path, monkeypatch):
@@ -499,7 +542,21 @@ def test_corrupted_cache_file_is_recomputed_not_replayed(tmp_path, monkeypatch):
     assert (tmp_path / "out3" / "bands.csv").read_bytes() == expected
 
 
-@pytest.mark.parametrize("stored", [[], "x", {"sha256": [], "meta": {}}])
+#: a file where the name "../x.csv" of a cache entry points, and its digest
+BESIDE = b"beside the cache entries\n"
+BESIDE_SHA256 = hashlib.sha256(BESIDE).hexdigest()
+
+
+@pytest.mark.parametrize("stored", [
+    [], "x", {"sha256": [], "meta": {}},
+    {"sha256": {}, "meta": {}},  # no files: an incomplete entry
+    {"sha256": {"": "x"}, "meta": {}},
+    {"sha256": {".": "x"}, "meta": {}},
+    {"sha256": {"..": "x"}, "meta": {}},
+    {"sha256": {"sub/bands.csv": "x"}, "meta": {}},
+    {"sha256": {"/bands.csv": "x"}, "meta": {}},
+    {"sha256": {"../x.csv": BESIDE_SHA256}, "meta": {}},
+])
 def test_misshapen_cache_manifest_is_recomputed(tmp_path, monkeypatch, caplog, stored):
     """A cache manifest that is valid JSON of the wrong shape is a miss."""
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
@@ -507,13 +564,33 @@ def test_misshapen_cache_manifest_is_recomputed(tmp_path, monkeypatch, caplog, s
     cfg.out_dir = str(tmp_path / "out1")
     good = run(cfg)
     (runner._cache_dir(cfg) / runner.MANIFEST_NAME).write_text(json.dumps(stored))
+    (runner._cache_dir(cfg).parent / "x.csv").write_bytes(BESIDE)
+
+    cfg.out_dir = str(tmp_path / "out2")
+    before = set(tmp_path.iterdir())
+    with caplog.at_level(logging.WARNING, logger="qshsim"):
+        m = run(cfg)
+    assert not m["cached"] and m["outputs"] == good["outputs"]
+    assert "wrong shape" in caplog.text
+    assert set(tmp_path.iterdir()) == before | {tmp_path / "out2"}
+    cfg.out_dir = str(tmp_path / "out3")
+    assert run(cfg)["cached"]  # the entry was republished
+
+
+def test_unreadable_cache_file_is_recomputed(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = normalize(BANDS_CFG)
+    cfg.out_dir = str(tmp_path / "out1")
+    good = run(cfg)
+    cached_file = runner._cache_dir(cfg) / "bands.csv"
+    cached_file.unlink()
+    cached_file.mkdir()  # listed in the manifest, but not a file
 
     cfg.out_dir = str(tmp_path / "out2")
     with caplog.at_level(logging.WARNING, logger="qshsim"):
         m = run(cfg)
     assert not m["cached"] and m["outputs"] == good["outputs"]
-    assert "wrong shape" in caplog.text
-    cfg.out_dir = str(tmp_path / "out3")
+    assert "cannot read the cache entry" in caplog.text
     assert run(cfg)["cached"]  # the entry was republished
 
 
@@ -708,8 +785,16 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     typo = write_config(tmp_path, dict(BANDS_CFG, grdi=[8, 8]), name="typo.json")
     assert main(["bands", "--config", typo, "--out", out]) == 2
 
-    # held lock surfaces as a computation error
+    # held lock surfaces as a computation error, until it is released
     locked = tmp_path / "locked"
     locked.mkdir()
-    (locked / LOCK_NAME).touch()
-    assert main(["bands", "--config", cfg_path, "--out", str(locked)]) == 3
+    with _holding_lock(locked):
+        assert main(["bands", "--config", cfg_path, "--out", str(locked)]) == 3
+    assert main(["bands", "--config", cfg_path, "--out", str(locked)]) == 0
+
+    # so does a lock file that cannot be opened
+    blocked = tmp_path / "blocked"
+    (blocked / LOCK_NAME).mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["bands", "--config", cfg_path, "--out", str(blocked)]) == 3
+    assert str(blocked / LOCK_NAME) in capsys.readouterr().err

@@ -12,11 +12,14 @@ call sets has one value in use, and that value belongs in a constant.  A
 call through ``**`` may set any parameter or none, so it counts as both
 setting and leaving each one.  Entry points are exempt: their callers live
 outside the package.
+
+The package imports nothing beyond numpy, scipy and the standard library.
 """
 
 import ast
 import functools
 import re
+import sys
 from pathlib import Path
 
 import qshsim
@@ -213,3 +216,17 @@ def test_always_set_exceptions_name_callers_that_leave_them():
                 for call in ast.walk(tree)
                 if isinstance(call, ast.Call)
             ), path
+
+
+def test_imports_are_numpy_scipy_or_the_standard_library():
+    allowed = {"numpy", "scipy"} | set(sys.stdlib_module_names)
+    imported = set()
+    for tree in _package_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    roots = {name.split(".")[0] for name in imported}
+    assert "numpy" in roots  # the scan sees the package's imports
+    assert roots - allowed == set()

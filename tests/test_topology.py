@@ -45,9 +45,18 @@ def _vote_in_gap(
     vote, params, e_f, gap_bounds=None, ny_ribbon=NY_RIBBON, kx_points=KX_POINTS
 ):
     """``vote`` (:func:`z2_invariant` or its oracle) inside ``gap_bounds``, or
-    inside the sampled bulk gap around e_f when None (GaplessError if none)."""
+    inside the sampled bulk gap around e_f when None (GaplessError if none).
+
+    An infinite bound of the sampled gap (e_f beyond the whole spectrum)
+    becomes e_f -/+ 2, so the vote energies shift by 0.25 * 2 = 0.5 there.
+    """
     if gap_bounds is None:
         gap_bounds = bulk_gap_at(params, e_f)
+        if math.isfinite(e_f):
+            gap_bounds = [
+                g if math.isfinite(g) else e_f + 2.0 * side
+                for g, side in zip(gap_bounds, (-1, 1))
+            ]
     return vote(params, e_f, ny_ribbon, kx_points, gap_bounds)
 
 
@@ -119,6 +128,9 @@ def test_z2_gapless_error_names_the_bounds_it_used():
     # no level compares below or above NaN: the sampled bounds are infinite
     with pytest.raises(GaplessError, match=r"sampled bulk gap \(-inf, inf\)"):
         _vote_in_gap(z2_invariant, params, math.nan)
+    # a semi-infinite gap (E below the whole spectrum) is not a gap to vote in
+    with pytest.raises(GaplessError, match=r"sampled bulk gap \(-inf, "):
+        z2_invariant(params, -5.0, NY_RIBBON, KX_POINTS, bulk_gap_at(params, -5.0))
 
 
 def test_classify_reference_points():
@@ -382,10 +394,8 @@ def _all_kx_vote(params, e_f, ny_ribbon, kx_points, gap_bounds):
         raise GaplessError(f"E={e_f} outside the bulk gap")
     kxs = np.linspace(0.0, math.pi, kx_points)
     vals, bottom = topology._ribbon_slab(params, ny_ribbon, kxs)
-    lo_shift = 0.25 * (e_f - g_lo) if math.isfinite(g_lo) else 0.5
-    hi_shift = 0.25 * (g_hi - e_f) if math.isfinite(g_hi) else 0.5
     parities, failure = [], None
-    for ef in (e_f, e_f - lo_shift, e_f + hi_shift):
+    for ef in (e_f, e_f - 0.25 * (e_f - g_lo), e_f + 0.25 * (g_hi - e_f)):
         try:
             parities.append(sum(
                 topology._count_bottom_crossings(
