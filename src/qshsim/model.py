@@ -19,21 +19,23 @@ the wrap bond.  Inversion with sigma_z on every site (P') times time reversal
 is an antiunitary symmetry squaring to +1, so every Bloch matrix is real
 symmetric in a fixed basis of P'T-invariant vectors (``real_form``).  The
 eigenvalue-only scans solve that form: a stack of real symmetric matrices
-takes less time than the complex Hermitian one, and two threads solving it
-in one process scale 1.4-1.9x where the complex stack gains 1.0-1.2x.  The
-ribbon has no ky to reverse: there the mirror x -> -x with sigma_x on every
-site, times time reversal (M T), fixes kx and squares to +1, and the ribbon
-is built real in the gauge where every spin-down component is multiplied
-by i.  ``bloch_step_bounds`` bounds how far a Bloch matrix moves between
-two momenta, which by Weyl's inequality bounds how far each level moves.
+takes less time than the complex Hermitian one.  ``real_bloch_parts``
+builds the parts of those matrices for a row of points that differ in
+lambda alone, from one rotation.  The ribbon has no ky to reverse: there
+the mirror x -> -x with sigma_x on every site, times time reversal (M T),
+fixes kx and squares to +1, and the ribbon is built real in the gauge where
+every spin-down component is multiplied by i.  ``bloch_step_bounds``
+bounds how far a Bloch matrix moves between two momenta, which by Weyl's
+inequality bounds how far each level moves.
 
 All energies are expressed in units of the hopping strength ``t0``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +134,18 @@ def onsite_energy(params: ModelParams, n: int) -> float:
     return ((-1) ** n) * params.lam * params.t0
 
 
+def row_params(row) -> ModelParams:
+    """The parameters a row of points shares: its first point at lambda = 0.
+
+    A row is a sequence of points that differ in lambda alone (ParameterError
+    otherwise), as the points of one beta of a phase diagram do.
+    """
+    base = replace(row[0], lam=0.0)
+    if any(replace(p, lam=0.0) != base for p in row):
+        raise ParameterError("the points of a row may differ in lambda alone")
+    return base
+
+
 def open_hamiltonian(params: ModelParams) -> sp.csr_matrix:
     """Finite-lattice Hamiltonian with open boundaries (no wrap bonds), as CSR.
 
@@ -155,6 +169,21 @@ def open_hamiltonian(params: ModelParams) -> sp.csr_matrix:
     return mat
 
 
+def chain_diagonal(params: ModelParams, rows: int, kxs) -> tuple:
+    """(up, down): the diagonal of :func:`_chain` per spin, each shape (len(kxs), rows).
+
+    The x hops at momentum kx plus the on-site term of each row n,
+    -2 t0 cos(kx +/- theta_n) + eps_n; the chain has no other diagonal entry.
+    """
+    kxs = np.asarray(kxs, dtype=float)[:, None]
+    n = np.arange(rows)
+    theta, eps = _x_phase(params, n), onsite_energy(params, n)
+    return (
+        -2.0 * params.t0 * np.cos(kxs + theta) + eps,
+        -2.0 * params.t0 * np.cos(kxs - theta) + eps,
+    )
+
+
 def _chain(params: ModelParams, rows: int, kxs, by=None) -> np.ndarray:
     """On-site terms, x hops at momentum kx and the y bonds of an open chain of rows.
 
@@ -168,9 +197,7 @@ def _chain(params: ModelParams, rows: int, kxs, by=None) -> np.ndarray:
     kxs = np.asarray(kxs, dtype=float)
     h = np.zeros((kxs.size, 2 * rows, 2 * rows), dtype=by.dtype)
     n = np.arange(rows)
-    theta, eps = _x_phase(params, n), onsite_energy(params, n)
-    h[:, 2 * n, 2 * n] = -2.0 * params.t0 * np.cos(kxs[:, None] + theta) + eps
-    h[:, 2 * n + 1, 2 * n + 1] = -2.0 * params.t0 * np.cos(kxs[:, None] - theta) + eps
+    h[:, 2 * n, 2 * n], h[:, 2 * n + 1, 2 * n + 1] = chain_diagonal(params, rows, kxs)
     # the 2x2 block of each bond (n, n + 1), indexed [bond, spin row, spin column]
     spin = np.arange(2)
     lower = 2 * n[1:, None, None] + spin[:, None]
@@ -192,9 +219,15 @@ def ribbon_stack(params: ModelParams, ny: int, kxs: np.ndarray) -> np.ndarray:
     to +1.  D is diagonal and unitary, so the eigenvalues and the per-site
     weights are those of the complex ribbon.
     """
+    return _chain(params, ny, kxs, ribbon_y_bond(params))
+
+
+def ribbon_y_bond(params: ModelParams) -> np.ndarray:
+    """The real 2x2 y hop of :func:`ribbon_stack`: -t0 [[cos, -sin], [sin, cos]]
+    of 2*pi*beta."""
     ang = 2.0 * math.pi * params.beta
     cos, sin = math.cos(ang), math.sin(ang)
-    return _chain(params, ny, kxs, -params.t0 * np.array([[cos, -sin], [sin, cos]]))
+    return -params.t0 * np.array([[cos, -sin], [sin, cos]])
 
 
 def _wrap_bond(params: ModelParams, kys) -> np.ndarray:
@@ -220,6 +253,7 @@ def bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.nda
     return h
 
 
+@functools.lru_cache(maxsize=16)  # one entry per cell height Q in use
 def _pt_basis(Q: int) -> tuple:
     """(W0, shifted): the real basis of P'T at ky = 0, and its ky-phased columns.
 
@@ -229,7 +263,7 @@ def _pt_basis(Q: int) -> tuple:
     V e_i = c e_j, c = exp(-i*phi), and each pair gives the columns
     exp(-i*phi/2) (e_i + e_j)/sqrt(2) and i exp(-i*phi/2) (e_i - e_j)/sqrt(2),
     which V K leaves unchanged.  ``shifted`` marks the columns with
-    phi = ky*Q (the pairs off row 0).
+    phi = ky*Q (the pairs off row 0).  Both are cached per Q and read-only.
     """
     idx = np.arange(2 * Q)
     partner = 2 * ((Q - idx // 2) % Q) + 1 - idx % 2
@@ -240,7 +274,9 @@ def _pt_basis(Q: int) -> tuple:
     w0[i, cols] = w0[j, cols] = 1.0 / math.sqrt(2.0)
     w0[i, cols + 1] = 1j / math.sqrt(2.0)
     w0[j, cols + 1] = -1j / math.sqrt(2.0)
-    return w0, np.repeat(i >= 2, 2)
+    shifted = np.repeat(i >= 2, 2)
+    w0.flags.writeable = shifted.flags.writeable = False
+    return w0, shifted
 
 
 def _pt_phase(params: ModelParams, kys) -> np.ndarray:
@@ -268,43 +304,53 @@ def real_form(params: ModelParams, h: np.ndarray, kys) -> np.ndarray:
     return (w0.conj().T @ h @ w0 * _pt_phase(params, kys)).real
 
 
-def real_bloch_parts(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> tuple:
-    """(chain, phase, wrap): the parts of the real Bloch matrices on a grid.
+def real_bloch_parts(row, kxs: np.ndarray, kys: np.ndarray) -> tuple:
+    """(chain, phase, wrap): the parts of the real Bloch matrices of a row on a grid.
 
+    ``row`` holds points that differ in lambda alone (:func:`row_params`).
     H = chain(kx) + wrap(ky), so each part is rotated once: ``chain`` is
-    W0^H chain(kx) W0 per kx (complex), ``phase`` the ky factor of
-    :func:`real_form` and ``wrap`` the real form of the wrap bond, per ky.
-    :func:`real_bloch_at` assembles the matrices from them.
+    W0^H chain(kx) W0 per point and kx (complex), shape (len(row), len(kxs),
+    2Q, 2Q), ``phase`` the ky factor of :func:`real_form` and ``wrap`` the
+    real form of the wrap bond, per ky.  Only the on-site term depends on
+    lambda, as lambda times diag(+/-t0), so one rotation serves the row:
+    chain(lambda) = chain(0) + lambda W0^H diag(+/-t0) W0, elementwise, and
+    a point's parts have the same bits in any row.  :func:`real_bloch_at`
+    assembles the matrices from them.
     """
-    Q = params.magnetic_height
+    base = row_params(row)
+    Q = base.magnetic_height
     kys = np.asarray(kys, dtype=float)
     wrap = np.zeros((kys.size, 2 * Q, 2 * Q), dtype=complex)
-    wrap[:, 0:2, -2:] = _wrap_bond(params, kys)
+    wrap[:, 0:2, -2:] = _wrap_bond(base, kys)
     wrap[:, -2:, 0:2] = wrap[:, 0:2, -2:].conj().transpose(0, 2, 1)
     w0, _ = _pt_basis(Q)
-    chain = w0.conj().T @ _chain(params, Q, kxs) @ w0
-    return chain, _pt_phase(params, kys), real_form(params, wrap, kys)
+    w0h = w0.conj().T
+    unit = np.repeat(onsite_energy(replace(base, lam=1.0), np.arange(Q)), 2)
+    lams = np.array([p.lam for p in row])[:, None, None, None]
+    chain = w0h @ _chain(base, Q, kxs) @ w0 + lams * (w0h @ np.diag(unit) @ w0)
+    return chain, _pt_phase(base, kys), real_form(base, wrap, kys)
 
 
-def real_bloch_at(parts: tuple, ix, iy) -> np.ndarray:
-    """Real Bloch matrices at the grid indices (ix, iy) of :func:`real_bloch_parts`.
+def real_bloch_at(parts: tuple, ip, ix, iy) -> np.ndarray:
+    """Real Bloch matrices of point ip at the grid indices (ix, iy) of
+    :func:`real_bloch_parts`.
 
-    Re(chain[ix] * phase[iy]) + wrap[iy], with ix and iy broadcast: pairs
-    of points or a whole grid.  The arithmetic is elementwise, so a matrix
-    has the same bits whichever set of points it is built in.
+    Re(chain[ip, ix] * phase[iy]) + wrap[iy], with ip, ix and iy broadcast:
+    triples of indices or a whole grid.  The arithmetic is elementwise, so a
+    matrix has the same bits whichever set of points it is built in.
     """
     chain, phase, wrap = parts
-    return (chain[ix] * phase[iy]).real + wrap[iy]
+    return (chain[ip, ix] * phase[iy]).real + wrap[iy]
 
 
 def real_bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
     """:func:`bloch_stack` in the real basis of :func:`real_form`, real symmetric.
 
-    Built from :func:`real_bloch_parts`; only the sum is formed on the
-    (kx, ky) grid.
+    Built from :func:`real_bloch_parts` of the row of this point alone; only
+    the sum is formed on the (kx, ky) grid.
     """
-    parts = real_bloch_parts(params, kxs, kys)
-    return real_bloch_at(parts, np.arange(len(kxs))[:, None], np.arange(len(kys)))
+    parts = real_bloch_parts([params], kxs, kys)
+    return real_bloch_at(parts, 0, np.arange(len(kxs))[:, None], np.arange(len(kys)))
 
 
 def bloch_step_bounds(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> tuple:
@@ -317,10 +363,12 @@ def bloch_step_bounds(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> 
     unitary times exp(i*ky*Q), so dy = t0 |exp(i*ky_i*Q) - exp(i*ky_j*Q)|.
     By Weyl's inequality, |E_n(k) - E_n(k')| <= ||H(k) - H(k')|| for the
     n-th sorted levels (Bhatia, *Matrix Analysis*, III.2), and the triangle
-    inequality adds the two steps.
+    inequality adds the two steps.  The on-site term cancels in dx, so the
+    bounds are taken at lambda = 0: they depend on alpha, t0 and the momenta
+    alone, and every point of a phase-diagram row shares them.
     """
     Q = params.magnetic_height
-    diag = np.diagonal(_chain(params, Q, kxs), axis1=1, axis2=2).real
+    diag = np.concatenate(chain_diagonal(replace(params, lam=0.0), Q, kxs), axis=1)
     wrap = np.exp(1j * Q * np.asarray(kys, dtype=float))
     dx = np.abs(diag[:, None] - diag[None]).max(axis=-1)
     return dx, params.t0 * np.abs(wrap[:, None] - wrap[None])

@@ -8,7 +8,8 @@ ribbon ones on the real ribbon of :func:`qshsim.model.ribbon_stack`.  The
 window gap of a bulk grid comes from :func:`quarter_zone_gap`, which solves
 only the grid points whose levels, bounded by Weyl's inequality from the
 points already solved, could still change the answer, and returns exactly
-what the full scan returns.
+what the full scan returns; it scans a row of points that differ in lambda
+alone together.
 Momentum grids always contain k = 0 and k = pi exactly (even point counts
 spanning [-pi, pi)), so time-reversal invariant momenta are sampled.
 """
@@ -42,6 +43,10 @@ BULK_MIN_GRID = 16
 #: most Bloch matrices a bulk band scan builds and solves at once; a 64x64
 #: grid peaks about 8 MiB above its result instead of 28 MiB in one piece
 BLOCH_CHUNK = 1024
+#: most Bloch matrices a round of :func:`quarter_zone_gap` builds and solves
+#: at once; a round of a 16-point row in one piece holds tens of MiB of
+#: complex temporaries
+GAP_CHUNK = 256
 #: grid steps between the points of the coarse lattice that
 #: :func:`quarter_zone_gap` solves first; a power of two
 PRUNE_STRIDE = 8
@@ -214,21 +219,25 @@ def _corners(n: int, stride: int, idx: np.ndarray) -> tuple:
     return below, np.where(on, idx, np.minimum(below + stride, n - 1))
 
 
-def quarter_zone_gap(
-    params: ModelParams, grid: tuple, window: tuple, gap_threshold: float
-) -> GapReport:
-    """``gap_in_window(quarter_zone_bands(params, grid), window, gap_threshold)``,
-    solving only the grid points whose levels could change that answer.
+def quarter_zone_gap(row, grid: tuple, window: tuple, gap_threshold: float) -> list:
+    """``gap_in_window(quarter_zone_bands(params, grid), window, gap_threshold)``
+    for each point of ``row``, solving only the grid points whose levels could
+    change that answer.
 
-    Every unsolved point carries an interval for each sorted level.  The
-    scan solves the lattice of every ``PRUNE_STRIDE``-th point of the
-    quarter grid (and its last point per axis), then halves the stride down
-    to 1.  A new point's level n lies within r of level n at each of its four
-    corners on the coarser lattice, r the bound of :func:`bloch_step_bounds`
-    on ||H(k) - H(corner)|| plus ``WEYL_SLACK`` (Weyl's inequality), so its
-    interval is the intersection of the four corners' intervals widened by
-    r.  After each step the unsolved points whose intervals meet the largest
-    gap of the solved levels are solved, until none does.
+    ``row`` holds points that differ in lambda alone (a beta row of a phase
+    diagram, or one point); they are scanned together, each round's
+    matrices built and solved for the whole row in chunks of at most
+    ``GAP_CHUNK``, but each point's decisions read only its own levels,
+    so its report is the same in any row.  Every unsolved point carries an
+    interval for each sorted level.  The scan solves the lattice of every
+    ``PRUNE_STRIDE``-th point of the quarter grid (and its last point per
+    axis), then halves the stride down to 1.  A new point's level n lies
+    within r of level n at each of its four corners on the coarser lattice,
+    r the bound of :func:`bloch_step_bounds` on ||H(k) - H(corner)|| plus
+    ``WEYL_SLACK`` (Weyl's inequality), so its interval is the intersection
+    of the four corners' intervals widened by r.  After each step the
+    unsolved points whose intervals meet the largest gap of the solved
+    levels are solved, until none does.
 
     The answer is exact, down to the bits of the gap edges.  Once no
     unsolved level can lie inside the largest gap (a, b) of the solved
@@ -239,56 +248,81 @@ def quarter_zone_gap(
     the first-maximum rule picks (a, b) again.  Solved levels without a gap
     >= ``gap_threshold`` mean a metal: more levels only narrow the gaps.
     The matrices come from :func:`real_bloch_at`, bit for bit those of
-    :func:`quarter_zone_bands`.  The report's ``solved`` counts them.
+    :func:`quarter_zone_bands`.  Each report's ``solved`` counts them.
     """
-    kxs, kys = _quarter_grid(params, grid)
-    parts = real_bloch_parts(params, kxs, kys)
-    dx, dy = bloch_step_bounds(params, kxs, kys)
+    kxs, kys = _quarter_grid(row[0], grid)
+    parts = real_bloch_parts(row, kxs, kys)
+    dx, dy = bloch_step_bounds(row[0], kxs, kys)
     nx, ny = kxs.size, kys.size
-    lo = np.empty((nx, ny, 2 * params.magnetic_height))
+    # per point still scanned: its place in the row, level intervals, solved mask
+    ids = np.arange(len(row))
+    lo = np.empty((ids.size, nx, ny, 2 * row[0].magnetic_height))
     hi = np.empty_like(lo)
-    known = np.zeros((nx, ny), dtype=bool)
-    solved = np.zeros_like(known)
-    levels = []
+    solved = np.zeros(lo.shape[:-1], dtype=bool)
+    reports = [None] * len(row)
 
-    def solve(ix, iy):
-        lo[ix, iy] = hi[ix, iy] = np.linalg.eigvalsh(real_bloch_at(parts, ix, iy))
-        solved[ix, iy] = known[ix, iy] = True
-        levels.append(lo[ix, iy].ravel())
+    def solve(mask):
+        points = np.nonzero(mask)
+        for i in range(0, points[0].size, GAP_CHUNK):
+            ip, ix, iy = (axis[i : i + GAP_CHUNK] for axis in points)
+            lo[ip, ix, iy] = hi[ip, ix, iy] = np.linalg.eigvalsh(
+                real_bloch_at(parts, ids[ip], ix, iy)
+            )
+        solved[points] = True
 
-    def report(gap):
-        return GapReport(
+    def report(p, gap):
+        reports[ids[p]] = GapReport(
             window=(float(window[0]), float(window[1])),
             gap=gap,
             gap_threshold=gap_threshold,
-            solved=int(solved.sum()),
+            solved=int(solved[p].sum()),
         )
 
     stride = PRUNE_STRIDE
-    solve(*np.nonzero(_lattice(nx, stride)[:, None] & _lattice(ny, stride)))
+    # the grid points with intervals, the same for every point
+    known = _lattice(nx, stride)[:, None] & _lattice(ny, stride)
+    solve(np.broadcast_to(known, solved.shape))
     while True:
         while True:
-            gap = find_gap(np.concatenate(levels), window, gap_threshold)
-            if gap is None:
-                return report(None)
-            meets = ((lo < gap[1]) & (hi > gap[0])).any(axis=-1) & known & ~solved
+            gaps = [find_gap(levels[done], window, gap_threshold)
+                    for levels, done in zip(lo, solved)]
+            gapped = np.array([gap is not None for gap in gaps])
+            for p in np.flatnonzero(~gapped):
+                report(p, None)
+            if not gapped.all():
+                ids, solved = ids[gapped], solved[gapped]
+                lo = lo[gapped]  # one array at a time bounds the peak
+                hi = hi[gapped]
+                gaps = [gap for gap in gaps if gap is not None]
+                if not ids.size:
+                    return reports
+            edges = np.array(gaps)[:, :, None, None, None]
+            meets = ((lo < edges[:, 1]) & (hi > edges[:, 0])).any(axis=-1)
+            meets &= known & ~solved
             if not meets.any():
                 break
-            solve(*np.nonzero(meets))
+            solve(meets)
         if stride == 1:
-            return report(gap)
+            for p, gap in enumerate(gaps):
+                report(p, gap)
+            return reports
         ix, iy = np.nonzero(
             _lattice(nx, stride // 2)[:, None] & _lattice(ny, stride // 2) & ~known
         )
-        x_corners, y_corners = _corners(nx, stride, ix), _corners(ny, stride, iy)
-        new_lo = np.full((ix.size, lo.shape[-1]), -np.inf)
-        new_hi = np.full_like(new_lo, np.inf)
-        for cx in x_corners:
-            for cy in y_corners:
-                r = (dx[ix, cx] + dy[iy, cy] + WEYL_SLACK)[:, None]
-                np.maximum(new_lo, lo[cx, cy] - r, out=new_lo)
-                np.minimum(new_hi, hi[cx, cy] + r, out=new_hi)
-        lo[ix, iy], hi[ix, iy] = new_lo, new_hi
+        corners = [
+            (cx, cy, (dx[ix, cx] + dy[iy, cy] + WEYL_SLACK)[:, None])
+            for cx in _corners(nx, stride, ix)
+            for cy in _corners(ny, stride, iy)
+        ]
+        # one point at a time, so the temporaries are one point's, not the row's
+        for bound, widen, meet in ((lo, np.subtract, np.maximum),
+                                   (hi, np.add, np.minimum)):
+            for p in range(ids.size):
+                new = None
+                for cx, cy, r in corners:
+                    corner = widen(bound[p, cx, cy], r)
+                    new = corner if new is None else meet(new, corner, out=new)
+                bound[p, ix, iy] = new
         known[ix, iy] = True
         stride //= 2
 

@@ -10,17 +10,20 @@ The Z2 index is obtained on a ribbon: count the crossings of the Fermi level
 by states localized on one chosen edge for kx in [0, pi]; the parity of that
 count is the invariant.  The crossings are located by counting the ribbon
 levels below each vote energy from the inertia of a block LDL^T
-factorization, in real arithmetic on the real ribbon, so only the momenta
-next to a crossing are diagonalized.  At beta = 0 the tests cross-check
-it against the spin Chern number (``test_z2_matches_spin_chern_on_lambda_sweep``
-and acceptance criterion 4).  The bulk gap is sampled on a quarter of the
-zone (time reversal plus the x mirror), with the Bloch matrices in their
-real P'T form, and :func:`classify_point` solves only the points that can
-change the sampled gap (:func:`qshsim.spectra.quarter_zone_gap`).  Where
-the ribbon vote cannot attribute a crossing to an edge,
-:func:`classify_point` settles the point from the bulk: a refined gap scan,
-then the Wilson-loop Z2 of Soluyanov & Vanderbilt, PRB 83, 235401 (2011),
-solved in chunks of kx lines.
+factorization, in real arithmetic read from the ribbon's diagonal and its
+one y-bond block, so only the momenta next to a crossing are diagonalized.
+At beta = 0 the tests cross-check it against the spin Chern number
+(``test_z2_matches_spin_chern_on_lambda_sweep`` and acceptance criterion 4).
+The bulk gap is sampled on a quarter of the zone (time reversal plus the x
+mirror), with the Bloch matrices in their real P'T form, and
+:func:`classify_point` solves only the points that can change the sampled
+gap (:func:`qshsim.spectra.quarter_zone_gap`).  Where the ribbon vote
+cannot attribute a crossing to an edge, :func:`classify_point` settles the
+point from the bulk: a refined gap scan, then the Wilson-loop Z2 of
+Soluyanov & Vanderbilt, PRB 83, 235401 (2011), solved in chunks of kx
+lines.  A phase diagram classifies one beta row per
+pool task (:func:`_classify_row`): the row's gap scan and ribbon count pass
+run once for all its lambda, and each point is then labelled on its own.
 """
 
 from __future__ import annotations
@@ -45,7 +48,10 @@ from .model import (
     SPIN_UP,
     ModelParams,
     bloch_stack,
-    ribbon_stack,
+    chain_diagonal,
+    onsite_energy,
+    ribbon_y_bond,
+    row_params,
     spin_bloch_stack,
 )
 from .spectra import (
@@ -285,47 +291,73 @@ def _count_bottom_crossings(params, ny, e_f, k_lo, k_hi, e_lo, e_hi, w_lo, w_hi,
     return total
 
 
-def _ribbon_level_counts(params: ModelParams, ny: int, kxs, energies):
+def _ribbon_level_counts(params, ny: int, kxs, energies):
     """Ribbon levels below each energy at each kx, from the inertia of H - E.
 
     The ribbon H(kx) is block tridiagonal in 2x2 row blocks: A_n on the
-    diagonal, C_n coupling row n to row n-1, both read from the real
-    symmetric :func:`ribbon_stack`.  Its block LDL^T factorization has the
-    pivots D_0 = A_0 - E and D_n = A_n - E - C_n D_{n-1}^{-1} C_n^T, and by
-    Sylvester's law of inertia H - E has as many negative eigenvalues as the
-    pivots together (the Sturm count; Parlett, *The Symmetric Eigenvalue
-    Problem*, SIAM 1998).  A symmetric 2x2 pivot has one when its
-    determinant is negative, two when its determinant is positive and its
-    trace negative.  The recursion runs elementwise over (energies x kx),
-    one row at a time.
+    diagonal, C coupling row n to row n-1.  Both are read from the model
+    directly, with no ribbon built: A_n is diagonal, the x hops and on-site
+    term of :func:`chain_diagonal`, and C is the one real y-bond block of
+    :func:`ribbon_y_bond`.  The block LDL^T factorization has the pivots
+    D_0 = A_0 - E and D_n = A_n - E - C D_{n-1}^{-1} C^T, and by Sylvester's
+    law of inertia H - E has as many negative eigenvalues as the pivots
+    together (the Sturm count; Parlett, *The Symmetric Eigenvalue Problem*,
+    SIAM 1998).  A symmetric 2x2 pivot has one when its determinant is
+    negative, two when its determinant is positive and its trace negative.
+    The recursion runs elementwise over (points x energies x kx), one row at
+    a time, on the same floating-point values as the entries of
+    :func:`qshsim.model.ribbon_stack`.
 
-    Returns the counts, shape (len(energies), len(kxs)), and a mask of the kx
-    where some pivot was singular or non-finite; the counts there are
-    meaningless and must come from a dense solve.
+    ``params`` is one point, with a list of ``energies``, or a row of points
+    that differ in lambda alone (:func:`row_params`), with one list of
+    energies per point.  Returns the counts, shape (len(energies), len(kxs))
+    for one point and with a leading point axis for a row, and a mask of
+    the kx where some pivot was singular or non-finite, shape (len(kxs),)
+    or (len(row), len(kxs)); the counts there are meaningless and must come
+    from a dense solve.
     """
-    h = ribbon_stack(params, ny, kxs)
-    e = np.asarray(energies, dtype=float)[:, None]
-    counts = np.zeros((e.shape[0], h.shape[0]), dtype=int)
+    row = [params] if isinstance(params, ModelParams) else params
+    base = row_params(row)
+    up, down = chain_diagonal(base, ny, kxs)  # (kx, row n), without the on-site term
+    eps = np.array([onsite_energy(p, np.arange(ny)) for p in row])
+    (p, q), (r, s) = ribbon_y_bond(base)
+    e = np.asarray(energies, dtype=float).reshape(len(row), -1, 1)
+    counts = np.zeros((len(row), e.shape[1], len(kxs)), dtype=int)
     sound = np.ones(counts.shape, dtype=bool)
     with np.errstate(all="ignore"):  # a failed pivot poisons only its own kx
         for n in range(ny):
-            i = 2 * n
-            a = h[:, i, i] - e
-            c = h[:, i + 1, i + 1] - e
-            b = h[:, i, i + 1]
+            a = (up[:, n] + eps[:, n, None])[:, None] - e
+            c = (down[:, n] + eps[:, n, None])[:, None] - e
+            b = 0.0  # A_n is diagonal
             if n:
                 # C adj(D) C^T / det(D) for the previous pivot D = [[pa, pb],
                 # [pb, pc]], with adj(D) = [[pc, -pb], [-pb, pa]]
-                p, q = h[:, i, i - 2], h[:, i, i - 1]
-                r, s = h[:, i + 1, i - 2], h[:, i + 1, i - 1]
                 a -= (pc * p * p + pa * q * q - 2.0 * pb * p * q) / det
                 c -= (pc * r * r + pa * s * s - 2.0 * pb * r * s) / det
-                b = b - (pc * p * r - pb * (p * s + q * r) + pa * q * s) / det
+                b -= (pc * p * r - pb * (p * s + q * r) + pa * q * s) / det
             det = a * c - b * b
             counts += (det < 0) + 2 * ((det > 0) & (a + c < 0))
             sound &= np.isfinite(det) & (det != 0)
             pa, pb, pc = a, b, c
-    return counts, ~sound.all(axis=0)
+    failed = ~sound.all(axis=1)
+    if isinstance(params, ModelParams):
+        return counts[0], failed[0]
+    return counts, failed
+
+
+def _vote_energies(e_f: float, gap_bounds: tuple) -> tuple:
+    """The three vote energies of :func:`z2_invariant`: e_f, and the points a
+    quarter of the way from it to each edge of the finite gap ``gap_bounds``
+    (GaplessError unless e_f lies inside it)."""
+    g_lo, g_hi = gap_bounds
+    if not -math.inf < g_lo < e_f < g_hi < math.inf:
+        raise GaplessError(f"E={e_f} outside the sampled bulk gap ({g_lo}, {g_hi})")
+    return (e_f, e_f - 0.25 * (e_f - g_lo), e_f + 0.25 * (g_hi - e_f))
+
+
+def _vote_momenta(kx_points: int) -> np.ndarray:
+    """The kx of the ribbon vote: ``kx_points`` over [0, pi], both ends included."""
+    return np.linspace(0.0, math.pi, int(kx_points))
 
 
 def z2_invariant(
@@ -343,22 +375,27 @@ def z2_invariant(
     ribbon hybridizes them into avoided curves) cannot then flip the result.
 
     The levels below each vote energy are counted at every kx from the
-    inertia of H(kx) - E (:func:`_ribbon_level_counts`).  Band j crosses E
-    between two momenta exactly when j lies between their two counts, so the
-    ribbon is diagonalized only at the ends of the intervals whose count
-    changes, and at the kx whose factorization failed.  The ribbon needs at
-    least 2*lcm(q, 2) rows and 101 momenta (ParameterError otherwise).
+    inertia of H(kx) - E (:func:`_ribbon_level_counts`), and
+    :func:`_vote_from_counts` finishes the vote.  The ribbon needs at least
+    2*lcm(q, 2) rows and 101 momenta (ParameterError otherwise).
     """
     check_ribbon_grid(params, ny_ribbon, kx_points)
-    g_lo, g_hi = gap_bounds
-    if not -math.inf < g_lo < e_f < g_hi < math.inf:
-        raise GaplessError(f"E={e_f} outside the sampled bulk gap ({g_lo}, {g_hi})")
-    kxs = np.linspace(0.0, math.pi, int(kx_points))
-    # the shifted vote energies stay inside the gap
-    candidates = (e_f, e_f - 0.25 * (e_f - g_lo), e_f + 0.25 * (g_hi - e_f))
+    candidates = _vote_energies(e_f, gap_bounds)
+    kxs = _vote_momenta(kx_points)
     counts, failed = _ribbon_level_counts(params, ny_ribbon, kxs, candidates)
+    return _vote_from_counts(params, ny_ribbon, kxs, candidates, counts, failed)
+
+
+def _vote_from_counts(params, ny_ribbon, kxs, candidates, counts, failed) -> int:
+    """The Z2 vote of :func:`z2_invariant` from its level counts at each kx.
+
+    Band j crosses E between two momenta exactly when j lies between their
+    two counts, so the ribbon is diagonalized only at the ends of the
+    intervals whose count changes, and at the kx whose factorization failed.
+    """
     # solve both ends of every interval whose count changes, and of every
     # interval next to a failed kx, whose counts the dense solve supplies
+    counts = counts.copy()
     opened = (counts[:, 1:] != counts[:, :-1]).any(axis=0) | failed[:-1] | failed[1:]
     solve = np.zeros_like(failed)
     solve[:-1] |= opened
@@ -477,7 +514,7 @@ def _settle_from_bulk(params, window, bulk_grid, gap_threshold) -> PhasePoint:
     ``WILSON_KX_LINES`` kx resolutions (ResolutionError if not).
     """
     fine = (2 * bulk_grid[0], 2 * bulk_grid[1])
-    report = quarter_zone_gap(params, fine, window, gap_threshold)
+    (report,) = quarter_zone_gap([params], fine, window, gap_threshold)
     if not report.is_gapped:
         return PhasePoint(
             params.beta, params.lam, PHASE_METAL, None, report, route=ROUTE_REFINED_GAP
@@ -506,14 +543,68 @@ def classify_point(
     evaluated at the window midpoint when it falls inside the detected gap and
     at the gap midpoint otherwise.  When the ribbon vote cannot decide
     (DegeneracyError), the point is settled from the bulk and its ``route``
-    says how.
+    says how.  The point is classified as a row of one
+    (:func:`_classify_row`); a solver failure is raised.
     """
-    report = quarter_zone_gap(params, bulk_grid, window, gap_threshold)
+    (outcome,) = _classify_row(
+        [params], window, bulk_grid, ny_ribbon, kx_points, gap_threshold
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _classify_row(
+    row,
+    window: tuple,
+    bulk_grid: tuple = BULK_GRID,
+    ny_ribbon: int = NY_RIBBON,
+    kx_points: int = KX_POINTS,
+    gap_threshold: float = GAP_THRESHOLD,
+) -> list:
+    """Classify the points of a row, which differ in lambda alone, as
+    :func:`classify_point` does.
+
+    The bulk gap scan and the ribbon count pass run once for the whole row
+    (:func:`quarter_zone_gap`, :func:`_ribbon_level_counts`); a failure of
+    either is raised, since the row's points share it.  Each point is then
+    labelled on its own by :func:`_label_point`: the list holds, per point,
+    its PhasePoint, or the QshError or LinAlgError its labelling raised.
+    Any other exception propagates.
+    """
+    reports = quarter_zone_gap(row, bulk_grid, window, gap_threshold)
+    gapped = [i for i, report in enumerate(reports) if report.is_gapped]
+    votes = [None] * len(row)
+    if gapped:
+        check_ribbon_grid(row[0], ny_ribbon, kx_points)
+        kxs = _vote_momenta(kx_points)
+        energies = [
+            _vote_energies(_fermi_level(window, reports[i].gap), reports[i].gap)
+            for i in gapped
+        ]
+        counts, failed = _ribbon_level_counts(
+            [row[i] for i in gapped], ny_ribbon, kxs, energies
+        )
+        for i, *vote in zip(gapped, energies, counts, failed):
+            votes[i] = (ny_ribbon, kxs, *vote)
+    outcomes = []
+    for params, report, vote in zip(row, reports, votes):
+        try:
+            outcomes.append(
+                _label_point(params, report, vote, window, bulk_grid, gap_threshold)
+            )
+        except (QshError, np.linalg.LinAlgError) as exc:  # recorded per point
+            outcomes.append(exc)
+    return outcomes
+
+
+def _label_point(params, report, vote, window, bulk_grid, gap_threshold) -> PhasePoint:
+    """Label one point of a row from its gap report and, when gapped, its
+    ``vote``: the arguments of :func:`_vote_from_counts` after ``params``."""
     if not report.is_gapped:
         return PhasePoint(params.beta, params.lam, PHASE_METAL, None, report)
-    e_f = _fermi_level(window, report.gap)
     try:
-        nu = z2_invariant(params, e_f, ny_ribbon, kx_points, gap_bounds=report.gap)
+        nu = _vote_from_counts(params, *vote)
     except DegeneracyError:
         return _settle_from_bulk(params, window, bulk_grid, gap_threshold)
     return _labelled(params, nu, report)
@@ -560,32 +651,39 @@ def phase_diagram(
 ) -> PhaseMap:
     """Classify a (beta, lambda) grid; per-point failures are recorded, not raised.
 
-    The points run on a pool of ``threads`` worker threads, each with
-    single-threaded BLAS, so pool and BLAS threads do not compete for cores.
-    Solver failures (QshError, LinAlgError) become ``"error"`` points; any
-    other exception propagates.
+    One pool task classifies one beta row (:func:`_classify_row`), so the
+    row's points share its bulk gap scan and ribbon count pass.  The rows
+    run on a pool of ``threads`` worker threads, each with single-threaded
+    BLAS, so pool and BLAS threads do not compete for cores; a row is fixed
+    by the grid, not by ``threads``, so neither are the results.  Solver
+    failures (QshError, LinAlgError) become ``"error"`` points: those of a
+    point's own labelling on that point, those of the row's shared solves on
+    every point of the row.  Any other exception propagates.
     """
     nb, nl = resolution
     if min(nb, nl) < PHASE_MIN_RESOLUTION:
         raise ParameterError("phase-diagram resolution must be at least 16x16")
     betas = np.linspace(beta_range[0], beta_range[1], nb)
     lams = np.linspace(lambda_range[0], lambda_range[1], nl)
-    tasks = [(b, l) for b in betas for l in lams]
 
-    def work(bl):
-        b, l = bl
-        p = ModelParams(alpha=alpha, beta=float(b), lam=float(l))
+    def work(beta):
         try:
-            return classify_point(p, window, **classify_kwargs)
-        except (QshError, np.linalg.LinAlgError) as exc:  # recorded per point
-            return PhasePoint(float(b), float(l), PHASE_ERROR, None, None, str(exc))
+            row = [ModelParams(alpha, float(beta), float(lam)) for lam in lams]
+            outcomes = _classify_row(row, window, **classify_kwargs)
+        except (QshError, np.linalg.LinAlgError) as exc:  # shared by the row
+            outcomes = [exc] * nl
+        return [
+            outcome if isinstance(outcome, PhasePoint) else PhasePoint(
+                float(beta), float(lam), PHASE_ERROR, None, None, str(outcome)
+            )
+            for lam, outcome in zip(lams, outcomes)
+        ]
 
     setters = _openblas_thread_setters()
     with ThreadPoolExecutor(
         max_workers=threads, initializer=_pin_blas, initargs=(setters,)
     ) as pool:
-        flat = list(pool.map(work, tasks))
-    points = [flat[i * nl : (i + 1) * nl] for i in range(nb)]
+        points = list(pool.map(work, betas))
     return PhaseMap(
         beta_grid=betas, lambda_grid=lams, points=points, blas_pinned=len(setters)
     )

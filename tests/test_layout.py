@@ -36,6 +36,14 @@ ENTRY_POINTS = {
     "topology.bulk_gap_at": (
         "the benchmark's tracer test patches it in topology and edgestates"
     ),
+    "topology.classify_point": (
+        "the README tour and acceptance criterion 3 classify single points; "
+        "phase_diagram classifies whole rows"
+    ),
+    "topology.z2_invariant": (
+        "acceptance criterion 4 votes at given Fermi energies; rows vote from "
+        "their shared level counts"
+    ),
     "dynamics.lindblad_evolve": "the benchmark's tracer wraps it",
     "cli.main": "the command-line entry point",
 }

@@ -1,6 +1,7 @@
 """Lattice-builder contracts: blocks, symmetries, representations."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from qshsim import model
 from qshsim.dynamics import SubspaceBasis
 from qshsim.errors import ParameterError
 from qshsim.model import (
@@ -20,6 +22,8 @@ from qshsim.model import (
     bloch_step_bounds,
     onsite_energy,
     open_hamiltonian,
+    real_bloch_at,
+    real_bloch_parts,
     real_bloch_stack,
     real_form,
     ribbon_stack,
@@ -359,6 +363,35 @@ def test_real_form_keeps_the_bloch_spectrum(alpha):
         rotated = real_form(p, h, kys)
         assert np.max(np.abs(np.linalg.eigvalsh(rotated) - exact)) <= 1e-12
         assert np.max(np.abs(rotated - built)) <= 1e-13
+
+
+def test_row_parts_give_each_point_its_own_bits():
+    # chain(lambda) = chain(0) + lambda W0^H diag(+/-t0) W0: a point's real
+    # Bloch matrices have the same bits in a row as alone, within rounding of
+    # the direct rotation
+    rng = np.random.default_rng(59)
+    for alpha in PT_ALPHAS:
+        base = _random_params(rng, alpha)
+        row = [replace(base, lam=lam) for lam in rng.uniform(-2.0, 2.0, 3)]
+        Q = base.magnetic_height
+        kxs = rng.uniform(-math.pi, math.pi, 5)
+        kys = rng.uniform(-math.pi / Q, math.pi / Q, 4)
+        parts = real_bloch_parts(row, kxs, kys)
+        grid = np.arange(kxs.size)[:, None], np.arange(kys.size)
+        for i, p in enumerate(row):
+            alone = real_bloch_stack(p, kxs, kys)
+            assert np.array_equal(real_bloch_at(parts, i, *grid), alone)
+            rotated = real_form(p, bloch_stack(p, kxs, kys), kys)
+            assert np.max(np.abs(rotated - alone)) <= 1e-13
+    with pytest.raises(ParameterError, match="lambda alone"):
+        real_bloch_parts([base, replace(base, beta=base.beta + 0.1)], kxs, kys)
+    # the P'T basis is built once per cell height, and no caller can change it
+    w0, shifted = model._pt_basis(6)
+    assert model._pt_basis(6)[0] is w0
+    with pytest.raises(ValueError):
+        w0[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        shifted[0] = True
 
 
 def _loop_chain(params, rows, kxs):

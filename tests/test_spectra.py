@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qshsim.errors import ParameterError
 from qshsim.model import ModelParams, bloch_stack, open_hamiltonian, ribbon_stack
@@ -245,7 +247,7 @@ def test_pruned_gap_scan_matches_the_full_quarter_scan(alpha):
         for grid in ((16, 16), (48, 48), (64, 64), (128, 128)):
             bands = quarter_zone_bands(params, grid)
             for window, threshold in windows:
-                got = quarter_zone_gap(params, grid, window, threshold)
+                (got,) = quarter_zone_gap([params], grid, window, threshold)
                 assert got == gap_in_window(bands, window, threshold)
                 assert 0 < got.solved <= bands.energies[..., 0].size
                 outcomes.add(got.is_gapped)
@@ -255,6 +257,33 @@ def test_pruned_gap_scan_matches_the_full_quarter_scan(alpha):
 def test_pruned_gap_scan_rejects_what_the_full_scan_rejects():
     params = ModelParams(alpha=A13)
     with pytest.raises(ParameterError):
-        quarter_zone_gap(params, (8, 8), (1.0, 2.0), GAP_THRESHOLD)
+        quarter_zone_gap([params], (8, 8), (1.0, 2.0), GAP_THRESHOLD)
     with pytest.raises(ParameterError):
-        quarter_zone_gap(params, (32, 32), (2.0, 1.0), GAP_THRESHOLD)
+        quarter_zone_gap([params], (32, 32), (2.0, 1.0), GAP_THRESHOLD)
+    # a row holds points that differ in lambda alone
+    with pytest.raises(ParameterError, match="lambda alone"):
+        quarter_zone_gap(
+            [params, ModelParams(alpha=A13, beta=0.1)], (32, 32), (1.0, 2.0), GAP_THRESHOLD
+        )
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    beta=st.floats(0.0, 0.25),
+    lams=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+    grid=st.sampled_from([(64, 64), (128, 128)]),
+)
+@example(beta=0.0, lams=[0.0], grid=(64, 64))  # a row of one point
+@example(beta=0.2, lams=[1.5, 1.9, 1.6, 2.0], grid=(64, 64))  # gapped and metal
+@example(beta=0.2, lams=[1.9, 1.5], grid=(128, 128))
+def test_row_gap_scan_matches_the_full_scan_per_point(beta, lams, grid):
+    # each point of a row scanned together: the report of the full quarter
+    # scan, bit for bit, from the solves the point makes alone
+    row = [ModelParams(alpha=A13, beta=beta, lam=lam) for lam in lams]
+    reports = quarter_zone_gap(row, grid, (1.0, 2.0), GAP_THRESHOLD)
+    assert len(reports) == len(row)
+    for params, got in zip(row, reports):
+        bands = quarter_zone_bands(params, grid)
+        assert got == gap_in_window(bands, (1.0, 2.0), GAP_THRESHOLD)
+        (alone,) = quarter_zone_gap([params], grid, (1.0, 2.0), GAP_THRESHOLD)
+        assert got == alone and got.solved == alone.solved

@@ -362,24 +362,65 @@ def test_bulk_fallback_settles_failed_ribbon_votes():
 
 
 def test_phase_diagram_errors_and_pool_lifetime(monkeypatch):
-    def solver_failure(params, window, **kwargs):
+    # a corner of the map whose rows hold gapped and metal points
+    window = {"beta_range": (0.2, 0.25), "lambda_range": (1.5, 2.0), **LIGHT}
+    label, gap_scan = topology._label_point, topology.quarter_zone_gap
+
+    def solver_failure(params, *args):
         raise ResolutionError("unresolved")
 
     threads_before = threading.active_count()
-    monkeypatch.setattr(topology, "classify_point", solver_failure)
-    pmap = phase_diagram(A13, threads=3)
+    monkeypatch.setattr(topology, "_label_point", solver_failure)
+    pmap = phase_diagram(A13, threads=3, **window)
     flat = [pt for row in pmap.points for pt in row]
     assert {pt.phase for pt in flat} == {PHASE_ERROR}
     assert {pt.error for pt in flat} == {"unresolved"}
     assert threading.active_count() == threads_before
 
-    def programming_error(params, window, **kwargs):
+    def programming_error(params, *args):
         raise TypeError("a bug, not a solver failure")
 
-    monkeypatch.setattr(topology, "classify_point", programming_error)
+    monkeypatch.setattr(topology, "_label_point", programming_error)
     for threads in (1, 2):
         with pytest.raises(TypeError):
-            phase_diagram(A13, threads=threads)
+            phase_diagram(A13, threads=threads, **window)
+    assert threading.active_count() == threads_before
+
+    # one point of a row fails: every other point keeps its label
+    monkeypatch.setattr(topology, "_label_point", label)
+    clean = phase_diagram(A13, threads=2, **window)
+    i = next(
+        i for i, row in enumerate(clean.points)
+        if {PHASE_METAL, PHASE_TOPOLOGICAL} <= {pt.phase for pt in row}
+    )
+    j = next(j for j, pt in enumerate(clean.points[i]) if pt.phase == PHASE_TOPOLOGICAL)
+    target = clean.points[i][j]
+
+    def one_failure(params, *args):
+        if (params.beta, params.lam) == (target.beta, target.lam):
+            raise np.linalg.LinAlgError("one point")
+        return label(params, *args)
+
+    monkeypatch.setattr(topology, "_label_point", one_failure)
+    pmap = phase_diagram(A13, threads=2, **window)
+    failed = pmap.points[i][j]
+    assert (failed.beta, failed.lam) == (target.beta, target.lam)
+    assert (failed.phase, failed.nu, failed.error) == (PHASE_ERROR, None, "one point")
+    pmap.points[i][j] = target
+    assert pmap.points == clean.points
+
+    # a failure of the row's shared gap scan is every point's of that row
+    def shared_failure(row, *args):
+        if row[0].beta == target.beta:
+            raise ResolutionError("shared")
+        return gap_scan(row, *args)
+
+    monkeypatch.setattr(topology, "_label_point", label)
+    monkeypatch.setattr(topology, "quarter_zone_gap", shared_failure)
+    pmap = phase_diagram(A13, threads=2, **window)
+    assert {(pt.phase, pt.error) for pt in pmap.points[i]} == {(PHASE_ERROR, "shared")}
+    pmap.points[i] = clean.points[i]
+    assert pmap.points == clean.points
     assert threading.active_count() == threads_before
 
 
@@ -434,26 +475,41 @@ def _vote_case(params, settings):
     "alpha", [Fraction(0, 1), A13, Fraction(2, 5), Fraction(1, 2)]
 )
 def test_level_counts_match_dense_eigenvalues(ny, alpha):
+    # rows of one to three points (one beta, several lambda), each point
+    # with its own energies, counted in one call and point by point
     rng = np.random.default_rng(ny * 10 + alpha.denominator)
     kxs = np.linspace(0.0, math.pi, 101)
-    for _ in range(4):
-        params = ModelParams(
-            alpha=alpha, beta=rng.uniform(0.0, 0.25), lam=rng.uniform(0.0, 2.0)
-        )
-        levels = np.linalg.eigvalsh(ribbon_stack(params, ny, kxs))
-        flat = np.sort(levels.ravel())
-        widest = int(np.argmax(np.diff(flat)))
-        energies = [
-            rng.uniform(flat[0], flat[-1]),  # inside the bands
-            0.5 * (flat[widest] + flat[widest + 1]),  # inside the widest gap
-            1.5,
-            flat[0] - 1.0,  # beyond the spectrum
-            flat[-1] + 1.0,
+    for size in (1, 3, 2):
+        beta = rng.uniform(0.0, 0.25)
+        row = [
+            ModelParams(alpha=alpha, beta=beta, lam=rng.uniform(0.0, 2.0))
+            for _ in range(size)
         ]
-        counts, failed = topology._ribbon_level_counts(params, ny, kxs, energies)
-        expect = (levels[None] < np.array(energies)[:, None, None]).sum(axis=-1)
+        expects, energies = [], []
+        for params in row:
+            levels = np.linalg.eigvalsh(ribbon_stack(params, ny, kxs))
+            flat = np.sort(levels.ravel())
+            widest = int(np.argmax(np.diff(flat)))
+            energies.append([
+                rng.uniform(flat[0], flat[-1]),  # inside the bands
+                0.5 * (flat[widest] + flat[widest + 1]),  # inside the widest gap
+                1.5,
+                flat[0] - 1.0,  # beyond the spectrum
+                flat[-1] + 1.0,
+            ])
+            expects.append(
+                (levels[None] < np.array(energies[-1])[:, None, None]).sum(axis=-1)
+            )
+        counts, failed = topology._ribbon_level_counts(row, ny, kxs, energies)
+        assert counts.shape == (size, 5, kxs.size) and failed.shape == (size, kxs.size)
         assert not failed.any()
-        assert np.array_equal(counts, expect)
+        assert np.array_equal(counts, np.array(expects))
+        for params, point_energies, expect in zip(row, energies, expects):
+            counts, failed = topology._ribbon_level_counts(
+                params, ny, kxs, point_energies
+            )
+            assert not failed.any()
+            assert np.array_equal(counts, expect)
 
 
 def test_zero_pivot_takes_the_dense_route(monkeypatch):
