@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +49,6 @@ class CellParams:
 
     omega: float
     g: float
-    sublattice_id: int = 1
 
     def __post_init__(self):
         if self.g <= 0:
@@ -58,16 +57,14 @@ class CellParams:
             raise ParameterError(
                 f"dispersive hierarchy violated: omega/g = {self.omega / self.g:.2f} < 5"
             )
-        if self.sublattice_id not in (1, 2, 3, 4):
-            raise ParameterError("sublattice_id must be 1..4")
 
 
-#: reference device cells (omega, g in units of t0), sublattices 1..4
+#: reference device cells (omega, g in units of t0) of sublattices 1..4, in order
 DEVICE_CELLS = (
-    CellParams(omega=2700, g=250, sublattice_id=1),
-    CellParams(omega=3000, g=150, sublattice_id=2),
-    CellParams(omega=2650, g=150, sublattice_id=3),
-    CellParams(omega=2900, g=200, sublattice_id=4),
+    CellParams(omega=2700, g=250),
+    CellParams(omega=3000, g=150),
+    CellParams(omega=2650, g=150),
+    CellParams(omega=2900, g=200),
 )
 
 
@@ -108,7 +105,7 @@ class Tone:
 @dataclass
 class TonePlan:
     bond: Bond
-    tones: List[Tone] = field(default_factory=list)
+    tones: List[Tone]
 
 
 def _wrap_phase(phi: float) -> float:

@@ -26,7 +26,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -36,11 +36,14 @@ from .edgestates import DEFAULT_RING_DEPTH
 from .errors import ConfigError
 from .model import LATTICE_MIN_SIDE, ModelParams
 from .spectra import BULK_MIN_GRID, GAP_THRESHOLD, RIBBON_MIN_KX
-from .topology import DEFAULT_FERMI_ENERGY, DEFAULT_WINDOW, PHASE_MIN_RESOLUTION
+from .topology import (
+    BULK_GRID, DEFAULT_FERMI_ENERGY, DEFAULT_WINDOW, KX_POINTS, NY_RIBBON,
+    PHASE_MIN_RESOLUTION,
+)
 
 log = logging.getLogger("qshsim")
 
-#: the default of a key that reaches its task only when given
+#: the default of a model key: ModelParams fills it when the key is left out
 ABSENT = object()
 
 
@@ -149,9 +152,9 @@ TASK_PARAMS = {
         ),
         "window": _WINDOW,
         "gap_threshold": _GAP_THRESHOLD,
-        "bulk_grid": Param("integer", shape="pair", least=BULK_MIN_GRID),
-        "ny_ribbon": Param("integer", least=_ribbon_rows),
-        "kx_points": Param("integer", least=RIBBON_MIN_KX),
+        "bulk_grid": Param("integer", list(BULK_GRID), shape="pair", least=BULK_MIN_GRID),
+        "ny_ribbon": Param("integer", NY_RIBBON, least=_ribbon_rows),
+        "kx_points": Param("integer", KX_POINTS, least=RIBBON_MIN_KX),
     },
     "edge_states": {
         "e_f": Param("number", DEFAULT_FERMI_ENERGY),
@@ -225,10 +228,10 @@ class RunConfig:
     model: ModelParams
     task: str
     task_params: dict
-    out_dir: str = "qshsim-out"
-    fmt: str = "csv"
-    threads: int = 1
-    normalized: dict = field(default_factory=dict)
+    out_dir: str
+    fmt: str
+    threads: int
+    normalized: dict
 
     def canonical_json(self) -> str:
         return json.dumps(self.normalized, sort_keys=True, separators=(",", ":"))

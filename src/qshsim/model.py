@@ -230,27 +230,28 @@ def ribbon_y_bond(params: ModelParams) -> np.ndarray:
     return -params.t0 * np.array([[cos, -sin], [sin, cos]])
 
 
-def _wrap_bond(params: ModelParams, kys) -> np.ndarray:
-    """The y hop from row Q-1 to row 0 of the next cell, shape (len(kys), 2, 2)."""
+def _wrap(params: ModelParams, kys) -> np.ndarray:
+    """The wrap bond of the Bloch cell, shape (len(kys), 2Q, 2Q): the y hop
+    from row Q-1 to row 0 of the next cell, times exp(i*ky*Q), and its
+    conjugate; zero elsewhere."""
+    Q = params.magnetic_height
     kys = np.asarray(kys, dtype=float)
-    return y_hop_block(params) * np.exp(1j * kys * params.magnetic_height)[:, None, None]
+    wrap = np.zeros((kys.size, 2 * Q, 2 * Q), dtype=complex)
+    wrap[:, 0:2, -2:] = y_hop_block(params) * np.exp(1j * kys * Q)[:, None, None]
+    wrap[:, -2:, 0:2] = wrap[:, 0:2, -2:].conj().transpose(0, 2, 1)
+    return wrap
 
 
 def bloch_stack(params: ModelParams, kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
     """Magnetic-Bloch Hamiltonians, shape (len(kxs), len(kys), 2Q, 2Q).
 
     The cell holds Q = lcm(q, 2) rows; kx runs over [-pi, pi) and ky over the
-    reduced interval [-pi/Q, pi/Q).  The whole phase exp(i*ky*Q) sits on the
-    wrap bond from row Q-1 to row 0, so H is periodic in ky with period 2pi/Q.
+    reduced interval [-pi/Q, pi/Q).  H = chain(kx) + wrap(ky): the whole
+    phase exp(i*ky*Q) sits on the wrap bond from row Q-1 to row 0
+    (:func:`_wrap`), so H is periodic in ky with period 2pi/Q.  At Q = 2 the
+    wrap bond and the chain's one y bond share a block, and add.
     """
-    Q = params.magnetic_height
-    kys = np.asarray(kys, dtype=float)
-    h = np.repeat(_chain(params, Q, kxs)[:, None], kys.size, axis=1)
-    wrap = _wrap_bond(params, kys)
-    # add: at Q = 2 the wrap bond and the in-chain bond share a block
-    h[:, :, 0:2, -2:] += wrap
-    h[:, :, -2:, 0:2] += wrap.conj().transpose(0, 2, 1)
-    return h
+    return _chain(params, params.magnetic_height, kxs)[:, None] + _wrap(params, kys)
 
 
 @functools.lru_cache(maxsize=16)  # one entry per cell height Q in use
@@ -319,16 +320,12 @@ def real_bloch_parts(row, kxs: np.ndarray, kys: np.ndarray) -> tuple:
     """
     base = row_params(row)
     Q = base.magnetic_height
-    kys = np.asarray(kys, dtype=float)
-    wrap = np.zeros((kys.size, 2 * Q, 2 * Q), dtype=complex)
-    wrap[:, 0:2, -2:] = _wrap_bond(base, kys)
-    wrap[:, -2:, 0:2] = wrap[:, 0:2, -2:].conj().transpose(0, 2, 1)
     w0, _ = _pt_basis(Q)
     w0h = w0.conj().T
     unit = np.repeat(onsite_energy(replace(base, lam=1.0), np.arange(Q)), 2)
     lams = np.array([p.lam for p in row])[:, None, None, None]
     chain = w0h @ _chain(base, Q, kxs) @ w0 + lams * (w0h @ np.diag(unit) @ w0)
-    return chain, _pt_phase(base, kys), real_form(base, wrap, kys)
+    return chain, _pt_phase(base, kys), real_form(base, _wrap(base, kys), kys)
 
 
 def real_bloch_at(parts: tuple, ip, ix, iy) -> np.ndarray:

@@ -34,41 +34,30 @@ LOCK_NAME = ".qshsim.lock"
 log = logging.getLogger("qshsim")
 
 
-def fmt_cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
-def _json_cell(x):
-    if x is None or isinstance(x, (str, bool)):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(fmt_cell(x))
-
-
 def _csv_column(col) -> tuple:
-    """(%-conversion, cells) of one column; numbers skip ``fmt_cell``."""
+    """(%-conversion, cells) of one column.
+
+    Floats get 12 significant digits.  A column of text holds str, int and
+    None (``nu`` is None on metal rows): None is an empty cell, and every
+    other value is written as it is.
+    """
     arr = np.asarray(col)
     if arr.dtype.kind == "f":
         return "%.12g", arr.tolist()
     if arr.dtype.kind in "iu":
         return "%d", arr.tolist()
-    return "%s", ["" if v is None else fmt_cell(v) for v in col]
+    return "%s", ["" if v is None else v for v in col]
 
 
 def _json_column(col) -> list:
+    """The values of one column: floats to 12 significant digits, None as
+    null, every other value as it is."""
     arr = np.asarray(col)
     if arr.dtype.kind == "f":
         return [float("%.12g" % v) for v in arr.tolist()]
     if arr.dtype.kind in "iu":
         return arr.tolist()
-    return [_json_cell(v) for v in col]
+    return list(col)
 
 
 def write_table(path: Path, header, rows, fmt: str) -> bytes:

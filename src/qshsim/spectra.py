@@ -99,31 +99,37 @@ def eig_hermitian(h, nearest: tuple):
 
     ``nearest=(e0, count)`` with 1 <= count <= dim.  ARPACK shift-invert
     serves every count it can (``count <= dim - 2``), with a fixed start
-    vector so repeated solves are reproducible; larger counts take the dense
-    solve, which breaks ties in |E - e0| towards the lower energy.
+    vector so repeated solves are reproducible.  Larger counts take the
+    dense solve, which breaks ties in |E - e0| towards the lower energy, and
+    so does an e0 that is exactly an eigenvalue, where H - e0 has no LU
+    factorization to invert.
     """
     e0, count = nearest[0], int(nearest[1])
     mat = sp.csc_matrix(h)
     dim = mat.shape[0]
     if not 1 <= count <= dim:
         raise ParameterError(f"nearest count {count} outside 1..{dim}")
-    if count > dim - 2:  # ARPACK's limit on k for complex Hermitian input
-        vals, vecs = np.linalg.eigh(mat.toarray())
-        order = np.lexsort((vals, np.abs(vals - e0)))[:count]
-        order = order[np.argsort(vals[order])]
-        return vals[order], vecs[:, order]
-    v0 = np.ones(dim) / math.sqrt(dim)  # fixed start vector: deterministic runs
-    try:
-        vals, vecs = spla.eigsh(mat, k=count, sigma=e0, which="LM", v0=v0)
-    except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare path
-        raise SolverError(
-            "iterative eigensolver failed to converge",
-            diagnostics={
-                "converged_eigenvalues": getattr(exc, "eigenvalues", None),
-                "requested": nearest,
-            },
-        ) from exc
-    return _rayleigh_ritz(mat, vecs)
+    if count <= dim - 2:  # ARPACK's limit on k for complex Hermitian input
+        v0 = np.ones(dim) / math.sqrt(dim)  # fixed start vector: deterministic runs
+        try:
+            vals, vecs = spla.eigsh(mat, k=count, sigma=e0, which="LM", v0=v0)
+        except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare path
+            raise SolverError(
+                "iterative eigensolver failed to converge",
+                diagnostics={
+                    "converged_eigenvalues": getattr(exc, "eigenvalues", None),
+                    "requested": nearest,
+                },
+            ) from exc
+        except RuntimeError as exc:  # SuperLU's only report of a singular H - e0
+            if "exactly singular" not in str(exc):
+                raise
+        else:
+            return _rayleigh_ritz(mat, vecs)
+    vals, vecs = np.linalg.eigh(mat.toarray())
+    order = np.lexsort((vals, np.abs(vals - e0)))[:count]
+    order = order[np.argsort(vals[order])]
+    return vals[order], vecs[:, order]
 
 
 def _rayleigh_ritz(mat, vecs):

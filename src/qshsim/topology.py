@@ -23,7 +23,11 @@ point from the bulk: a refined gap scan, then the Wilson-loop Z2 of
 Soluyanov & Vanderbilt, PRB 83, 235401 (2011), solved in chunks of kx
 lines.  A phase diagram classifies one beta row per
 pool task (:func:`_classify_row`): the row's gap scan and ribbon count pass
+(:func:`_ribbon_votes`, which :func:`z2_invariant` runs for a row of one)
 run once for all its lambda, and each point is then labelled on its own.
+The classifier's settings default to ``BULK_GRID``, ``NY_RIBBON`` and
+``KX_POINTS`` in :func:`classify_point` and in the config table;
+:func:`phase_diagram` takes every setting as given.
 """
 
 from __future__ import annotations
@@ -291,7 +295,7 @@ def _count_bottom_crossings(params, ny, e_f, k_lo, k_hi, e_lo, e_hi, w_lo, w_hi,
     return total
 
 
-def _ribbon_level_counts(params, ny: int, kxs, energies):
+def _ribbon_level_counts(row, ny: int, kxs, energies):
     """Ribbon levels below each energy at each kx, from the inertia of H - E.
 
     The ribbon H(kx) is block tridiagonal in 2x2 row blocks: A_n on the
@@ -308,15 +312,13 @@ def _ribbon_level_counts(params, ny: int, kxs, energies):
     a time, on the same floating-point values as the entries of
     :func:`qshsim.model.ribbon_stack`.
 
-    ``params`` is one point, with a list of ``energies``, or a row of points
-    that differ in lambda alone (:func:`row_params`), with one list of
-    energies per point.  Returns the counts, shape (len(energies), len(kxs))
-    for one point and with a leading point axis for a row, and a mask of
-    the kx where some pivot was singular or non-finite, shape (len(kxs),)
-    or (len(row), len(kxs)); the counts there are meaningless and must come
-    from a dense solve.
+    ``row`` holds points that differ in lambda alone (:func:`row_params`),
+    a row of one for a single point, and ``energies`` one list of energies
+    per point.  Returns the counts, shape (len(row), len(energies[0]),
+    len(kxs)), and a mask of the kx where some pivot was singular or
+    non-finite, shape (len(row), len(kxs)); the counts there are
+    meaningless and must come from a dense solve.
     """
-    row = [params] if isinstance(params, ModelParams) else params
     base = row_params(row)
     up, down = chain_diagonal(base, ny, kxs)  # (kx, row n), without the on-site term
     eps = np.array([onsite_energy(p, np.arange(ny)) for p in row])
@@ -339,10 +341,7 @@ def _ribbon_level_counts(params, ny: int, kxs, energies):
             counts += (det < 0) + 2 * ((det > 0) & (a + c < 0))
             sound &= np.isfinite(det) & (det != 0)
             pa, pb, pc = a, b, c
-    failed = ~sound.all(axis=1)
-    if isinstance(params, ModelParams):
-        return counts[0], failed[0]
-    return counts, failed
+    return counts, ~sound.all(axis=1)
 
 
 def _vote_energies(e_f: float, gap_bounds: tuple) -> tuple:
@@ -355,9 +354,18 @@ def _vote_energies(e_f: float, gap_bounds: tuple) -> tuple:
     return (e_f, e_f - 0.25 * (e_f - g_lo), e_f + 0.25 * (g_hi - e_f))
 
 
-def _vote_momenta(kx_points: int) -> np.ndarray:
-    """The kx of the ribbon vote: ``kx_points`` over [0, pi], both ends included."""
-    return np.linspace(0.0, math.pi, int(kx_points))
+def _ribbon_votes(row, ny_ribbon: int, kx_points: int, energies) -> list:
+    """The vote of each point of ``row`` at its own vote energies, from one
+    count pass: per point, the arguments of :func:`_vote_from_counts` after
+    ``params``.
+
+    The ribbon needs at least 2*lcm(q, 2) rows and 101 momenta
+    (ParameterError otherwise); the kx run over [0, pi], both ends included.
+    """
+    check_ribbon_grid(row[0], ny_ribbon, kx_points)
+    kxs = np.linspace(0.0, math.pi, int(kx_points))
+    counts, failed = _ribbon_level_counts(row, ny_ribbon, kxs, energies)
+    return [(ny_ribbon, kxs, *vote) for vote in zip(energies, counts, failed)]
 
 
 def z2_invariant(
@@ -375,15 +383,13 @@ def z2_invariant(
     ribbon hybridizes them into avoided curves) cannot then flip the result.
 
     The levels below each vote energy are counted at every kx from the
-    inertia of H(kx) - E (:func:`_ribbon_level_counts`), and
+    inertia of H(kx) - E (:func:`_ribbon_votes`), and
     :func:`_vote_from_counts` finishes the vote.  The ribbon needs at least
     2*lcm(q, 2) rows and 101 momenta (ParameterError otherwise).
     """
-    check_ribbon_grid(params, ny_ribbon, kx_points)
     candidates = _vote_energies(e_f, gap_bounds)
-    kxs = _vote_momenta(kx_points)
-    counts, failed = _ribbon_level_counts(params, ny_ribbon, kxs, candidates)
-    return _vote_from_counts(params, ny_ribbon, kxs, candidates, counts, failed)
+    (vote,) = _ribbon_votes([params], ny_ribbon, kx_points, [candidates])
+    return _vote_from_counts(params, *vote)
 
 
 def _vote_from_counts(params, ny_ribbon, kxs, candidates, counts, failed) -> int:
@@ -554,39 +560,28 @@ def classify_point(
     return outcome
 
 
-def _classify_row(
-    row,
-    window: tuple,
-    bulk_grid: tuple = BULK_GRID,
-    ny_ribbon: int = NY_RIBBON,
-    kx_points: int = KX_POINTS,
-    gap_threshold: float = GAP_THRESHOLD,
-) -> list:
+def _classify_row(row, window, bulk_grid, ny_ribbon, kx_points, gap_threshold) -> list:
     """Classify the points of a row, which differ in lambda alone, as
-    :func:`classify_point` does.
+    :func:`classify_point` does, with its settings given in its order.
 
     The bulk gap scan and the ribbon count pass run once for the whole row
-    (:func:`quarter_zone_gap`, :func:`_ribbon_level_counts`); a failure of
-    either is raised, since the row's points share it.  Each point is then
-    labelled on its own by :func:`_label_point`: the list holds, per point,
-    its PhasePoint, or the QshError or LinAlgError its labelling raised.
-    Any other exception propagates.
+    (:func:`quarter_zone_gap`, :func:`_ribbon_votes`, for the gapped points
+    alone); a failure of either is raised, since the row's points share it.
+    Each point is then labelled on its own by :func:`_label_point`: the
+    list holds, per point, its PhasePoint, or the QshError or LinAlgError
+    its labelling raised.  Any other exception propagates.
     """
     reports = quarter_zone_gap(row, bulk_grid, window, gap_threshold)
     gapped = [i for i, report in enumerate(reports) if report.is_gapped]
     votes = [None] * len(row)
     if gapped:
-        check_ribbon_grid(row[0], ny_ribbon, kx_points)
-        kxs = _vote_momenta(kx_points)
         energies = [
             _vote_energies(_fermi_level(window, reports[i].gap), reports[i].gap)
             for i in gapped
         ]
-        counts, failed = _ribbon_level_counts(
-            [row[i] for i in gapped], ny_ribbon, kxs, energies
-        )
-        for i, *vote in zip(gapped, energies, counts, failed):
-            votes[i] = (ny_ribbon, kxs, *vote)
+        row_votes = _ribbon_votes([row[i] for i in gapped], ny_ribbon, kx_points, energies)
+        for i, vote in zip(gapped, row_votes):
+            votes[i] = vote
     outcomes = []
     for params, report, vote in zip(row, reports, votes):
         try:
@@ -641,24 +636,22 @@ def _pin_blas(setters) -> None:
 
 
 def phase_diagram(
-    alpha,
-    beta_range: tuple = (0.0, 0.25),
-    lambda_range: tuple = (0.0, 2.0),
-    resolution: tuple = (16, 16),
-    window: tuple = DEFAULT_WINDOW,
-    threads: int = 1,
-    **classify_kwargs,
+    alpha, *, beta_range, lambda_range, resolution, window, gap_threshold, bulk_grid,
+    ny_ribbon, kx_points, threads,
 ) -> PhaseMap:
     """Classify a (beta, lambda) grid; per-point failures are recorded, not raised.
 
-    One pool task classifies one beta row (:func:`_classify_row`), so the
-    row's points share its bulk gap scan and ribbon count pass.  The rows
-    run on a pool of ``threads`` worker threads, each with single-threaded
-    BLAS, so pool and BLAS threads do not compete for cores; a row is fixed
-    by the grid, not by ``threads``, so neither are the results.  Solver
-    failures (QshError, LinAlgError) become ``"error"`` points: those of a
-    point's own labelling on that point, those of the row's shared solves on
-    every point of the row.  Any other exception propagates.
+    Every setting is required: ``resolution`` values of beta and lambda over
+    the two ranges, and the settings of :func:`classify_point`, whose
+    defaults the config table fills.  One pool task classifies one beta row
+    (:func:`_classify_row`), so the row's points share its bulk gap scan and
+    ribbon count pass.  The rows run on a pool of ``threads`` worker
+    threads, each with single-threaded BLAS, so pool and BLAS threads do not
+    compete for cores; a row is fixed by the grid, not by ``threads``, so
+    neither are the results.  Solver failures (QshError, LinAlgError) become
+    ``"error"`` points: those of a point's own labelling on that point, those
+    of the row's shared solves on every point of the row.  Any other
+    exception propagates.
     """
     nb, nl = resolution
     if min(nb, nl) < PHASE_MIN_RESOLUTION:
@@ -669,7 +662,9 @@ def phase_diagram(
     def work(beta):
         try:
             row = [ModelParams(alpha, float(beta), float(lam)) for lam in lams]
-            outcomes = _classify_row(row, window, **classify_kwargs)
+            outcomes = _classify_row(
+                row, window, bulk_grid, ny_ribbon, kx_points, gap_threshold
+            )
         except (QshError, np.linalg.LinAlgError) as exc:  # shared by the row
             outcomes = [exc] * nl
         return [

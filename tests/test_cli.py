@@ -333,14 +333,17 @@ def test_lindblad_lattice_cap_is_a_config_error(tmp_path, capsys):
 def test_phase_diagram_reads_its_gap_threshold(tmp_path, monkeypatch):
     # the window 1..2 is 1 wide, so no gap reaches 2.0: every point is metal
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    # metal points cast no ribbon vote, so the default ribbon costs nothing
     cfg = normalize({"alpha": "1/3", "phase_diagram": {
-        "resolution": [16, 16], "bulk_grid": [64, 64], "ny_ribbon": 24,
-        "kx_points": 101, "gap_threshold": 2.0}})
+        "resolution": [16, 16], "bulk_grid": [64, 64], "gap_threshold": 2.0}})
     cfg.out_dir = str(tmp_path / "pd")
-    run(cfg)
+    manifest = run(cfg)
     rows = (tmp_path / "pd" / "phase_map.csv").read_text().splitlines()[1:]
     assert len(rows) == 256
     assert {row.split(",")[2] for row in rows} == {"metal"}
+    # the manifest names the ribbon settings the config table filled
+    params = manifest["config"]["params"]
+    assert (params["ny_ribbon"], params["kx_points"]) == (48, 201)
 
 
 def test_defaults_are_checked_against_the_model():
@@ -349,6 +352,15 @@ def test_defaults_are_checked_against_the_model():
         normalize({"alpha": "1/3", "nx": 4, "ny": 4, "edge_states": {}})
     small = {"alpha": "1/3", "nx": 4, "ny": 4, "edge_states": {"ring_depth": 1}}
     assert normalize(small).task_params["ring_depth"] == 1
+    # the default 48 ribbon rows hold two magnetic cells of height up to 24
+    for alpha in ("1/13", "2/27", "1/26", "3/28"):
+        with pytest.raises(ConfigError, match="phase_diagram.ny_ribbon"):
+            normalize({"alpha": alpha, "phase_diagram": {}})
+    for alpha in ("1/12", "5/24"):
+        assert normalize({"alpha": alpha, "phase_diagram": {}}).task_params[
+            "ny_ribbon"] == 48
+    tall = {"alpha": "1/13", "phase_diagram": {"ny_ribbon": 52}}
+    assert normalize(tall).task_params["ny_ribbon"] == 52
 
 
 #: an in-range value of every documented task key
@@ -374,6 +386,11 @@ def test_documented_optional_keys_accepted():
 def test_cache_key_stable_under_key_order():
     a = normalize({"alpha": "1/3", "task": "bands", "grid": [16, 16], "beta": 0.0})
     b = normalize({"beta": 0.0, "grid": [16, 16], "task": "bands", "alpha": "1/3"})
+    assert a.cache_key() == b.cache_key()
+    # a left-out solver key is its default in the key too
+    solver = {"bulk_grid": [128, 128], "ny_ribbon": 48, "kx_points": 201}
+    a = normalize({"alpha": "1/3", "phase_diagram": {}})
+    b = normalize({"alpha": "1/3", "phase_diagram": solver})
     assert a.cache_key() == b.cache_key()
 
 

@@ -5,13 +5,14 @@ refers to, outside its own definition, is either an entry point called from
 outside the package or dead code.  The entry points are listed below with
 their reason; anything else found here belongs in the tests or nowhere.
 
-The defaulted parameters of the other public functions are audited in both
-directions against the calls in the package.  A default that no call leaves
-in place is never used, so the parameter is required; a parameter that no
-call sets has one value in use, and that value belongs in a constant.  A
-call through ``**`` may set any parameter or none, so it counts as both
-setting and leaving each one.  Entry points are exempt: their callers live
-outside the package.
+The defaulted parameters of the other public functions, and the defaulted
+fields of the public dataclasses, are audited in both directions against
+the calls in the package.  A default that no call leaves in place is never
+used, so the parameter is required; a parameter that no call sets has one
+value in use, and that value belongs in a constant.  A call through ``**``
+may set any parameter or none, so it counts as both setting and leaving
+each one.  Entry points are exempt: their callers live outside the
+package.
 
 The package imports nothing beyond numpy, scipy and the standard library.
 """
@@ -105,6 +106,13 @@ def test_every_public_name_has_a_caller_or_is_an_entry_point():
 #: defaulted parameters no call in the package sets, each with its reason
 UNSET_OPTIONS = {
     "circuit.plaquette_plans.n0": "the flux-period test shifts the plaquette rows",
+    **{
+        f"dynamics.LindbladSpec.{channel}": (
+            "test_dynamics switches the channels one at a time against explicit "
+            "jump operators"
+        )
+        for channel in ("photon_loss", "transmon_loss", "dephasing")
+    },
 }
 #: defaulted parameters every call in the package sets, each with the files
 #: outside the package and its tests whose calls leave them
@@ -127,6 +135,20 @@ def _defaulted_parameters(node) -> list:
         for a, default in zip(args.kwonlyargs, args.kw_defaults)
         if default is not None
     ]
+
+
+def _is_dataclass(node) -> bool:
+    """Whether class ``node`` is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _defaulted_fields(node) -> list:
+    """(position, name) of each field of dataclass ``node`` with a default."""
+    fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+    return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
 
 
 def _called_name(call) -> str:
@@ -159,24 +181,30 @@ def _calls() -> list:
 
 def _options() -> dict:
     """{function.parameter: (position, name, the calls of the function)} of the
-    defaulted parameters of the public functions outside ``ENTRY_POINTS``.
+    defaulted parameters of the public functions outside ``ENTRY_POINTS``,
+    and likewise of the defaulted fields of the public dataclasses, whose
+    calls are those of the class.
 
     A function's calls inside its own definition do not count.
     """
     options = {}
     for module, tree in _package_trees().items():
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
+                defaulted = _defaulted_parameters(node)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                defaulted = _defaulted_fields(node)
+            else:
                 continue
             qualified = f"{module}.{node.name}"
-            if qualified in ENTRY_POINTS:
+            if node.name.startswith("_") or qualified in ENTRY_POINTS:
                 continue
             calls = [
                 call
                 for called, call, owner in _calls()
                 if called == node.name and owner != id(node)
             ]
-            for position, name in _defaulted_parameters(node):
+            for position, name in defaulted:
                 options[f"{qualified}.{name}"] = (position, name, calls)
     return options
 

@@ -1,19 +1,16 @@
 """The README task table lists exactly each task's keys and their defaults,
-its prose names the classifier's own settings, and its library quick tour
-runs and prints what its comments say."""
+and its library quick tour runs and prints what its comments say."""
 
 import json
 import math
 import re
 from pathlib import Path
 
-from qshsim import config, topology
+from qshsim import config
 from qshsim.config import normalize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HEADER = "| task | key | default | accepted values |"
-#: the default cell of a key that is passed only when given
-NO_DEFAULT = "—"
 
 
 def _readme_defaults() -> dict:
@@ -45,20 +42,7 @@ def test_readme_task_table_matches_config_table():
         assert set(cells) == set(config.TASK_PARAMS[task]), task
         filled = normalize({"alpha": "1/3", task: {}}).task_params
         for key, cell in cells.items():
-            if cell == NO_DEFAULT:
-                assert key not in filled, f"{task}.{key}"
-            else:
-                assert _value(cell) == filled[key], f"{task}.{key}"
-
-
-def test_readme_names_the_classifier_settings():
-    """The phase_diagram fallbacks the README names are topology's constants."""
-    text = " ".join(README.read_text(encoding="utf-8").split())
-    nkx, nky = topology.BULK_GRID
-    assert (
-        f"{nkx}×{nky} bulk grid, {topology.NY_RIBBON} ribbon rows and "
-        f"{topology.KX_POINTS} momenta"
-    ) in text
+            assert _value(cell) == filled[key], f"{task}.{key}"
 
 
 def test_readme_quick_tour_prints_what_it_claims(capsys):

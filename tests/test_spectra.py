@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qshsim.errors import ParameterError
+from qshsim.errors import ParameterError, SolverError
 from qshsim.model import ModelParams, bloch_stack, open_hamiltonian, ribbon_stack
 from qshsim import spectra
 from qshsim.spectra import (
@@ -78,6 +78,34 @@ def test_nearest_returns_every_requested_pair():
     for count in (0, dim + 1):
         with pytest.raises(ParameterError):
             eig_hermitian(h, nearest=(1.5, count))
+
+
+def test_nearest_at_an_exact_eigenvalue_matches_dense():
+    # at zero flux the 5x5 lattice has E = 0 exactly, ten times over, so
+    # H - 0 has no LU factorization for the shift-invert solve
+    h = open_hamiltonian(ModelParams(alpha=Fraction(0), nx=5, ny=5))
+    mat = h.toarray()
+    for count in (1, 10, 12):
+        vals, vecs = eig_hermitian(h, nearest=(0.0, count))
+        dv, _ = _dense_nearest(h, 0.0, count)
+        # compare distances: the pair at +/-0.732 ties in |E|
+        assert np.allclose(np.sort(np.abs(vals)), np.sort(np.abs(dv)), atol=1e-10)
+        assert np.allclose(mat @ vecs, vecs * vals, atol=1e-10)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(count), atol=1e-12)
+
+
+@pytest.mark.parametrize("failure, raised", [
+    (spectra.spla.ArpackNoConvergence("no convergence", [], []), SolverError),
+    (RuntimeError("another failure"), RuntimeError),
+])
+def test_other_shift_invert_failures_are_raised(monkeypatch, failure, raised):
+    def failing(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(spectra.spla, "eigsh", failing)
+    h = open_hamiltonian(ModelParams(alpha=A13, nx=4, ny=4))
+    with pytest.raises(raised):
+        eig_hermitian(h, nearest=(1.5, 2))
 
 
 def test_momentum_grid_contains_trims():

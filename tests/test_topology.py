@@ -19,6 +19,7 @@ from qshsim.errors import (
 from qshsim.model import SPIN_DOWN, SPIN_UP, ModelParams, bloch_stack, ribbon_stack
 from qshsim.spectra import GAP_THRESHOLD, gap_in_window, quarter_zone_bands
 from qshsim.topology import (
+    BULK_GRID,
     DEFAULT_WINDOW,
     KX_POINTS,
     NY_RIBBON,
@@ -39,6 +40,12 @@ from qshsim.topology import (
 )
 
 A13 = Fraction(1, 3)
+#: the settings of a phase diagram, each at the config table's default
+MAP_SETTINGS = {
+    "beta_range": (0.0, 0.25), "lambda_range": (0.0, 2.0), "resolution": (16, 16),
+    "window": DEFAULT_WINDOW, "gap_threshold": GAP_THRESHOLD,
+    "bulk_grid": BULK_GRID, "ny_ribbon": NY_RIBBON, "kx_points": KX_POINTS,
+}
 
 
 def _vote_in_gap(
@@ -181,9 +188,7 @@ def _connected_component(points, start):
 
 @pytest.fixture(scope="module")
 def tier1_map():
-    return phase_diagram(
-        A13, (0.0, 0.25), (0.0, 2.0), resolution=(16, 16), threads=4
-    )
+    return phase_diagram(A13, **MAP_SETTINGS, threads=4)
 
 
 def test_phase_diagram_two_regions(tier1_map):
@@ -250,7 +255,7 @@ def test_map_gaps_equal_the_full_quarter_scan(tier1_map):
 
 def test_phase_diagram_resolution_guard():
     with pytest.raises(ParameterError):
-        phase_diagram(A13, resolution=(8, 8))
+        phase_diagram(A13, **{**MAP_SETTINGS, "resolution": (8, 8)}, threads=1)
 
 
 def test_wilson_z2_matches_ribbon_z2():
@@ -363,7 +368,8 @@ def test_bulk_fallback_settles_failed_ribbon_votes():
 
 def test_phase_diagram_errors_and_pool_lifetime(monkeypatch):
     # a corner of the map whose rows hold gapped and metal points
-    window = {"beta_range": (0.2, 0.25), "lambda_range": (1.5, 2.0), **LIGHT}
+    window = {**MAP_SETTINGS, "beta_range": (0.2, 0.25), "lambda_range": (1.5, 2.0),
+              **LIGHT}
     label, gap_scan = topology._label_point, topology.quarter_zone_gap
 
     def solver_failure(params, *args):
@@ -505,8 +511,8 @@ def test_level_counts_match_dense_eigenvalues(ny, alpha):
         assert not failed.any()
         assert np.array_equal(counts, np.array(expects))
         for params, point_energies, expect in zip(row, energies, expects):
-            counts, failed = topology._ribbon_level_counts(
-                params, ny, kxs, point_energies
+            (counts,), (failed,) = topology._ribbon_level_counts(
+                [params], ny, kxs, [point_energies]
             )
             assert not failed.any()
             assert np.array_equal(counts, expect)
@@ -526,7 +532,7 @@ def test_zero_pivot_takes_the_dense_route(monkeypatch):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts, failed = topology._ribbon_level_counts(params, 24, kxs, [1.5])
+        (counts,), (failed,) = topology._ribbon_level_counts([params], 24, kxs, [[1.5]])
         assert failed[0] and not failed[1:].any()
         levels = np.linalg.eigvalsh(ribbon_stack(params, 24, kxs))
         assert np.array_equal(counts[0, 1:], (levels[1:] < 1.5).sum(axis=-1))
