@@ -442,17 +442,17 @@ def rwa_fidelity(
     return float(abs(np.trace(u_eff.conj().T @ u_rot)) / dim)
 
 
-def plaquette_plans(alpha, beta: float, n0: int = 0) -> List[TonePlan]:
-    """Tone plans for one plaquette of the ``DEVICE_CELLS`` (rows n0, n0+1).
+def plaquette_plans(alpha, beta: float) -> List[TonePlan]:
+    """Tone plans for one plaquette of the ``DEVICE_CELLS`` (rows 0 and 1).
 
-    Cell list order matches the sublattice layout: index 0 at (0, n0),
-    1 at (1, n0), 2 at (0, n0+1), 3 at (1, n0+1).  Bonds: two x bonds and two
+    Cell list order matches the sublattice layout: index 0 at (0, 0),
+    1 at (1, 0), 2 at (0, 1), 3 at (1, 1).  Bonds: two x bonds and two
     y bonds, open (no wrap), with the target model's hop blocks at t0 = 1.
     """
     target = ModelParams(alpha, beta)
     return [
-        tone_plan(Bond(1, 0, "x"), DEVICE_CELLS, x_hop_block(target, n0)),
-        tone_plan(Bond(3, 2, "x"), DEVICE_CELLS, x_hop_block(target, n0 + 1)),
+        tone_plan(Bond(1, 0, "x"), DEVICE_CELLS, x_hop_block(target, 0)),
+        tone_plan(Bond(3, 2, "x"), DEVICE_CELLS, x_hop_block(target, 1)),
         tone_plan(Bond(2, 0, "y"), DEVICE_CELLS, y_hop_block(target)),
         tone_plan(Bond(3, 1, "y"), DEVICE_CELLS, y_hop_block(target)),
     ]

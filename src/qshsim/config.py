@@ -183,8 +183,6 @@ TASK_PARAMS = {
     },
 }
 TASKS = tuple(TASK_PARAMS)
-#: keys still accepted but ignored, each with the reason logged when given
-DEPRECATED = {"lindblad": {"dt": "by exact propagation"}}
 
 #: model keys; ``alpha`` is parsed as p/q, and ModelParams fills the defaults
 MODEL_PARAMS = {
@@ -305,7 +303,12 @@ def _model_from(data: dict) -> ModelParams:
     src = dict(_object(data, "model"))
     for key in MODEL_KEYS:
         if key in data:
-            src.setdefault(key, data[key])
+            if key in src:
+                raise ConfigError(
+                    f"field {key!r}: given both at the top level and in block "
+                    "'model'; give it once"
+                )
+            src[key] = data[key]
     if "alpha" not in src:
         raise ConfigError("field 'alpha': required (rational string, e.g. '1/3')")
     alpha = _parse_alpha(src["alpha"])
@@ -321,10 +324,6 @@ def normalize(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     task, given = _find_task(data)
-    for key, reason in DEPRECATED.get(task, {}).items():
-        if key in given:
-            log.warning("%s.%s is deprecated and ignored %s", task, key, reason)
-            del given[key]
     model = _model_from(data)
     if task == "lindblad" and model.nx * model.ny > MAX_SITES:
         raise ConfigError(

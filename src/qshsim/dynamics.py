@@ -4,7 +4,8 @@ State space: the global vacuum plus one dressed excitation (up or down) on
 any site, dim = 1 + 2*nx*ny.  Site ordering matches the real-space model, so
 the open-lattice Hamiltonian acts directly as the excited block.
 
-Per site three jump channels act at a common rate gamma:
+Per site three jump channels act, always together and at one common rate
+gamma:
 
 * photon loss      a|up> = +|0g>/sqrt(2), a|down> = -|0g>/sqrt(2);
 * qubit loss       sigma^-|up> = sigma^-|down> = +|0g>/sqrt(2);
@@ -82,20 +83,14 @@ class SubspaceBasis:
         ])
 
 
-@dataclass(frozen=True)
-class LindbladSpec:
-    """Common rate and channel switches for the three decoherence channels."""
-
-    gamma: float
-    photon_loss: bool = True
-    transmon_loss: bool = True
-    dephasing: bool = True
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise ParameterError(
-                f"decay rate gamma must be finite and nonnegative, got {self.gamma}"
-            )
+def _checked_rate(gamma: float) -> float:
+    """The decay rate as a float; ParameterError unless finite and nonnegative."""
+    gamma = float(gamma)
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ParameterError(
+            f"decay rate gamma must be finite and nonnegative, got {gamma}"
+        )
+    return gamma
 
 
 def embed_excited_hamiltonian(h, basis: SubspaceBasis) -> np.ndarray:
@@ -103,20 +98,20 @@ def embed_excited_hamiltonian(h, basis: SubspaceBasis) -> np.ndarray:
     # np.asarray of a sparse matrix is a 0-d object array
     h = h.toarray() if sp.issparse(h) else np.asarray(h)
     nexc = basis.dim - 1
-    if h.shape == (basis.dim, basis.dim):
-        return h.astype(complex)
     if h.shape != (nexc, nexc):
         raise ParameterError(
-            f"Hamiltonian shape {h.shape} matches neither the excited block "
-            f"({nexc}) nor the full subspace ({basis.dim})"
+            f"Hamiltonian shape {h.shape} is not the excited block ({nexc}, {nexc})"
         )
     full = np.zeros((basis.dim, basis.dim), dtype=complex)
     full[1:, 1:] = h
     return full
 
 
-def validate_density_matrix(rho: np.ndarray):
-    """Enforce finiteness / Hermiticity / unit trace / positivity tolerances."""
+def validate_density_matrix(rho: np.ndarray) -> Tuple[float, float]:
+    """Enforce finiteness / Hermiticity / unit trace / positivity tolerances.
+
+    Returns the trace defect |tr rho - 1| and the smallest eigenvalue.
+    """
     if not np.all(np.isfinite(rho)):
         raise ParameterError("density matrix has non-finite entries")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -128,6 +123,7 @@ def validate_density_matrix(rho: np.ndarray):
     evmin = float(np.linalg.eigvalsh(rho).min())
     if evmin < POSITIVITY_TOL:
         raise ParameterError(f"density matrix has eigenvalue {evmin:.2e}")
+    return abs(tr - 1.0), evmin
 
 
 def hamiltonian_liouvillian(h_full) -> sp.csr_matrix:
@@ -140,20 +136,17 @@ def hamiltonian_liouvillian(h_full) -> sp.csr_matrix:
     return (sp.kron(-1j * h, eye) + sp.kron(eye, 1j * h.T)).tocsr()
 
 
-#: J^dag J of the unit-rate photon-loss and qubit-loss jumps on one site's
-#: (up, down) pair; J kron J^* maps that pair's coherences onto the vacuum
-#: population with the same four entries.
-_PHOTON_LOSS_BLOCK = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-_QUBIT_LOSS_BLOCK = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
+#: sum of J^dag J of the unit-rate photon-loss and qubit-loss jumps on one
+#: site's (up, down) pair; their J kron J^* map that pair's coherences onto
+#: the vacuum population with the same four entries.
+_LOSS_BLOCK = (
+    0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    + 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
+)
 
 
-def unit_dissipator(
-    basis: SubspaceBasis,
-    photon_loss: bool = True,
-    transmon_loss: bool = True,
-    dephasing: bool = True,
-) -> sp.csr_matrix:
-    """Dissipator D of the switched-on channels at unit rate.
+def unit_dissipator(basis: SubspaceBasis) -> sp.csr_matrix:
+    """Dissipator D of the three channels at unit rate.
 
     The dissipator at rate gamma is gamma * D.
     D = sum_k J_k kron J_k^* - (K kron I + I kron K^T)/2 with
@@ -163,34 +156,28 @@ def unit_dissipator(
     all-ones block on the site's (up, down) pair, so J_s^dag J_s = I and
     sum_s J_s kron J_s = N I kron I - I kron B - B kron I + sum_s B_s kron B_s
     (B = sum_s B_s); the N I kron I cancels against -(K kron I + I kron K)/2.
-    With M = K_loss/2 + [dephasing] B, real symmetric with the same 2x2
-    block on every site,
-    D = sum_loss J kron J + [dephasing] sum_s B_s kron B_s - M kron I - I kron M.
+    With M = K_loss/2 + B, real symmetric with the same 2x2 block on every
+    site, D = sum_loss J kron J + sum_s B_s kron B_s - M kron I - I kron M.
     """
     n = basis.dim
-    loss = np.zeros((2, 2))
-    if photon_loss:
-        loss += _PHOTON_LOSS_BLOCK
-    if transmon_loss:
-        loss += _QUBIT_LOSS_BLOCK
-    block = 0.5 * loss + (1.0 if dephasing else 0.0)
+    block = 0.5 * _LOSS_BLOCK + 1.0
     pairs = basis.site_pairs()
     a = np.repeat(pairs, 2, axis=1).ravel()  # row a and column b of every
     b = np.tile(pairs, 2).ravel()  # entry (a, b) of a site block
     every = np.arange(n)[:, None]
     blocks = np.tile(block.ravel(), len(pairs))
-    rows = [a * n + every, every * n + a, np.zeros_like(a)]
-    cols = [b * n + every, every * n + b, a * n + b]
+    # the last terms are B_s kron B_s: rows (a, a') and columns (b, b')
+    # inside one site
+    rows = [a * n + every, every * n + a, np.zeros_like(a),
+            a[:, None] * n + a.reshape(-1, 4).repeat(4, axis=0)]
+    cols = [b * n + every, every * n + b, a * n + b,
+            b[:, None] * n + b.reshape(-1, 4).repeat(4, axis=0)]
     vals = [
         np.broadcast_to(-blocks, (n, a.size)),
         np.broadcast_to(-blocks, (n, a.size)),
-        np.tile(loss.ravel(), len(pairs)),
+        np.tile(_LOSS_BLOCK.ravel(), len(pairs)),
+        np.ones((a.size, 4)),
     ]
-    if dephasing:
-        # B_s kron B_s: rows (a, a') and columns (b, b') inside one site
-        rows.append(a[:, None] * n + a.reshape(-1, 4).repeat(4, axis=0))
-        cols.append(b[:, None] * n + b.reshape(-1, 4).repeat(4, axis=0))
-        vals.append(np.ones((a.size, 4)))
     d = sp.coo_matrix(
         (
             np.concatenate([v.ravel() for v in vals]),
@@ -228,6 +215,8 @@ class Trajectory(NamedTuple):
     rhos: np.ndarray
     #: expm_multiply calls made over the whole run
     chunks: int
+    #: trace defect and smallest eigenvalue of the last snapshot
+    final_checks: Tuple[float, float]
 
 
 def _propagate(
@@ -248,15 +237,15 @@ def _propagate(
         for _ in range(chunks):
             vec = expm_multiply(step, vec)
         rho = vec.reshape(rho0.shape)
-        validate_density_matrix(rho)
+        checks = validate_density_matrix(rho)
         rhos.append(rho)
-    return Trajectory(times, np.array(rhos), chunks * (len(times) - 1))
+    return Trajectory(times, np.array(rhos), chunks * (len(times) - 1), checks)
 
 
 def lindblad_evolve(
     rho0: np.ndarray,
     h_eff,
-    spec: LindbladSpec,
+    gamma: float,
     basis: SubspaceBasis,
     t_final: float,
     dt: float = 0.0025,
@@ -264,20 +253,19 @@ def lindblad_evolve(
 ) -> Trajectory:
     """Exact propagation of the master equation: rho(t) = exp(L t) rho0.
 
-    Returns ``(times, rhos, chunks)`` with ``sample_count`` equally spaced
-    snapshots including t=0 and t_final; density-matrix invariants are
-    validated at every snapshot.  ``dt`` is deprecated and ignored: the
-    propagation has no time step.
+    All three channels act at the rate ``gamma``.  Returns the
+    :class:`Trajectory` of ``sample_count`` equally spaced snapshots
+    including t=0 and t_final; density-matrix invariants are validated at
+    every snapshot.  ``dt`` is deprecated and ignored: the propagation has
+    no time step.
     """
+    gamma = _checked_rate(gamma)
     if not math.isfinite(t_final) or t_final < 0:
         raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0)
     lh = hamiltonian_liouvillian(embed_excited_hamiltonian(h_eff, basis))
-    d = unit_dissipator(
-        basis, spec.photon_loss, spec.transmon_loss, spec.dephasing
-    )
-    return _propagate(lh + spec.gamma * d, rho0, t_final, sample_count)
+    return _propagate(lh + gamma * unit_dissipator(basis), rho0, t_final, sample_count)
 
 
 def edge_site_mask(nx: int, ny: int) -> np.ndarray:
@@ -336,7 +324,7 @@ def decay_scan(
     (1,1) corner site, all three channels on.  L_H and the unit dissipator D
     are built once per scan; each rate propagates L_H + gamma*D.
     """
-    specs = [LindbladSpec(gamma=float(g)) for g in gammas]
+    rates = [_checked_rate(g) for g in gammas]
     t_final = duration_from_us(t_us)
     if params.nx * params.ny > MAX_SITES:
         raise ParameterError(f"master-equation lattice capped at {MAX_SITES} sites (8x8)")
@@ -347,20 +335,19 @@ def decay_scan(
     d = unit_dissipator(basis)
     rho0 = corner_up_state(basis)
     rows = []
-    for spec in specs:
-        _, rhos, chunks = _propagate(lh + spec.gamma * d, rho0, t_final, 2)
-        rho = rhos[-1]
-        p1, p2, p3 = populations(rho, basis)
+    for gamma in rates:
+        run = _propagate(lh + gamma * d, rho0, t_final, 2)
+        p1, p2, p3 = populations(run.rhos[-1], basis)
         rows.append(
             DecayScanRow(
-                gamma_t0=spec.gamma,
-                gamma_khz=gamma_to_khz(spec.gamma),
+                gamma_t0=gamma,
+                gamma_khz=gamma_to_khz(gamma),
                 p1=p1,
                 p2=p2,
                 p3=p3,
-                chunks=chunks,
-                trace_defect=abs(float(rho.trace().real) - 1.0),
-                min_eigenvalue=float(np.linalg.eigvalsh(rho).min()),
+                chunks=run.chunks,
+                trace_defect=run.final_checks[0],
+                min_eigenvalue=run.final_checks[1],
             )
         )
     return rows

@@ -33,9 +33,6 @@ class DensityMap:
     ny: int
     density: np.ndarray  # shape (nx, ny), density[m, n], 0-based internally
 
-    def total(self) -> float:
-        return float(self.density.sum())
-
 
 def edge_eigenstates(
     params: ModelParams, e_f: float, count: int

@@ -85,9 +85,9 @@ NY_RIBBON = 48
 KX_POINTS = 201
 #: bottom-half weight from which a ribbon state counts as a bottom-edge state
 EDGE_WEIGHT_MIN = 0.5
-#: kx lines of the two Wilson-loop Z2 evaluations that must agree, and ky
-#: points per loop
-WILSON_KX_LINES = (129, 257)
+#: kx lines of the Wilson-loop Z2, whose parity on every other line (129
+#: lines) must agree with that on all of them, and ky points per loop
+WILSON_KX_LINES = 257
 WILSON_KY_POINTS = 24
 #: kx lines of a Wilson loop solved as one stack: 32 lines of 24 ky points
 #: hold about 2 MB of 12x12 eigenvectors
@@ -472,31 +472,38 @@ def _largest_gap_midpoint(phases: np.ndarray) -> float:
     return float((0.5 * (ring[i] + ring[i + 1])) % 1.0)
 
 
-def wilson_z2(params: ModelParams, e_f: float, kx_lines: int) -> int:
+def _centre_flow_parity(lines: list, gaps: list) -> int:
+    """Parity of the Wannier centres the gap midpoint jumps over, line to line."""
+    jumps = 0
+    for gap_prev, gap, phases in zip(gaps, gaps[1:], lines[1:]):
+        lo, hi = sorted((gap_prev, gap))
+        jumps += int(np.count_nonzero((phases > lo) & (phases < hi)))
+    return jumps % 2
+
+
+def wilson_z2(params: ModelParams, e_f: float, kx_lines: int) -> tuple:
     """Bulk Z2 index from the flow of the hybrid Wannier centres.
 
     ky Wilson loops of the bands below e_f, ``WILSON_KY_POINTS`` points
     each, are taken on ``kx_lines`` lines spanning kx in [0, pi].  Following
     Soluyanov & Vanderbilt, the midpoint of the largest gap between Wannier
     centres is tracked from line to line; nu is the parity of the number of
-    centres that midpoint jumps over.
+    centres that midpoint jumps over.  For odd ``kx_lines``, every other
+    line is the grid of (kx_lines + 1) / 2 lines, so one solve gives
+    ``(nu on every other line, nu on all lines)``.
     Raises ResolutionError when the occupation changes across the grid.
     """
     Q = params.magnetic_height
     kys = np.linspace(-math.pi / Q, math.pi / Q, WILSON_KY_POINTS, endpoint=False)
     kxs = np.linspace(0.0, math.pi, int(kx_lines))
-    parity, occupied, gap_prev = 0, None, None
+    lines, occupied = [], None
     # chunks of lines bound the eigenvectors of a fine grid held at once
     for start in range(0, kxs.size, WILSON_CHUNK):
         chunk = kxs[start : start + WILSON_CHUNK]
-        lines, occupied = _ky_wilson_phases(params, chunk, kys, e_f, occupied)
-        for phases in lines:
-            gap = _largest_gap_midpoint(phases)
-            if gap_prev is not None:
-                lo, hi = sorted((gap_prev, gap))
-                parity += int(np.count_nonzero((phases > lo) & (phases < hi)))
-            gap_prev = gap
-    return parity % 2
+        phases, occupied = _ky_wilson_phases(params, chunk, kys, e_f, occupied)
+        lines.extend(phases)
+    gaps = [_largest_gap_midpoint(phases) for phases in lines]
+    return _centre_flow_parity(lines[::2], gaps[::2]), _centre_flow_parity(lines, gaps)
 
 
 def _fermi_level(window: tuple, gap: tuple) -> float:
@@ -516,8 +523,8 @@ def _settle_from_bulk(params, window, bulk_grid, gap_threshold) -> PhasePoint:
 
     The gap is rescanned at twice ``bulk_grid``.  Every sampled level is a
     true eigenvalue, so a window left without a gap is a certified metal.
-    Otherwise the Wilson-loop Z2 decides, and it must agree between
-    ``WILSON_KX_LINES`` kx resolutions (ResolutionError if not).
+    Otherwise the Wilson-loop Z2 decides, and it must agree between all
+    ``WILSON_KX_LINES`` kx lines and every other one (ResolutionError if not).
     """
     fine = (2 * bulk_grid[0], 2 * bulk_grid[1])
     (report,) = quarter_zone_gap([params], fine, window, gap_threshold)
@@ -526,11 +533,12 @@ def _settle_from_bulk(params, window, bulk_grid, gap_threshold) -> PhasePoint:
             params.beta, params.lam, PHASE_METAL, None, report, route=ROUTE_REFINED_GAP
         )
     e_f = _fermi_level(window, report.gap)
-    nus = [wilson_z2(params, e_f, n) for n in WILSON_KX_LINES]
-    if len(set(nus)) > 1:
+    nus = list(wilson_z2(params, e_f, WILSON_KX_LINES))
+    if nus[0] != nus[1]:
+        coarse = (WILSON_KX_LINES + 1) // 2
         raise ResolutionError(
-            f"Wilson-loop Z2 at E={e_f:.4f} differs between {WILSON_KX_LINES} "
-            f"kx lines: {nus}"
+            f"Wilson-loop Z2 at E={e_f:.4f} differs between "
+            f"{(coarse, WILSON_KX_LINES)} kx lines: {nus}"
         )
     return _labelled(params, nus[0], report, route=ROUTE_WILSON)
 

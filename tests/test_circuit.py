@@ -136,14 +136,17 @@ def test_tone_plan_collision_and_regime_errors():
 
 
 def test_plaquette_tones_periodic_in_flux_period():
-    # the flux phase 2*pi*alpha*n has period q in n: rows n0 and n0 + q carry
-    # the same hop blocks, so their tone plans are identical to the bit
+    # the flux phase 2*pi*alpha*n has period q in n: rows n and n + q carry
+    # the same x hop blocks, so their tone plans are identical to the bit
     for alpha, beta in [(A13, 0.1), (Fraction(2, 5), 0.0), (Fraction(3, 7), 0.2)]:
+        target = ModelParams(alpha, beta)
         q = Fraction(alpha).denominator
-        for n0 in (0, 1, 2):
-            a = plaquette_plans(alpha, beta, n0=n0)
-            b = plaquette_plans(alpha, beta, n0=n0 + q)
-            assert repr([p.tones for p in a]) == repr([p.tones for p in b])
+        for n in range(4):
+            a, b = (
+                tone_plan(Bond(1, 0, "x"), DEVICE_CELLS, x_hop_block(target, row))
+                for row in (n, n + q)
+            )
+            assert repr(a.tones) == repr(b.tones)
 
 
 def test_addressing_margin_device_plaquette():

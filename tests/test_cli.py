@@ -102,7 +102,6 @@ CONFIG_KEYS = st.sampled_from(
     config.COMMON_KEYS + config.TASKS + ("grid", "dt", "x", "grdi", "windwo")
 )
 #: the keys each task reads, as the README task table documents them
-#: (``lindblad.dt`` is accepted, deprecated and dropped)
 DOCUMENTED_TASK_KEYS = {
     "bands": {"grid", "window", "gap_threshold"},
     "ribbon": {"ny", "kx_points"},
@@ -113,7 +112,7 @@ DOCUMENTED_TASK_KEYS = {
     "edge_states": {"e_f", "count", "ring_depth"},
     "tones": {"units", "t0_mhz"},
     "rwa_check": {"t_final", "dt"},
-    "lindblad": {"gammas", "t_us", "dt"},
+    "lindblad": {"gammas", "t_us"},
 }
 
 
@@ -259,6 +258,7 @@ BAD_TASK_VALUES = [
     ("lindblad", {"gammas": [-1]}),
     ("lindblad", {"gammas": []}),
     ("lindblad", {"t_us": -1}),
+    ("lindblad", {"dt": 0.002}),  # rwa_check's step: the master equation has none
     ("edge_states", {"e_f": "x"}),
     ("edge_states", {"count": 0}),
     ("edge_states", {"ring_depth": 9}),  # on the default 6x6 lattice
@@ -307,6 +307,22 @@ def test_bad_model_values_are_config_errors(tmp_path, model):
         normalize(data)
     path = write_config(tmp_path, data)
     assert main(["bands", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("data, key", [
+    # the block used to win without a word: this ran at alpha 1/4, beta 0.1
+    ({"alpha": "1/3", "model": {"alpha": "1/4", "beta": 0.1}, "beta": 0.2,
+      "bands": {}}, "alpha"),
+    ({"alpha": "1/3", "beta": 0.2, "model": {"beta": 0.1}, "bands": {}}, "beta"),
+    # even an equal value: a key has one place
+    ({"alpha": "1/3", "nx": 6, "model": {"nx": 6}, "bands": {}}, "nx"),
+])
+def test_model_key_given_twice_is_a_config_error(tmp_path, capsys, data, key):
+    with pytest.raises(ConfigError, match=f"field '{key}': given both"):
+        normalize(data)
+    path = write_config(tmp_path, data)
+    assert main(["bands", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_unread_seed_key_is_a_config_error(tmp_path):
@@ -375,8 +391,7 @@ IN_RANGE_VALUES = {
 
 def test_documented_optional_keys_accepted():
     for task, keys in DOCUMENTED_TASK_KEYS.items():
-        given = keys - {"dt"} if task == "lindblad" else keys  # dropped there
-        block = {key: IN_RANGE_VALUES[key] for key in given}
+        block = {key: IN_RANGE_VALUES[key] for key in keys}
         cfg = normalize({"alpha": "1/3", task: block})
         assert cfg.task_params == block
     cfg = normalize({"alpha": "1/3", "tones": {"units": "MHz", "t0_mhz": 3.5}})
@@ -739,19 +754,11 @@ def test_rwa_check_task(tmp_path, monkeypatch):
     assert manifest["meta"]["detuned_population_change"] < 0.01
 
 
-def test_lindblad_task_csv(tmp_path, monkeypatch, caplog):
+def test_lindblad_task_csv(tmp_path, monkeypatch):
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
-    with caplog.at_level(logging.WARNING, logger="qshsim"):
-        cfg = normalize(
-            {
-                "alpha": "1/3",
-                "nx": 2,
-                "ny": 2,
-                "lindblad": {"gammas": [0.0, 0.05], "t_us": 0.2, "dt": 0.002},
-            }
-        )
-    assert "lindblad.dt is deprecated and ignored" in caplog.text
-    assert "dt" not in cfg.task_params
+    cfg = normalize(
+        {"alpha": "1/3", "nx": 2, "ny": 2, "lindblad": {"gammas": [0.0, 0.05], "t_us": 0.2}}
+    )
     cfg.out_dir = str(tmp_path / "lb")
     manifest = run(cfg)
     meta = manifest["meta"]

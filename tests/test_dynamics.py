@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from qshsim.dynamics import (
-    LindbladSpec,
     SubspaceBasis,
     _chunk_count,
     corner_up_state,
@@ -32,10 +31,11 @@ A13 = Fraction(1, 3)
 PROTOCOL = ModelParams(alpha=A13, nx=6, ny=6)
 
 
-def subspace_jump_operators(basis, spec):
-    """Explicit sparse jump operators (already scaled by sqrt(gamma))."""
+def subspace_jump_operators(basis, gamma):
+    """Explicit sparse jump operators (already scaled by sqrt(gamma)): photon
+    loss, qubit loss and dephasing of each site in turn."""
     dim = basis.dim
-    root = math.sqrt(spec.gamma)
+    root = math.sqrt(gamma)
     r = 1.0 / math.sqrt(2.0)
 
     def csr(rows, cols, vals):
@@ -45,18 +45,15 @@ def subspace_jump_operators(basis, spec):
 
     ops = []
     for iu, idn in basis.site_pairs():
-        if spec.photon_loss:
-            ops.append(csr([0, 0], [iu, idn], [root * r, root * -r]))
-        if spec.transmon_loss:
-            ops.append(csr([0, 0], [iu, idn], [root * r, root * r]))
-        if spec.dephasing:
-            # -1 off the site, the spin flip |up> <-> |down> on it
-            rest = np.setdiff1d(np.arange(dim), [iu, idn])
-            ops.append(csr(
-                np.concatenate([rest, [iu, idn]]),
-                np.concatenate([rest, [idn, iu]]),
-                np.concatenate([np.full(rest.size, -root), [root, root]]),
-            ))
+        ops.append(csr([0, 0], [iu, idn], [root * r, root * -r]))
+        ops.append(csr([0, 0], [iu, idn], [root * r, root * r]))
+        # -1 off the site, the spin flip |up> <-> |down> on it
+        rest = np.setdiff1d(np.arange(dim), [iu, idn])
+        ops.append(csr(
+            np.concatenate([rest, [iu, idn]]),
+            np.concatenate([rest, [idn, iu]]),
+            np.concatenate([np.full(rest.size, -root), [root, root]]),
+        ))
     return ops
 
 
@@ -84,7 +81,7 @@ def test_time_conversions():
 
 def test_jump_operator_examples():
     basis = SubspaceBasis(1, 1)
-    ops = subspace_jump_operators(basis, LindbladSpec(gamma=1.0))
+    ops = subspace_jump_operators(basis, 1.0)
     photon, transmon, dephase = ops
     up = np.zeros(3)
     up[1] = 1.0
@@ -100,12 +97,12 @@ def test_jump_operator_examples():
     vac = np.array([1.0, 0, 0])
     assert np.allclose(dephase @ vac, -vac)
 
-    zeros = subspace_jump_operators(basis, LindbladSpec(gamma=0.0))
+    zeros = subspace_jump_operators(basis, 0.0)
     assert all(op.nnz == 0 for op in zeros)
 
     # on two sites, site 1's dephasing is -sqrt(gamma) on the vacuum and site 2
     two = SubspaceBasis(2, 1)
-    dephase = subspace_jump_operators(two, LindbladSpec(gamma=4.0))[2]
+    dephase = subspace_jump_operators(two, 4.0)[2]
     expected = -2.0 * np.eye(5)
     expected[1:3, 1:3] = [[0.0, 2.0], [2.0, 0.0]]
     assert np.array_equal(dephase.toarray(), expected)
@@ -121,19 +118,12 @@ def test_liouvillian_matches_reference():
     rho = x @ x.conj().T
     rho /= rho.trace()
     lh = hamiltonian_liouvillian(h)
-    for flags in [(1, 1, 1), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 0), (0, 1, 1)]:
-        for gamma in (0.0, 1.0 / 600.0, 0.37, 1.0):
-            spec = LindbladSpec(
-                gamma=gamma,
-                photon_loss=bool(flags[0]),
-                transmon_loss=bool(flags[1]),
-                dephasing=bool(flags[2]),
-            )
-            ops = subspace_jump_operators(basis, spec)
-            ref = _lindblad_rhs_reference(rho, h, [op.toarray() for op in ops])
-            lv = lh + gamma * unit_dissipator(basis, *map(bool, flags))
-            fast = (lv @ rho.ravel()).reshape(rho.shape)
-            assert np.max(np.abs(fast - ref)) < 1e-12
+    d = unit_dissipator(basis)
+    for gamma in (0.0, 1.0 / 600.0, 0.37, 1.0):
+        ops = subspace_jump_operators(basis, gamma)
+        ref = _lindblad_rhs_reference(rho, h, [op.toarray() for op in ops])
+        fast = ((lh + gamma * d) @ rho.ravel()).reshape(rho.shape)
+        assert np.max(np.abs(fast - ref)) < 1e-12
 
 
 def _textbook_liouvillian(h_full, jump_ops):
@@ -155,7 +145,7 @@ def test_decay_scan_matches_per_rate_oracle(nx, ny):
     basis = SubspaceBasis(nx, ny)
     h = embed_excited_hamiltonian(open_hamiltonian(params), basis)
     for gamma, row in zip(gammas, rows):
-        ops = subspace_jump_operators(basis, LindbladSpec(gamma=gamma))
+        ops = subspace_jump_operators(basis, gamma)
         step = _textbook_liouvillian(h, ops) * t
         chunks = _chunk_count(step)
         vec = corner_up_state(basis).ravel()
@@ -172,9 +162,7 @@ def test_single_cell_analytic_decay():
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[1, 1] = 1.0
     g = 0.25
-    ts, rhos, _ = lindblad_evolve(
-        rho0, np.zeros((2, 2)), LindbladSpec(gamma=g), basis, 8.0
-    )
+    ts, rhos = lindblad_evolve(rho0, np.zeros((2, 2)), g, basis, 8.0)[:2]
     for t, rho in zip(ts, rhos):
         _, _, p3 = populations(rho, basis)
         assert abs(p3 - math.exp(-g * t)) < 1e-10
@@ -185,9 +173,7 @@ def test_closed_system_matches_schroedinger():
     h = open_hamiltonian(ModelParams(alpha=A13, nx=6, ny=6))
     rho0 = corner_up_state(basis)
     t = 2.0
-    _, rhos, _ = lindblad_evolve(
-        rho0, h, LindbladSpec(gamma=0.0), basis, t, sample_count=2
-    )
+    rhos = lindblad_evolve(rho0, h, 0.0, basis, t, sample_count=2).rhos
     purity = np.trace(rhos[-1] @ rhos[-1]).real
     assert abs(purity - 1.0) < 1e-8
 
@@ -226,7 +212,7 @@ def test_population_consistency_site_sum_vs_vacuum():
 
 def test_validate_density_matrix():
     good = np.diag([0.5, 0.5, 0.0]).astype(complex)
-    validate_density_matrix(good)
+    assert validate_density_matrix(good) == (0.0, 0.0)  # trace defect, min eig
     with pytest.raises(ParameterError):
         validate_density_matrix(np.diag([0.9, 0.3, 0.0]).astype(complex))
     bad = good.copy()
@@ -242,50 +228,44 @@ def test_decay_law_and_monotonicity_small_lattice():
     t = 5.0
     p3s = []
     for g in (0.0, 0.02, 0.05, 0.1):
-        _, rhos, _ = lindblad_evolve(
-            rho0, h, LindbladSpec(gamma=g), basis, t, sample_count=2
-        )
+        rhos = lindblad_evolve(rho0, h, g, basis, t, sample_count=2).rhos
         _, _, p3 = populations(rhos[-1], basis)
         assert abs(p3 - math.exp(-g * t)) < 1e-3 * max(math.exp(-g * t), 1e-9)
         p3s.append(p3)
     assert all(a >= b for a, b in zip(p3s, p3s[1:]))  # non-increasing in gamma
 
 
-def test_dephasing_only_preserves_excitation():
-    basis = SubspaceBasis(2, 2)
-    h = open_hamiltonian(ModelParams(alpha=A13, nx=2, ny=2))
-    spec = LindbladSpec(gamma=0.05, photon_loss=False, transmon_loss=False)
-    _, rhos, _ = lindblad_evolve(
-        corner_up_state(basis), h, spec, basis, 5.0, sample_count=4
-    )
-    for rho in rhos:
-        _, _, p3 = populations(rho, basis)
-        assert abs(p3 - 1.0) < 1e-8
-
-
 def test_trace_and_positivity_along_trajectory():
     basis = SubspaceBasis(2, 2)
     h = open_hamiltonian(ModelParams(alpha=A13, beta=0.1, nx=2, ny=2))
-    _, rhos, _ = lindblad_evolve(
-        corner_up_state(basis), h, LindbladSpec(gamma=0.08), basis, 8.0,
-        sample_count=9,
-    )
-    for rho in rhos:
+    run = lindblad_evolve(corner_up_state(basis), h, 0.08, basis, 8.0, sample_count=9)
+    for rho in run.rhos:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
         assert np.linalg.eigvalsh(rho).min() >= -1e-8
+    # the checks of the last snapshot, as its validation computed them
+    rho = run.rhos[-1]
+    assert run.final_checks == (
+        abs(float(rho.trace().real) - 1.0), float(np.linalg.eigvalsh(rho).min())
+    )
+
+
+def _evolve_corner(gamma):
+    """The corner excitation of a 1x1 lattice evolved to t = 1 at rate ``gamma``."""
+    basis = SubspaceBasis(1, 1)
+    return lindblad_evolve(corner_up_state(basis), np.zeros((2, 2)), gamma, basis, 1.0)
 
 
 def test_step_guards():
-    with pytest.raises(ParameterError):
-        LindbladSpec(gamma=-0.1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        _evolve_corner(-0.1)
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
         decay_scan([-1.0], PROTOCOL, t_us=2.0)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])
 def test_non_finite_gamma_rejected(gamma):
     with pytest.raises(ParameterError, match="finite"):
-        LindbladSpec(gamma=gamma)
+        _evolve_corner(gamma)
     with pytest.raises(ParameterError, match="finite"):
         decay_scan([0.0, gamma], PROTOCOL, t_us=2.0)
 
@@ -298,10 +278,7 @@ def test_non_finite_or_negative_duration_rejected(t):
     with pytest.raises(ParameterError, match="finite and nonnegative"):
         decay_scan([0.0], PROTOCOL, t_us=t)
     with pytest.raises(ParameterError, match="finite and nonnegative"):
-        lindblad_evolve(
-            corner_up_state(basis), np.zeros((2, 2)), LindbladSpec(gamma=0.0),
-            basis, t,
-        )
+        lindblad_evolve(corner_up_state(basis), np.zeros((2, 2)), 0.0, basis, t)
 
 
 @pytest.mark.parametrize("on_diagonal", [False, True])
@@ -324,14 +301,12 @@ def test_snapshot_validation_raises():
     broken = h.copy()
     broken[0, 1] += 0.5  # not Hermitian: rho(t) leaves the Hermitian matrices
     with pytest.raises(ParameterError, match="not Hermitian"):
-        lindblad_evolve(
-            corner_up_state(basis), broken, LindbladSpec(gamma=0.0), basis, 1.0,
-            sample_count=3,
-        )
+        lindblad_evolve(corner_up_state(basis), broken, 0.0, basis, 1.0, sample_count=3)
     with pytest.raises(ParameterError, match="trace"):
-        lindblad_evolve(
-            2.0 * corner_up_state(basis), h, LindbladSpec(gamma=0.0), basis, 1.0
-        )
+        lindblad_evolve(2.0 * corner_up_state(basis), h, 0.0, basis, 1.0)
+    # the Hamiltonian is the excited block alone, never the full subspace
+    with pytest.raises(ParameterError, match="excited block"):
+        embed_excited_hamiltonian(np.eye(basis.dim), basis)
 
 
 def test_decay_scan_bit_identical_under_global_rng():
@@ -441,15 +416,10 @@ def test_lab_frame_cross_check():
 
     basis = SubspaceBasis(2, 2)
     params = ModelParams(alpha=A13, beta=beta, nx=2, ny=2)
-    _, rhos, _ = lindblad_evolve(
-        rho_d0,
-        open_hamiltonian(params),
-        LindbladSpec(gamma=gamma),
-        basis,
-        t_final,
-        sample_count=2,
+    run = lindblad_evolve(
+        rho_d0, open_hamiltonian(params), gamma, basis, t_final, sample_count=2
     )
-    pops_rot = site_pops(rhos[-1])
+    pops_rot = site_pops(run.rhos[-1])
 
     assert abs(pops_lab.sum() - pops_rot.sum()) < 1e-6  # both follow e^{-gamma t}
     assert np.max(np.abs(pops_lab - pops_rot)) < 0.02

@@ -42,13 +42,13 @@ def test_site_density_uniform_and_single_site():
     uniform = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     dmap = site_density(uniform, 6, 6)
     assert np.allclose(dmap.density, 1.0 / 36.0)
-    assert abs(dmap.total() - 1.0) < 1e-9
+    assert abs(dmap.density.sum() - 1.0) < 1e-9
 
     single = np.zeros(n, dtype=complex)
     single[0] = 1.0  # spin-up at (m=0, n=0), i.e. site (1,1)
     dmap = site_density(single, 6, 6)
     assert dmap.density[0, 0] == 1.0
-    assert dmap.total() == 1.0
+    assert dmap.density.sum() == 1.0
 
 
 def test_spin_channel_maps_mirror_under_time_reversal():
@@ -128,7 +128,8 @@ def test_kramers_pairing_of_midgap_states():
 def test_density_normalization_property():
     for params in (TOPO6, METAL6):
         for e, v in edge_eigenstates(params, 1.5, count=3):
-            assert abs(site_density(v, params.nx, params.ny).total() - 1.0) < 1e-9
+            density = site_density(v, params.nx, params.ny).density
+            assert abs(density.sum() - 1.0) < 1e-9
 
 
 #: smallest lattice side considered free of strong finite-size artifacts

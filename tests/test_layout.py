@@ -1,9 +1,10 @@
 """Caller and option audits of the package's public functions.
 
-A public module-level function or class that nothing in ``src/qshsim``
-refers to, outside its own definition, is either an entry point called from
-outside the package or dead code.  The entry points are listed below with
-their reason; anything else found here belongs in the tests or nowhere.
+A public module-level function or class, or a public method of such a
+class, that nothing in ``src/qshsim`` refers to, outside its own
+definition, is either an entry point called from outside the package or
+dead code.  The entry points are listed below with their reason; anything
+else found here belongs in the tests or nowhere.
 
 The defaulted parameters of the other public functions, and the defaulted
 fields of the public dataclasses, are audited in both directions against
@@ -18,6 +19,7 @@ The package imports nothing beyond numpy, scipy and the standard library.
 """
 
 import ast
+import collections
 import functools
 import re
 import sys
@@ -74,46 +76,49 @@ def _callers(trees: dict):
                 yield top
 
 
+def _public(nodes, prefix: str):
+    """(qualified name, node) of each public function or class of ``nodes``."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield f"{prefix}.{node.name}", node
+
+
 def _uncalled_public_names() -> set:
     trees = _package_trees()
-    defined = {}
+    # (qualified name, node, whether a bare name may refer to it): a method
+    # is read only as an attribute
+    defined = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined[f"{module}.{node.name}"] = node
-    # (name, owning top-level definition) of every name read in the package
-    references = set()
+        for qualified, node in _public(tree.body, module):
+            defined.append((qualified, node, True))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (name, method, False) for name, method in _public(node.body, qualified)
+                    if isinstance(method, ast.FunctionDef)
+                )
+    # {(name, read as a bare name): the nodes that read it} over the package
+    references = collections.defaultdict(set)
     for top in _callers(trees):
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                references.add((node.id, id(top)))
+                references[node.id, True].add(id(node))
             elif isinstance(node, ast.Attribute):
-                references.add((node.attr, id(top)))
-    return {
-        qualified
-        for qualified, node in defined.items()
-        if not any(
-            name == node.name and owner != id(node) for name, owner in references
+                references[node.attr, False].add(id(node))
+    uncalled = set()
+    for qualified, node, by_name in defined:
+        readers = references[node.name, False] | (
+            references[node.name, True] if by_name else set()
         )
-    }
+        if not readers - {id(inner) for inner in ast.walk(node)}:
+            uncalled.add(qualified)
+    return uncalled
 
 
 def test_every_public_name_has_a_caller_or_is_an_entry_point():
     assert _uncalled_public_names() == set(ENTRY_POINTS)
 
 
-#: defaulted parameters no call in the package sets, each with its reason
-UNSET_OPTIONS = {
-    "circuit.plaquette_plans.n0": "the flux-period test shifts the plaquette rows",
-    **{
-        f"dynamics.LindbladSpec.{channel}": (
-            "test_dynamics switches the channels one at a time against explicit "
-            "jump operators"
-        )
-        for channel in ("photon_loss", "transmon_loss", "dephasing")
-    },
-}
 #: defaulted parameters every call in the package sets, each with the files
 #: outside the package and its tests whose calls leave them
 ALWAYS_SET_OPTIONS = {
@@ -227,7 +232,7 @@ def _always_set_options() -> set:
 
 def test_every_option_is_set_by_a_caller():
     """A defaulted parameter no caller sets has one value in use: a constant."""
-    assert _unset_options() == set(UNSET_OPTIONS)
+    assert _unset_options() == set()
 
 
 def test_every_option_is_left_by_a_caller():

@@ -40,6 +40,9 @@ from qshsim.topology import (
 )
 
 A13 = Fraction(1, 3)
+#: kx lines of the Wilson-loop Z2 checked against other derivations: every
+#: other line of ``WILSON_KX_LINES``
+COARSE_LINES = (topology.WILSON_KX_LINES + 1) // 2
 #: the settings of a phase diagram, each at the config table's default
 MAP_SETTINGS = {
     "beta_range": (0.0, 0.25), "lambda_range": (0.0, 2.0), "resolution": (16, 16),
@@ -226,7 +229,7 @@ def test_wilson_z2_agrees_over_the_phase_map(tier1_map):
     def wilson(pt):
         params = ModelParams(alpha=A13, beta=pt.beta, lam=pt.lam)
         e_f = topology._fermi_level(DEFAULT_WINDOW, pt.gap.gap)
-        return wilson_z2(params, e_f, topology.WILSON_KX_LINES[0])
+        return wilson_z2(params, e_f, COARSE_LINES)[1]
 
     with ThreadPoolExecutor(max_workers=4) as pool:  # LAPACK releases the GIL
         nus = list(pool.map(wilson, gapped))
@@ -269,8 +272,8 @@ def test_wilson_z2_matches_ribbon_z2():
         (ModelParams(alpha=Fraction(2, 5), beta=0.05, lam=1.0), 0.95),
         (ModelParams(alpha=A13), -5.0),
     ]
-    lines = topology.WILSON_KX_LINES[0]
-    nus = [wilson_z2(params, e_f, lines) for params, e_f in cases]
+    lines = COARSE_LINES
+    nus = [wilson_z2(params, e_f, lines)[1] for params, e_f in cases]
     assert nus == [_vote_in_gap(z2_invariant, params, e_f) for params, e_f in cases]
     assert nus == [1] * 5 + [0, 0, 1, 0]
     # the metal reference point has no gap to fill: the occupation varies
@@ -319,6 +322,13 @@ def _wilson_outcome(fn, *args):
         return str(exc)
 
 
+def _per_line_wilson_pair(params, e_f, kx_lines):
+    """The oracle on every other line and on all ``kx_lines`` lines; an
+    occupation change raises at its first kx among all lines."""
+    fine = _per_line_wilson_z2(params, e_f, kx_lines)
+    return _per_line_wilson_z2(params, e_f, (kx_lines + 1) // 2), fine
+
+
 def test_chunked_wilson_z2_matches_the_per_line_loop():
     cases = [  # (params, e_f): gapped, a trivial gap, no occupied band, metals
         (ModelParams(alpha=A13, lam=0.5), 1.5),
@@ -332,11 +342,11 @@ def test_chunked_wilson_z2_matches_the_per_line_loop():
     ]
     outcomes = []
     for params, e_f in cases:
-        for lines in (33, topology.WILSON_KX_LINES[0]):
+        for lines in (33, COARSE_LINES):
             got = _wilson_outcome(wilson_z2, params, e_f, lines)
-            assert got == _wilson_outcome(_per_line_wilson_z2, params, e_f, lines)
+            assert got == _wilson_outcome(_per_line_wilson_pair, params, e_f, lines)
             outcomes.append(got)
-    assert {0, 1} <= set(outcomes)
+    assert {(0, 0), (1, 1)} <= set(outcomes)
     assert any("along ky" in str(o) for o in outcomes)
     assert any("across kx" in str(o) for o in outcomes)
 
@@ -364,6 +374,18 @@ def test_bulk_fallback_settles_failed_ribbon_votes():
     assert not pt.gap.is_gapped
     # a point the ribbon vote settles records no route
     assert classify_point(ModelParams(alpha=A13), **LIGHT).route is None
+
+
+def test_wilson_fallback_requires_the_parity_of_every_other_line(monkeypatch):
+    # the point of the fallback test on 17 kx lines: the flow of the Wannier
+    # centres is tracked on all 17 lines but not on every other one
+    topo = ModelParams(alpha=A13, beta=1.0 / 6.0, lam=0.0)
+    assert wilson_z2(topo, 1.5, 17) == (0, 1)
+    monkeypatch.setattr(topology, "WILSON_KX_LINES", 17)
+    with pytest.raises(
+        ResolutionError, match=r"E=1\.5000 differs between \(9, 17\) kx lines: \[0, 1\]"
+    ):
+        classify_point(topo, **LIGHT)
 
 
 def test_phase_diagram_errors_and_pool_lifetime(monkeypatch):
