@@ -16,8 +16,9 @@ Every other key is described once, by a :class:`Param` in the tables below:
 a bad one, and fills the defaults.  A task accepts only the keys it reads.
 
 Canonical serialization (sorted keys, fixed separators) of the normalized
-config, together with the package version, defines the cache key, so
-identical configs hash identically and a new version never replays old bytes.
+config, together with the package version, defines the config hash, so
+identical configs hash identically; the runner keys its cache on that hash
+and on the package's source, so other code never replays old bytes.
 """
 
 from __future__ import annotations

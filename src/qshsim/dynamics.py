@@ -18,10 +18,13 @@ exactly as exp(-gamma*t).  Every jump operator carries a factor sqrt(gamma),
 so the Liouvillian is linear in the rate: L(gamma) = L_H + gamma*D, with L_H
 the Hamiltonian part and D the dissipator at unit rate.  Both are sparse and
 built once per scan, L_H + gamma*D then costs one sparse sum per rate.  The
-master equation is time independent, so it is solved exactly: the
-exponential of L is applied to vec(rho) with
-``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)); the decay law above is a test of that propagation.
+master equation is time independent, so rho(t) = exp(t L) rho0, applied to
+vec(rho) as a Chebyshev series in L (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967 (1984); for open systems Huisinga, Pesce, Kosloff & Saalfrank,
+J. Chem. Phys. 110, 5538 (1999)).  Its degree comes from a truncation bound
+on an ellipse that holds the numerical range of L, through the
+Crouzeix-Palencia theorem (see :func:`_series_plan`); the decay law above is
+a test of that propagation.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .circuit import T0_MHZ
 from .errors import ParameterError
@@ -192,20 +194,126 @@ def unit_dissipator(basis: SubspaceBasis) -> sp.csr_matrix:
     return d
 
 
-#: Al-Mohy & Higham (2011), eq. (3.13): for one vector, m_max = 55 and
-#: p_max = 8, expm_multiply takes its exact-1-norm branch while
-#: ||A - tr(A)/n I||_1 <= 2*2*8*11 * theta_55 / 55 = 63.36.  Beyond it scipy
-#: estimates norms with ``onenormest``, which draws from the global
-#: ``np.random`` and is not reproducible.
-_EXACT_NORM_BOUND = 63.36
+#: bound on one sub-step's truncation error, relative to the norm of vec(rho)
+SERIES_TOL = 2.0 ** -53
+#: most tau*b per sub-step: no series term exceeds 2 e^STEP_EXPONENT on E_rho
+STEP_EXPONENT = 16.0
+#: the spectrum of D0, the real symmetric part of the unit dissipator
+#: D = D0 + F, is [D0_MIN, 0] (see :func:`_series_plan`)
+D0_MIN = -5.0
 
 
-def _chunk_count(step: sp.csr_matrix) -> int:
-    """Equal chunks of ``step`` that each stay on the exact-1-norm branch."""
-    n = step.shape[0]
-    shifted = step - (step.diagonal().sum() / n) * sp.identity(n, format="csr")
-    norm = float(abs(shifted).sum(axis=0).max())
-    return max(1, math.ceil(norm / (0.9 * _EXACT_NORM_BOUND)))
+def _bessel_j(x: float, n: int) -> np.ndarray:
+    """J_0(x) ... J_n(x) for x > 0 by Miller's backward recurrence.
+
+    Normalized by J_0 + 2 (J_2 + J_4 + ...) = 1 and started far enough
+    above max(n, x) that the start leaves no trace in double precision.
+    """
+    start = 2 * ((int(max(n, x)) + 16 + int(math.sqrt(160.0 * max(n, x, 1.0)))) // 2)
+    out = np.zeros(n + 1)
+    j_above, j = 0.0, 1e-300
+    norm = 0.0
+    for k in range(start, 0, -1):
+        j_above, j = j, (2.0 * k / x) * j - j_above  # j is now J_(k-1)
+        if abs(j) > 1e250:  # rescale everything gathered so far
+            j, j_above, norm = j * 1e-250, j_above * 1e-250, norm * 1e-250
+            out *= 1e-250
+        if k - 1 <= n:
+            out[k - 1] = j
+        if (k - 1) % 2 == 0 and k > 1:
+            norm += 2.0 * j
+    return out / (norm + j)
+
+
+class _Series(NamedTuple):
+    """Chebyshev series of one sub-step: exp(h L) v ~ sum_k coef_k T_k(X) v."""
+
+    #: X = (L - centre) / (i scale)
+    centre: float
+    scale: float
+    substeps: int
+    #: J_0(tau) and 2 i^k J_k(tau), tau = scale * h, times e^(centre h)
+    coef: np.ndarray
+
+    @property
+    def degree(self) -> int:
+        return len(self.coef) - 1
+
+
+def _series_plan(spread: float, gamma: float, dim: int, interval: float) -> _Series:
+    """The sub-steps and the series of exp(L * interval), L = L_H + gamma*D.
+
+    Numerical range.  L_H is skew-Hermitian with eigenvalues i(E_a - E_b),
+    so its numerical range is within i[-w, w], w = ``spread`` = E_max - E_min
+    of the full subspace Hamiltonian.  The unit dissipator is D = D0 + F:
+    D0 = sum_s B_s kron B_s - M kron I - I kron M is real symmetric with
+    spectrum in [-5, 0] (M has eigenvalues 0, 1/2 and 5/2; on a site's own
+    (up, down)^2 block, B kron B turns -(1 + b + b') into
+    -1 - b - b' + b b' in {-1, -3} for the eigenvalues b, b' in {0, 2} of
+    B), and F = e_vac 1_exc^T, the loss jumps' feed of every excited
+    population into the vacuum population, is rank one with e_vac
+    orthogonal to 1_exc, so its numerical range is the disc of radius
+    ||1_exc|| / 2 = sqrt(dim - 1) / 2.  Numerical ranges add, so with the
+    centre c = gamma * D0_MIN / 2 the numerical range of L - c lies within
+    delta = gamma * (5/2 + sqrt(dim - 1) / 2) of i[-w, w] (at 6x6,
+    delta = 6.74 gamma, against gamma * ||D||_2 = 8.54 gamma).
+
+    Ellipse.  X = (L - c) / (i s), s = w (delta when w = 0), has its
+    numerical range within eps = delta / s of [-1, 1].  Every point of the
+    Bernstein ellipse E_rho (foci +-1, semi-axes a = 1 + eps and
+    b = sqrt(a^2 - 1), rho = a + b) is at least a - 1 = eps from [-1, 1]
+    (its distances to the foci sum to 2a), so E_rho encloses that range.
+
+    Truncation.  On a sub-step h, exp(h L) = e^(c h) exp(i tau X),
+    tau = s h, and exp(i tau x) = J_0(tau) + 2 sum_k i^k J_k(tau) T_k(x)
+    (Jacobi-Anger).  By Crouzeix & Palencia (SIAM J. Matrix Anal. Appl. 38,
+    649 (2017)) ||g(X)|| <= (1 + sqrt 2) max |g| over the numerical range
+    for every analytic g, and |T_k| <= rho^k on E_rho, so the series cut
+    after degree N errs by at most
+
+        (1 + sqrt 2) e^(c h) sum_(k > N) 2 |J_k(tau)| rho^k  ||v||,
+
+    with |J_k| <= 1 and, for k >= tau, Kapteyn's inequality
+    |J_k(k z)| <= (z e^sqrt(1 - z^2) / (1 + sqrt(1 - z^2)))^k (DLMF
+    10.14.5).  The log of the k-th bound term has the slope
+    ln(tau rho / (k (1 + sqrt(1 - tau^2 / k^2)))), falling in k and below
+    ln(1/2) beyond k = 2 tau rho, so the tail past the last term summed, at
+    k = 2 tau rho + 64, is at most that term.  The degree is the smallest N
+    whose bound is <= SERIES_TOL.
+
+    Sub-steps.  max |exp(i tau z)| on E_rho is e^(tau b), so by Cauchy's
+    estimate |J_k(tau)| <= e^(tau b) rho^-k and no term of the series
+    exceeds 2 (1 + sqrt 2) e^(tau b) ||v||: rounding grows with e^(tau b).
+    The interval is split into the fewest equal sub-steps with
+    tau b <= STEP_EXPONENT; at gamma = 0, b = 0 and one series spans it.
+    """
+    radius = gamma * (-0.5 * D0_MIN + 0.5 * math.sqrt(dim - 1))
+    centre = 0.5 * D0_MIN * gamma
+    scale = spread if spread > 0 else (radius or 1.0)
+    a = 1.0 + radius / scale
+    b = math.sqrt(a * a - 1.0)
+    rho = a + b
+    if interval == 0:
+        return _Series(centre, scale, 1, np.ones(1, dtype=complex))
+    substeps = max(1, math.ceil(scale * interval * b / STEP_EXPONENT))
+    h = interval / substeps
+    tau = scale * h
+    shrink = math.exp(centre * h)
+    kmax = int(2.0 * tau * rho) + 64
+    k = np.arange(1, kmax + 1, dtype=float)
+    z = np.minimum(tau / k, 1.0)
+    root = np.sqrt(1.0 - z * z)
+    log_bound = k * (np.log(z) + root - np.log1p(root)) + k * math.log(rho)
+    terms = 2.0 * np.exp(log_bound)
+    # tails[i]: the bound on sum_(k > i) with the last term standing for the rest
+    tails = np.cumsum(terms[::-1])[::-1] + terms[-1]
+    limit = SERIES_TOL / ((1.0 + math.sqrt(2.0)) * shrink)
+    degree = int(np.argmax(tails <= limit))
+    # degree 0 means tau < 1e-16, where J_0(tau) = 1 in double precision
+    coef = _bessel_j(tau, degree) if degree else np.ones(1)
+    coef = coef * (1j ** np.arange(degree + 1) * shrink)
+    coef[1:] *= 2.0
+    return _Series(centre, scale, substeps, coef)
 
 
 class Trajectory(NamedTuple):
@@ -213,33 +321,65 @@ class Trajectory(NamedTuple):
 
     times: np.ndarray
     rhos: np.ndarray
-    #: expm_multiply calls made over the whole run
-    chunks: int
+    #: Chebyshev degree and sub-steps per sampling interval
+    degree: int
+    substeps: int
     #: trace defect and smallest eigenvalue of the last snapshot
     final_checks: Tuple[float, float]
 
 
-def _propagate(
-    lv: sp.csr_matrix, rho0: np.ndarray, t_final: float, sample_count: int
-) -> Trajectory:
-    """rho(t) = exp(L t) rho0 at ``sample_count`` equally spaced times.
+def _apply_series(x2: sp.csr_matrix, series: _Series, vec: np.ndarray) -> np.ndarray:
+    """sum_k coef_k T_k(X) vec by the three-term recurrence; ``x2`` is 2X."""
+    coef = series.coef
+    out = coef[0] * vec
+    if len(coef) == 1:
+        return out
+    prev, cur = vec, 0.5 * (x2 @ vec)
+    out += coef[1] * cur
+    for c in coef[2:]:
+        nxt = x2 @ cur
+        nxt -= prev
+        out += c * nxt
+        prev, cur = cur, nxt
+    return out
 
-    Each sampling interval is split into the chunks of :func:`_chunk_count`;
-    every snapshot after t=0 is validated.
+
+def _spread(h_full: np.ndarray) -> float:
+    """E_max - E_min of a Hermitian subspace Hamiltonian."""
+    energies = np.linalg.eigvalsh(h_full)
+    return float(energies[-1] - energies[0])
+
+
+def _propagate(
+    lh: sp.csr_matrix,
+    d: sp.csr_matrix,
+    gamma: float,
+    spread: float,
+    rho0: np.ndarray,
+    t_final: float,
+    sample_count: int,
+) -> Trajectory:
+    """rho(t) = exp(L t) rho0, L = lh + gamma*d, at ``sample_count`` equally
+    spaced times.
+
+    ``spread`` is E_max - E_min of the subspace Hamiltonian behind ``lh``.
+    Each sampling interval takes the sub-steps and series of
+    :func:`_series_plan`; every snapshot after t=0 is validated.
     """
     times = np.linspace(0.0, t_final, max(2, sample_count))
-    step = lv * (t_final / (len(times) - 1))
-    chunks = _chunk_count(step)
-    step = step / chunks
+    n = rho0.shape[0]
+    series = _series_plan(spread, gamma, n, t_final / (len(times) - 1))
+    lv = lh + gamma * d
+    x2 = (lv - series.centre * sp.identity(n * n, format="csr")) * (-2j / series.scale)
     vec = rho0.ravel()
     rhos = [rho0]
     for _ in times[1:]:
-        for _ in range(chunks):
-            vec = expm_multiply(step, vec)
+        for _ in range(series.substeps):
+            vec = _apply_series(x2, series, vec)
         rho = vec.reshape(rho0.shape)
         checks = validate_density_matrix(rho)
         rhos.append(rho)
-    return Trajectory(times, np.array(rhos), chunks * (len(times) - 1), checks)
+    return Trajectory(times, np.array(rhos), series.degree, series.substeps, checks)
 
 
 def lindblad_evolve(
@@ -264,8 +404,11 @@ def lindblad_evolve(
         raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0)
-    lh = hamiltonian_liouvillian(embed_excited_hamiltonian(h_eff, basis))
-    return _propagate(lh + gamma * unit_dissipator(basis), rho0, t_final, sample_count)
+    h_full = embed_excited_hamiltonian(h_eff, basis)
+    return _propagate(
+        hamiltonian_liouvillian(h_full), unit_dissipator(basis), gamma,
+        _spread(h_full), rho0, t_final, sample_count,
+    )
 
 
 def edge_site_mask(nx: int, ny: int) -> np.ndarray:
@@ -301,8 +444,10 @@ class DecayScanRow:
     p1: float
     p2: float
     p3: float
-    #: solver diagnostics of the final state (not part of the output table)
-    chunks: int
+    #: solver diagnostics (not part of the output table): Chebyshev degree,
+    #: sub-steps, and the checks of the final state
+    degree: int
+    substeps: int
     trace_defect: float
     min_eigenvalue: float
 
@@ -329,14 +474,14 @@ def decay_scan(
     if params.nx * params.ny > MAX_SITES:
         raise ParameterError(f"master-equation lattice capped at {MAX_SITES} sites (8x8)")
     basis = SubspaceBasis(params.nx, params.ny)
-    lh = hamiltonian_liouvillian(
-        embed_excited_hamiltonian(open_hamiltonian(params), basis)
-    )
+    h_full = embed_excited_hamiltonian(open_hamiltonian(params), basis)
+    lh = hamiltonian_liouvillian(h_full)
+    spread = _spread(h_full)
     d = unit_dissipator(basis)
     rho0 = corner_up_state(basis)
     rows = []
     for gamma in rates:
-        run = _propagate(lh + gamma * d, rho0, t_final, 2)
+        run = _propagate(lh, d, gamma, spread, rho0, t_final, 2)
         p1, p2, p3 = populations(run.rhos[-1], basis)
         rows.append(
             DecayScanRow(
@@ -345,7 +490,8 @@ def decay_scan(
                 p1=p1,
                 p2=p2,
                 p3=p3,
-                chunks=run.chunks,
+                degree=run.degree,
+                substeps=run.substeps,
                 trace_defect=run.final_checks[0],
                 min_eigenvalue=run.final_checks[1],
             )

@@ -2,15 +2,17 @@
 
 Data files are byte-deterministic: fixed column order, fixed row order and
 floats printed with 12 significant digits.  Results are cached under a
-SHA-256 of the package version and the canonical config (QSH_CACHE_DIR
-overrides the location); a cache hit replays the stored bytes.  One run at a
-time per output directory, enforced with an exclusive ``flock`` on a lock
-file that the kernel releases when the run exits.
+SHA-256 of the config hash, the package's source files and the numpy and
+scipy versions (QSH_CACHE_DIR overrides the location); a cache hit replays
+the stored bytes.  One run at a time per output directory, enforced with an
+exclusive ``flock`` on a lock file that the kernel releases when the run
+exits.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import logging
@@ -225,14 +227,15 @@ def _task_lindblad(cfg: RunConfig):
     ]
     meta = {
         "frame": "rotating (static effective Hamiltonian, secular dissipators)",
-        "method": "expm_multiply",
+        "method": "chebyshev",
         "T_t0": dynamics.duration_from_us(p["t_us"]),
         "t_us": p["t_us"],
         "t0_mhz": dynamics.T0_MHZ,
         "diagnostics": [
             {
                 "gamma_t0": r.gamma_t0,
-                "chunks": r.chunks,
+                "degree": r.degree,
+                "substeps": r.substeps,
                 "trace_defect": r.trace_defect,
                 "min_eigenvalue": r.min_eigenvalue,
             }
@@ -261,10 +264,24 @@ def _sha256_file(path: Path) -> tuple:
     return data, hashlib.sha256(data).hexdigest()
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 of the package's own ``*.py`` files, names and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name} {len(data)}\n".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _cache_dir(cfg: RunConfig) -> Path:
+    """The cache entry of ``cfg``: keyed on the config hash, the package's
+    source and the numpy and scipy versions, so other code never replays."""
     root = os.environ.get("QSH_CACHE_DIR")
     base = Path(root) if root else Path(cfg.out_dir) / ".cache"
-    return base / cfg.cache_key()
+    key = f"{cfg.cache_key()}\n{_source_digest()}\n{np.__version__}\n{scipy.__version__}"
+    return base / hashlib.sha256(key.encode()).hexdigest()
 
 
 def _read_cache(cache: Path):
@@ -395,6 +412,7 @@ def run(cfg: RunConfig, force: bool = False) -> dict:
             "cached": cached,
             "versions": {
                 "qshsim": __version__,
+                "source": _source_digest(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },

@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
+from qshsim import dynamics
 from qshsim.dynamics import (
     SubspaceBasis,
-    _chunk_count,
     corner_up_state,
     decay_scan,
     duration_from_us,
@@ -126,6 +128,30 @@ def test_liouvillian_matches_reference():
         assert np.max(np.abs(fast - ref)) < 1e-12
 
 
+#: Al-Mohy & Higham (2011), eq. (3.13): for one vector expm_multiply takes
+#: its exact-1-norm branch while ||A - tr(A)/n I||_1 <= 63.36.  Beyond it
+#: scipy estimates norms with ``onenormest``, which draws random numbers.
+_EXACT_NORM_BOUND = 63.36
+
+
+def _expm_oracle(lv, vec, t):
+    """exp(t L) vec by ``expm_multiply`` in equal chunks that each stay on
+    the exact-1-norm branch, so the oracle is deterministic."""
+    step = lv * t
+    n = step.shape[0]
+    shifted = step - (step.diagonal().sum() / n) * sp.identity(n, format="csr")
+    norm = float(abs(shifted).sum(axis=0).max())
+    chunks = max(1, math.ceil(norm / (0.9 * _EXACT_NORM_BOUND)))
+    for _ in range(chunks):
+        vec = expm_multiply(step / chunks, vec)
+    return vec
+
+
+def _spread(h_full):
+    energies = np.linalg.eigvalsh(h_full)
+    return energies[-1] - energies[0]
+
+
 def _textbook_liouvillian(h_full, jump_ops):
     """L from the jump operators, one Kronecker term per operator."""
     h = sp.csr_matrix(h_full)
@@ -146,13 +172,10 @@ def test_decay_scan_matches_per_rate_oracle(nx, ny):
     h = embed_excited_hamiltonian(open_hamiltonian(params), basis)
     for gamma, row in zip(gammas, rows):
         ops = subspace_jump_operators(basis, gamma)
-        step = _textbook_liouvillian(h, ops) * t
-        chunks = _chunk_count(step)
-        vec = corner_up_state(basis).ravel()
-        for _ in range(chunks):
-            vec = expm_multiply(step / chunks, vec)
+        vec = _expm_oracle(_textbook_liouvillian(h, ops), corner_up_state(basis).ravel(), t)
         expected = populations(vec.reshape(basis.dim, basis.dim), basis)
-        assert row.chunks == chunks
+        # no series of exp(i tau x) converges below degree tau
+        assert row.degree > _spread(h) * t / row.substeps
         assert row.gamma_t0 == gamma
         assert np.max(np.abs(np.subtract((row.p1, row.p2, row.p3), expected))) <= 1e-14
 
@@ -310,9 +333,8 @@ def test_snapshot_validation_raises():
 
 
 def test_decay_scan_bit_identical_under_global_rng():
-    # at 2 us one step exceeds the exact-1-norm bound of expm_multiply, so
-    # the run is chunked; an unchunked run would call onenormest, which
-    # draws from (and advances) the global np.random state
+    # nothing in the propagation may draw from (or advance) the global
+    # np.random state, as scipy's onenormest would
     gammas = [0.0, 1.0 / 300.0]
     t = duration_from_us(2.0)
     results = []
@@ -323,11 +345,104 @@ def test_decay_scan_bit_identical_under_global_rng():
         after = np.random.get_state()
         assert before[0] == after[0] and before[2:] == after[2:]
         assert np.array_equal(before[1], after[1])
-        assert all(r.chunks > 1 for r in rows)
+        assert all(r.degree >= 1 and r.substeps >= 1 for r in rows)
         for r in rows:
             assert abs(r.p3 - math.exp(-r.gamma_t0 * t)) <= 1e-12
         results.append([(r.p1, r.p2, r.p3) for r in rows])
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("side", [3, 6])
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 1.0, 3.0])
+def test_large_rates_meet_decay_law_and_oracle(side, gamma):
+    params = ModelParams(alpha=A13, beta=0.1, lam=0.2, nx=side, ny=side)
+    basis = SubspaceBasis(side, side)
+    t = duration_from_us(2.0)
+    row = decay_scan([gamma], params, t_us=2.0)[0]
+    assert abs(row.p3 - math.exp(-gamma * t)) <= 1e-12 * math.exp(-gamma * t)
+    h = open_hamiltonian(params)
+    rho0 = corner_up_state(basis)
+    run = lindblad_evolve(rho0, h, gamma, basis, t, sample_count=2)
+    lv = hamiltonian_liouvillian(embed_excited_hamiltonian(h, basis))
+    lv = lv + gamma * unit_dissipator(basis)
+    expected = _expm_oracle(lv, rho0.ravel(), t).reshape(rho0.shape)
+    assert np.max(np.abs(run.rhos[-1] - expected)) <= 1e-12
+    assert populations(run.rhos[-1], basis) == (row.p1, row.p2, row.p3)
+
+
+def test_zero_duration_returns_the_initial_state():
+    basis = SubspaceBasis(6, 6)
+    rho0 = corner_up_state(basis)
+    run = lindblad_evolve(rho0, open_hamiltonian(PROTOCOL), 1.0, basis, 0.0, sample_count=3)
+    assert all(np.array_equal(rho, rho0) for rho in run.rhos)
+    rows = decay_scan([0.0, 1.0 / 300.0, 3.0], PROTOCOL, t_us=0.0)
+    assert [(r.p1, r.p2, r.p3) for r in rows] == [(1.0, 0.0, 1.0)] * 3
+
+
+def test_closed_system_at_two_microseconds_matches_eigh():
+    params = ModelParams(alpha=A13, beta=0.1, lam=0.5, nx=6, ny=6)
+    basis = SubspaceBasis(6, 6)
+    h = open_hamiltonian(params).toarray()
+    t = duration_from_us(2.0)
+    rho0 = corner_up_state(basis)
+    run = lindblad_evolve(rho0, h, 0.0, basis, t, sample_count=2)
+    vals, vecs = np.linalg.eigh(embed_excited_hamiltonian(h, basis))
+    u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    assert run.substeps == 1
+    assert np.max(np.abs(run.rhos[-1] - u @ rho0 @ u.conj().T)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(2, 4),
+    ny=st.integers(2, 4),
+    beta=st.floats(0.0, 0.25),
+    lam=st.floats(0.0, 2.0),
+    gamma=st.floats(0.0, 3.0),
+    t=st.floats(0.0, 40.0),
+)
+def test_propagator_matches_expm_multiply(nx, ny, beta, lam, gamma, t):
+    params = ModelParams(alpha=A13, beta=beta, lam=lam, nx=nx, ny=ny)
+    basis = SubspaceBasis(nx, ny)
+    h = open_hamiltonian(params)
+    rho0 = corner_up_state(basis)
+    run = lindblad_evolve(rho0, h, gamma, basis, t, sample_count=2)
+    lv = hamiltonian_liouvillian(embed_excited_hamiltonian(h, basis))
+    lv = lv + gamma * unit_dissipator(basis)
+    expected = _expm_oracle(lv, rho0.ravel(), t).reshape(rho0.shape)
+    # the truncation bound per sub-step, with room for rounding in both
+    bound = run.substeps * dynamics.SERIES_TOL + 1e-13
+    assert np.linalg.norm(run.rhos[-1] - expected) <= bound
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.5, 7.3, 48.0, 192.0, 600.0])
+def test_bessel_values_match_scipy(x):
+    # the recurrence's rounding grows with the number of its steps, ~x
+    n = int(1.5 * x) + 60
+    err = np.max(np.abs(dynamics._bessel_j(x, n) - jv(np.arange(n + 1), x)))
+    assert err <= 1e-14 * max(1.0, x / 200.0)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (2, 2), (2, 3)])
+def test_dissipator_numerical_range_bound(nx, ny):
+    # D = D0 + F: D0 real symmetric with spectrum in [D0_MIN, 0], F the rank-one
+    # feed of the excited populations into the vacuum population
+    basis = SubspaceBasis(nx, ny)
+    d = unit_dissipator(basis).toarray()
+    feed = np.zeros_like(d)
+    exc = [i * basis.dim + i for i in range(1, basis.dim)]
+    feed[0, exc] = 1.0
+    d0 = d - feed
+    assert np.array_equal(d0, d0.T)
+    spectrum = np.linalg.eigvalsh(d0)
+    assert spectrum[0] >= dynamics.D0_MIN - 1e-12 and spectrum[-1] <= 1e-12
+    # so W(D - D0_MIN/2) lies in the disc of radius 5/2 + sqrt(dim - 1)/2:
+    # check its support function in 64 directions
+    radius = -0.5 * dynamics.D0_MIN + 0.5 * math.sqrt(basis.dim - 1)
+    centred = d - 0.5 * dynamics.D0_MIN * np.eye(len(d))
+    for phi in np.linspace(0.0, 2 * math.pi, 64, endpoint=False):
+        rotated = np.exp(1j * phi) * centred
+        assert np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))[-1] <= radius + 1e-12
 
 
 def test_decay_scan_lattice_guard():
