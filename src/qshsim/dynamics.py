@@ -301,7 +301,9 @@ def _series_plan(spread: float, gamma: float, dim: int, interval: float) -> _Ser
     shrink = math.exp(centre * h)
     kmax = int(2.0 * tau * rho) + 64
     k = np.arange(1, kmax + 1, dtype=float)
-    z = np.minimum(tau / k, 1.0)
+    # tau / k underflows to 0 for a subnormal tau, and log(0) would follow;
+    # each bound term grows with z, so the floor keeps the bound valid
+    z = np.clip(tau / k, np.finfo(float).tiny, 1.0)
     root = np.sqrt(1.0 - z * z)
     log_bound = k * (np.log(z) + root - np.log1p(root)) + k * math.log(rho)
     terms = 2.0 * np.exp(log_bound)

@@ -359,6 +359,10 @@ DETUNED_PLAN = [
     TonePlan(Bond(1, 0, "x"), [Tone(550.0, 4.0, 0.0, 1, ("up", "up"))])
 ]
 PLAQUETTE_PLANS = plaquette_plans(A13, 0.1)
+#: a tone off the whole-number grid: the drive has no exact common period
+OFF_GRID_PLAN = [
+    TonePlan(Bond(1, 0, "x"), [Tone(550.5, 4.0, 0.0, 1, ("up", "up"))])
+]
 
 
 @pytest.mark.parametrize(
@@ -380,3 +384,112 @@ def test_batched_propagator_matches_step_loop(cells, plans, t_final, dt):
     reference = _propagate_step_loop(cells, plans, t_final, dt)
     assert u.shape == reference.shape
     assert np.max(np.abs(u - reference)) <= 1e-12
+
+
+def test_drive_period_from_whole_number_frequencies():
+    assert circuit._drive_period(RWA_PLAN) == 2 * math.pi / 200  # tones 200, 400
+    assert circuit._drive_period(DETUNED_PLAN) == 2 * math.pi / 550
+    assert circuit._drive_period(PLAQUETTE_PLANS) == 2 * math.pi / 50
+    assert circuit._drive_period(OFF_GRID_PLAN) is None
+    assert circuit._drive_period([]) is None
+    static = [TonePlan(Bond(1, 0, "x"), [Tone(0, 4.0, 0.0, 1, ("up", "up"))])]
+    assert circuit._drive_period(static) is None  # gcd 0: no period to compose
+
+
+#: largest max-norm difference accepted between a composed propagator and
+#: the whole interval stepped at the same dt
+COMPOSED_TOL = 1e-11
+
+
+@pytest.mark.parametrize(
+    "cells, plans, t_final",
+    [
+        (TWO_CELLS, RWA_PLAN, math.pi / 2.0),  # N = 49 and tau just under T
+        (TWO_CELLS, DETUNED_PLAN, math.pi / 2.0),  # N = 137 and tau = T / 2
+        (DEVICE_CELLS, PLAQUETTE_PLANS, 0.4),
+    ],
+    ids=["rwa", "detuned", "plaquette"],
+)
+def test_composed_propagator_matches_whole_interval(cells, plans, t_final):
+    u = full_evolve(cells, plans, t_final, dt=None)
+    reference = _propagate(cells, plans, t_final, _fine_dt(plans))
+    assert np.max(np.abs(u - reference)) <= COMPOSED_TOL
+
+
+def _record_intervals(monkeypatch):
+    """Wrap circuit._propagate; the returned list collects each t_final."""
+    calls = []
+    propagate = circuit._propagate
+
+    def recording(cells, plans, t_final, dt):
+        calls.append(t_final)
+        return propagate(cells, plans, t_final, dt)
+
+    monkeypatch.setattr(circuit, "_propagate", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "periods, extra, stepped",
+    [
+        (3, 0.0, "period"),  # tau = 0: no remainder pass
+        (3, 1e-9, "period+tau"),  # N*T just below t_final
+        (0, 0.5, "whole"),  # t_final < T
+    ],
+    ids=["tau-zero", "tau-tiny", "below-one-period"],
+)
+def test_composition_edge_cases(monkeypatch, periods, extra, stepped):
+    period = circuit._drive_period(RWA_PLAN)
+    t_final = periods * period + extra * period
+    calls = _record_intervals(monkeypatch)
+    u = full_evolve(TWO_CELLS, RWA_PLAN, t_final, dt=None)
+    expected = {
+        "period": [period],
+        "period+tau": [period, t_final - periods * period],
+        "whole": [t_final],
+    }[stepped]
+    assert calls == expected * 2  # the dt pass, then the dt/2 pass
+    reference = _propagate(TWO_CELLS, RWA_PLAN, t_final, _fine_dt(RWA_PLAN))
+    assert np.max(np.abs(u - reference)) <= COMPOSED_TOL
+    if stepped == "whole":
+        assert np.array_equal(u, reference)
+
+
+def test_aperiodic_drive_steps_the_whole_interval(monkeypatch):
+    t_final = math.pi / 2.0
+    calls = _record_intervals(monkeypatch)
+    u = full_evolve(TWO_CELLS, OFF_GRID_PLAN, t_final, dt=None)
+    assert calls == [t_final, t_final]
+    reference = _propagate(TWO_CELLS, OFF_GRID_PLAN, t_final, _fine_dt(OFF_GRID_PLAN))
+    assert np.array_equal(u, reference)
+
+
+def test_step_check_compares_whole_interval(monkeypatch):
+    # the dt and dt/2 defect of the resonant plan over pi/2 is about 50 times
+    # its one-period defect; the check must see the whole-interval value
+    t_final = math.pi / 2.0
+    dt = 2.0 * _fine_dt(RWA_PLAN)
+    period = circuit._drive_period(RWA_PLAN)
+    defect = np.max(np.abs(
+        _propagate(TWO_CELLS, RWA_PLAN, t_final, dt)
+        - _propagate(TWO_CELLS, RWA_PLAN, t_final, dt / 2.0)
+    ))
+    one_period = np.max(np.abs(
+        _propagate(TWO_CELLS, RWA_PLAN, period, dt)
+        - _propagate(TWO_CELLS, RWA_PLAN, period, dt / 2.0)
+    ))
+    assert one_period < defect / 10.0
+    monkeypatch.setattr(circuit, "STEP_CHECK_TOL", defect / 2.0)
+    with pytest.raises(StepSizeError):
+        full_evolve(TWO_CELLS, RWA_PLAN, t_final, dt=None)
+    monkeypatch.setattr(circuit, "STEP_CHECK_TOL", defect * 2.0)
+    full_evolve(TWO_CELLS, RWA_PLAN, t_final, dt=None)
+
+
+def test_user_step_at_the_resolution_bound():
+    bound = 2.0 * _fine_dt(RWA_PLAN)  # 1/40 of the fastest tone period
+    t_final = math.pi / 2.0
+    u = full_evolve(TWO_CELLS, RWA_PLAN, t_final, dt=bound * (1 - 1e-9))
+    assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-12
+    with pytest.raises(ParameterError, match="resolution bound"):
+        full_evolve(TWO_CELLS, RWA_PLAN, t_final, dt=bound * (1 + 1e-9))

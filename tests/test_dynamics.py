@@ -1,6 +1,7 @@
 """Lindblad evolution: jump operators, decay laws, populations."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -543,3 +544,16 @@ def test_lab_frame_cross_check():
 
     assert abs(pops_lab.sum() - pops_rot.sum()) < 1e-6  # both follow e^{-gamma t}
     assert np.max(np.abs(pops_lab - pops_rot)) < 0.02
+
+
+def test_underflowing_interval_returns_the_initial_state():
+    # t = 5e-324 in one interval: tau / k underflows, the series has degree 0
+    basis = SubspaceBasis(2, 2)
+    rho0 = corner_up_state(basis)
+    h = open_hamiltonian(ModelParams(alpha=A13, nx=2, ny=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for gamma in (0.0, 1.0):
+            run = lindblad_evolve(rho0, h, gamma, basis, 5e-324, sample_count=2)
+            assert run.degree == 0
+            assert all(np.array_equal(rho, rho0) for rho in run.rhos)
