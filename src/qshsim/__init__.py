@@ -12,11 +12,17 @@ Submodules:
 * ``dynamics``   -- Lindblad evolution of the detection protocol;
 * ``config`` / ``runner`` / ``cli`` -- run configuration, artifact output,
   command-line interface.
+
+``import qshsim`` loads none of them: each loads on first use, as
+``qshsim.model`` or ``from qshsim import model``.  Only the tasks that
+need ``scipy.sparse`` load it: ``edge_states`` (the real-space eigensolve)
+and ``lindblad`` (``dynamics``), and ``config.normalize`` of such a config
+loads it before the run.
 """
 
-__version__ = "0.4.0"
+import importlib
 
-from . import model, spectra, topology, edgestates, circuit, dynamics  # noqa: F401
+__version__ = "0.4.0"
 
 __all__ = [
     "model",
@@ -27,3 +33,10 @@ __all__ = [
     "dynamics",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """The submodule ``name`` of ``__all__``, imported on first use."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

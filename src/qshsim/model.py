@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError
 
@@ -146,23 +145,39 @@ def row_params(row) -> ModelParams:
     return base
 
 
-def open_hamiltonian(params: ModelParams) -> sp.csr_matrix:
+def open_hamiltonian(params: ModelParams):
     """Finite-lattice Hamiltonian with open boundaries (no wrap bonds), as CSR.
 
-    Zero entries are not stored.
+    Built in one pass from index arithmetic.  Spin s of site (m, n) is
+    orbital 2*(n*nx + m) + s, and it couples to at most seven orbitals, in
+    ascending order: both spins of (m, n-1), then (m-1, n), itself, (m+1, n)
+    and both spins of (m, n+1).  So every row comes out sorted, and the CSR
+    is canonical.  Zero entries are not stored.
     """
+    from scipy.sparse import csr_matrix
+
     params.require_lattice()
     nx, ny = params.nx, params.ny
-    eps = [onsite_energy(params, n) for n in range(ny)]
-    onsite = sp.diags(np.repeat(eps, 2 * nx))
-    # (m, n) -> (m+1, n) inside each row, (m, n) -> (m, n+1) between rows
-    hop_x = sp.block_diag(
-        [sp.kron(sp.eye(nx, k=-1), x_hop_block(params, n)) for n in range(ny)]
-    )
-    hop_y = sp.kron(sp.eye(ny, k=-1), sp.kron(sp.eye(nx), y_hop_block(params)))
-    hops = hop_x + hop_y
-    mat = (onsite + hops + hops.conj().T).tocsr()
-    mat.eliminate_zeros()
+    site = np.arange(2 * nx * ny).reshape(ny, nx, 2)
+    cols = np.zeros((ny, nx, 2, 7), dtype=np.int64)
+    vals = np.zeros((ny, nx, 2, 7), dtype=complex)
+    # (m, n) -> (m+1, n) is spin-diagonal, (m, n) -> (m, n+1) mixes the spins
+    hop_x = np.array([np.diag(x_hop_block(params, n)) for n in range(ny)])[:, None]
+    hop_y = y_hop_block(params)
+    cols[1:, ..., :2] = site[:-1, :, None]
+    vals[1:, ..., :2] = hop_y
+    cols[:, 1:, :, 2] = site[:, :-1]
+    vals[:, 1:, :, 2] = hop_x
+    cols[..., 3] = site
+    vals[..., 3] = np.array([onsite_energy(params, n) for n in range(ny)])[:, None, None]
+    cols[:, :-1, :, 4] = site[:, 1:]
+    vals[:, :-1, :, 4] = hop_x.conj()
+    cols[:-1, ..., 5:] = site[1:, :, None]
+    vals[:-1, ..., 5:] = hop_y.conj().T
+    keep = vals != 0
+    indptr = np.concatenate(([0], np.cumsum(keep.reshape(-1, 7).sum(axis=1))))
+    # adding 0 clears the sign of zero parts, which a sparse sum does too
+    mat = csr_matrix((vals[keep] + 0.0, cols[keep], indptr), shape=(site.size,) * 2)
     defect = float(abs(mat - mat.conj().T).max())
     if defect > HERMITICITY_TOL:
         raise ParameterError(f"operator not Hermitian: defect {defect:.3e}")

@@ -28,7 +28,7 @@ import scipy
 from . import __version__
 from .config import RunConfig
 from .errors import QshError
-from . import circuit, dynamics, edgestates, model, spectra, topology
+from . import circuit, edgestates, model, spectra, topology
 
 MANIFEST_NAME = "run_manifest.json"
 LOCK_NAME = ".qshsim.lock"
@@ -219,6 +219,8 @@ def _task_rwa_check(cfg: RunConfig):
 
 
 def _task_lindblad(cfg: RunConfig):
+    from . import dynamics  # loads scipy.sparse, which no other task needs
+
     p = cfg.task_params
     rows_out = dynamics.decay_scan(p["gammas"], params=cfg.model, t_us=p["t_us"])
     cols = [

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError
 from .model import (
@@ -94,6 +92,20 @@ class GapReport:
         return self.gap is not None
 
 
+def __getattr__(name):
+    """``spla``: scipy's sparse linear algebra, loaded on first use.
+
+    Only :func:`eig_hermitian` calls it, so the band and phase tasks never
+    load ``scipy.sparse``; the attribute keeps the module reachable for code
+    that patches its solver.
+    """
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def eig_hermitian(h, nearest: tuple):
     """The ``count`` eigenpairs of Hermitian ``h`` nearest ``e0``, ascending.
 
@@ -104,6 +116,9 @@ def eig_hermitian(h, nearest: tuple):
     so does an e0 that is exactly an eigenvalue, where H - e0 has no LU
     factorization to invert.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     e0, count = nearest[0], int(nearest[1])
     mat = sp.csc_matrix(h)
     dim = mat.shape[0]

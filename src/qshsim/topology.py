@@ -616,7 +616,9 @@ def _label_point(params, report, vote, window, bulk_grid, gap_threshold) -> Phas
 def _openblas_thread_setters() -> list:
     """``openblas_set_num_threads_local`` of every OpenBLAS loaded right now.
 
-    numpy and scipy each bundle their own copy, and scipy's loads late, so
+    numpy and scipy each bundle their own copy.  scipy's loads only with
+    ``scipy.linalg`` or ``scipy.sparse.linalg``, which a phase map never
+    imports but an earlier ``edge_states`` run in the same process does, so
     ``/proc/self/maps`` is read at each call.  Empty where the file or the
     symbol is missing.
     """

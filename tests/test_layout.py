@@ -15,15 +15,23 @@ may set any parameter or none, so it counts as both setting and leaving
 each one.  Entry points are exempt: their callers live outside the
 package.
 
-The package imports nothing beyond numpy, scipy and the standard library.
+The package imports nothing beyond numpy, scipy and the standard library,
+and only ``dynamics`` loads ``scipy.sparse`` when it is imported: the tasks
+that never call it start without it, and ``config.normalize`` loads what a
+run will import, so no run pays an import after it.
 """
 
 import ast
 import collections
 import functools
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qshsim
 
@@ -271,3 +279,81 @@ def test_imports_are_numpy_scipy_or_the_standard_library():
     roots = {name.split(".")[0] for name in imported}
     assert "numpy" in roots  # the scan sees the package's imports
     assert roots - allowed == set()
+
+
+def _top_level_imports(tree) -> set:
+    """The modules a module imports when it is loaded, with each name of a
+    ``from`` import as a submodule it may be."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_dynamics_imports_scipy_sparse_at_module_level():
+    loading = {
+        module
+        for module, tree in _package_trees().items()
+        if any(
+            name == "scipy.sparse" or name.startswith("scipy.sparse.")
+            for name in _top_level_imports(tree)
+        )
+    }
+    assert loading == {"dynamics"}
+
+
+#: normalizes and runs each config of the JSON list argv[2] in turn, into
+#: argv[1]/<index>; prints the scipy modules each run added to sys.modules
+#: and whether scipy.sparse was loaded at the end
+FRESH_RUNS = """
+import json, sys
+from qshsim import config, runner
+added = []
+for index, data in enumerate(json.loads(sys.argv[2])):
+    cfg = config.normalize(dict(data, output={"directory": f"{sys.argv[1]}/{index}"}))
+    before = set(sys.modules)
+    runner.run(cfg, force=True)
+    added.append(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "scipy"))
+print(json.dumps({"added": added, "sparse": "scipy.sparse" in sys.modules}))
+"""
+
+#: one light config of each task
+TASK_CONFIGS = {
+    "bands": {"bands": {"grid": [16, 16]}},
+    "ribbon": {"ribbon": {}},
+    "phase_diagram": {"phase_diagram": {
+        "resolution": [16, 16], "bulk_grid": [16, 16], "ny_ribbon": 12, "kx_points": 101,
+    }},
+    "edge_states": {"edge_states": {}},
+    "tones": {"tones": {}},
+    "rwa_check": {"rwa_check": {}},
+    "lindblad": {"lindblad": {"gammas": [0.0, 0.01], "t_us": 0.1}},
+}
+
+
+def _fresh_runs(tmp_path, tasks) -> dict:
+    """FRESH_RUNS of the configs of ``tasks`` at alpha = 1/3, in a new interpreter."""
+    configs = [{"alpha": "1/3", **TASK_CONFIGS[task]} for task in tasks]
+    env = dict(
+        os.environ, PYTHONPATH=str(PACKAGE.parent), QSH_CACHE_DIR=str(tmp_path / "cache")
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNS, str(tmp_path), json.dumps(configs)],
+        capture_output=True, text=True, env=env, timeout=600, check=True,
+    )
+    return json.loads(child.stdout)
+
+
+def test_tasks_without_sparse_work_never_load_scipy_sparse(tmp_path):
+    tasks = ["bands", "ribbon", "phase_diagram", "tones", "rwa_check"]
+    assert not _fresh_runs(tmp_path, tasks)["sparse"]
+
+
+@pytest.mark.parametrize("task", sorted(TASK_CONFIGS))
+def test_a_normalized_run_imports_no_scipy_module(tmp_path, task):
+    """``normalize`` loads what the run imports, so a timed run pays none."""
+    assert _fresh_runs(tmp_path, [task])["added"] == [[]]

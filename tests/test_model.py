@@ -124,6 +124,40 @@ def test_open_hamiltonian_is_hermitian_csr_without_stored_zeros(side):
     assert abs(h - h.conj().T).max() == 0.0
 
 
+def kron_open_hamiltonian(params: ModelParams) -> sp.csr_matrix:
+    """Oracle of ``open_hamiltonian``: the same lattice as a sum of Kronecker
+    products, one per row of x hops and one for all y hops."""
+    nx, ny = params.nx, params.ny
+    eps = [onsite_energy(params, n) for n in range(ny)]
+    onsite = sp.diags(np.repeat(eps, 2 * nx))
+    hop_x = sp.block_diag(
+        [sp.kron(sp.eye(nx, k=-1), x_hop_block(params, n)) for n in range(ny)]
+    )
+    hop_y = sp.kron(sp.eye(ny, k=-1), sp.kron(sp.eye(nx), y_hop_block(params)))
+    hops = hop_x + hop_y
+    mat = (onsite + hops + hops.conj().T).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+@pytest.mark.parametrize("alpha", ["1/3", "1/4", "2/5"])
+@pytest.mark.parametrize(
+    "shape", [(2, 2), (2, 7), (6, 6), (24, 24), (36, 36)], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_open_hamiltonian_is_bit_identical_to_the_kronecker_sum(shape, alpha):
+    flux = Fraction(alpha)
+    rng = np.random.default_rng([*shape, flux.numerator, flux.denominator])
+    points = [(0.0, 0.0), (0.25, 0.0)]
+    points += [tuple(rng.uniform(-1.0, 1.0, 2)) for _ in range(3)]
+    for beta, lam in points:
+        p = ModelParams(alpha=alpha, beta=beta, lam=lam, nx=shape[0], ny=shape[1])
+        got, want = open_hamiltonian(p), kron_open_hamiltonian(p)
+        assert got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, beta, lam)
+
+
 def test_open_hamiltonian_y_and_onsite_blocks():
     p = ModelParams(alpha=A13, beta=0.1, lam=1.0, nx=2, ny=2)
     mat = open_hamiltonian(p).toarray()
