@@ -78,11 +78,7 @@ class SubspaceBasis:
 
     def site_pairs(self) -> np.ndarray:
         """(nx*ny, 2) indices of each site's (up, down) states, in index order."""
-        return np.array([
-            [self.state_index(m, n, 0), self.state_index(m, n, 1)]
-            for n in range(self.ny)
-            for m in range(self.nx)
-        ])
+        return np.arange(1, self.dim).reshape(-1, 2)
 
 
 def _checked_rate(gamma: float) -> float:
@@ -424,19 +420,12 @@ def edge_site_mask(nx: int, ny: int) -> np.ndarray:
 def populations(rho: np.ndarray, basis: SubspaceBasis) -> Tuple[float, float, float]:
     """(edge, inner, total) excited populations; total also equals 1 - <G|rho|G>."""
     diag = np.diag(rho).real
-    mask = edge_site_mask(basis.nx, basis.ny)
-    p_edge = p_inner = 0.0
-    for n in range(basis.ny):
-        for m in range(basis.nx):
-            w = (
-                diag[basis.state_index(m, n, 0)]
-                + diag[basis.state_index(m, n, 1)]
-            )
-            if mask[m, n]:
-                p_edge += w
-            else:
-                p_inner += w
-    return float(p_edge), float(p_inner), float(p_edge + p_inner)
+    up, down = basis.site_pairs().T
+    w = diag[up] + diag[down]  # per site, n-major as the transposed mask
+    edge = edge_site_mask(basis.nx, basis.ny).T.ravel()
+    # Python sum adds in index order, as a loop over the sites would
+    p_edge, p_inner = sum(w[edge].tolist(), 0.0), sum(w[~edge].tolist(), 0.0)
+    return p_edge, p_inner, p_edge + p_inner
 
 
 @dataclass

@@ -3,10 +3,13 @@
 Data files are byte-deterministic: fixed column order, fixed row order and
 floats printed with 12 significant digits.  Results are cached under a
 SHA-256 of the config hash, the package's source files and the numpy and
-scipy versions (QSH_CACHE_DIR overrides the location); a cache hit replays
-the stored bytes.  One run at a time per output directory, enforced with an
-exclusive ``flock`` on a lock file that the kernel releases when the run
-exits.
+scipy versions (QSH_CACHE_DIR overrides the location).  A cold run writes
+its tables into a new cache entry and publishes it, then fills the output
+directory as a cache hit does: old manifest removed, data files written,
+new manifest renamed into place last, so the directory holds a manifest
+that matches every file it lists, or none.  One run at a time per output
+directory, enforced with an exclusive ``flock`` on a lock file that the
+kernel releases when the run exits.
 """
 
 from __future__ import annotations
@@ -79,10 +82,6 @@ def write_table(path: Path, header, rows, fmt: str) -> bytes:
     data = text.encode("utf-8")
     path.write_bytes(data)
     return data
-
-
-def _ext(fmt: str) -> str:
-    return "csv" if fmt == "csv" else "json"
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +316,22 @@ def _read_cache(cache: Path):
     return files, stored["meta"]
 
 
-def _publish_cache(cache: Path, files: dict, meta) -> None:
-    """Write a cache entry next to its place, then rename it into place.
+def _publish_cache(cfg: RunConfig, cache: Path):
+    """Run the task and publish its cache entry; returns ``({name: (bytes,
+    sha256)}, meta)``, as :func:`_read_cache` does.
 
-    A run stopped part way leaves only a temporary directory behind, never a
-    partial entry under the cache key.
+    The tables are written into a temporary directory beside the entry's
+    place, which is then renamed into place: a run stopped part way leaves
+    only a temporary directory behind, never a partial entry under the key.
     """
+    tables, meta = _TASK_FN[cfg.task](cfg)
     cache.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=f".{cache.name}.", dir=cache.parent))
-    for name, (data, _) in files.items():
-        (tmp / name).write_bytes(data)
+    files = {}
+    for stem, (header, columns) in sorted(tables.items()):
+        name = f"{stem}.{cfg.fmt}"
+        data = write_table(tmp / name, header, columns, cfg.fmt)
+        files[name] = (data, hashlib.sha256(data).hexdigest())
     (tmp / MANIFEST_NAME).write_text(
         json.dumps(
             {"meta": meta, "sha256": {n: d for n, (_, d) in files.items()}},
@@ -340,6 +345,7 @@ def _publish_cache(cache: Path, files: dict, meta) -> None:
         os.rename(tmp, cache)
     except OSError:  # another run published the same key first
         shutil.rmtree(tmp, ignore_errors=True)
+    return files, meta
 
 
 class _Lock:
@@ -390,18 +396,10 @@ def run(cfg: RunConfig, force: bool = False) -> dict:
     with _Lock(out_dir):
         hit = None if force else _read_cache(cache)
         cached = hit is not None
-        if cached:
-            files, meta = hit
-            for name, (data, _) in files.items():
-                (out_dir / name).write_bytes(data)
-        else:
-            fn = _TASK_FN[cfg.task]
-            tables, meta = fn(cfg)
-            files = {}
-            for stem, (header, columns) in sorted(tables.items()):
-                name = f"{stem}.{_ext(cfg.fmt)}"
-                data = write_table(out_dir / name, header, columns, cfg.fmt)
-                files[name] = (data, hashlib.sha256(data).hexdigest())
+        files, meta = hit if cached else _publish_cache(cfg, cache)
+        (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+        for name, (data, _) in files.items():
+            (out_dir / name).write_bytes(data)
 
         outputs = [
             {"name": name, "sha256": digest, "bytes": len(data)}
@@ -422,9 +420,9 @@ def run(cfg: RunConfig, force: bool = False) -> dict:
             "outputs": outputs,
             "meta": meta,
         }
-        (out_dir / MANIFEST_NAME).write_text(
+        tmp = out_dir / f".{MANIFEST_NAME}.tmp"
+        tmp.write_text(
             json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
         )
-        if not cached:
-            _publish_cache(cache, files, meta)
+        os.replace(tmp, out_dir / MANIFEST_NAME)
     return manifest

@@ -114,8 +114,8 @@ class PhaseMap:
     beta_grid: np.ndarray
     lambda_grid: np.ndarray
     points: list  # row-major: points[i][j] at (beta_grid[i], lambda_grid[j])
-    #: OpenBLAS libraries pinned to one thread in the pool workers
-    blas_pinned: int
+    #: whether the pool workers pinned OpenBLAS to one thread
+    blas_pinned: bool
 
 
 def _band_stack(params: ModelParams, nkx: int, nky: int, spin: Optional[int]):
@@ -690,5 +690,5 @@ def phase_diagram(
     ) as pool:
         points = list(pool.map(work, betas))
     return PhaseMap(
-        beta_grid=betas, lambda_grid=lams, points=points, blas_pinned=len(setters)
+        beta_grid=betas, lambda_grid=lams, points=points, blas_pinned=bool(setters)
     )

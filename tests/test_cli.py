@@ -21,6 +21,7 @@ from qshsim.cli import main
 from qshsim.config import normalize, parse_config
 from qshsim.errors import ConfigError, QshError
 from qshsim.runner import LOCK_NAME, run
+from test_layout import TASK_CONFIGS
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -582,6 +583,61 @@ def test_run_stopped_before_publishing_is_recomputed(tmp_path, monkeypatch):
     assert again["cached"] and again["outputs"] == first["outputs"]
 
 
+def test_run_stopped_after_its_first_file_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    """A run stopped part way into a directory that holds an earlier run's
+    files leaves no manifest there, or one whose hashes all match."""
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    block = {"alpha": "1/3", "nx": 6, "ny": 6, "edge_states": {"count": 2}}
+    cfg = normalize(block)
+    cfg.out_dir = str(out)
+    run(cfg)
+    cfg = normalize({**block, "lambda": 0.7})
+    cfg.out_dir = str(out)
+
+    class Killed(BaseException):
+        pass
+
+    write_bytes = Path.write_bytes
+
+    def stop_after_first_file(path, data):
+        written = write_bytes(path, data)
+        if path.parent == out:
+            raise Killed
+        return written
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_bytes", stop_after_first_file)
+        with pytest.raises(Killed):
+            run(cfg)
+    manifest = out / runner.MANIFEST_NAME
+    if manifest.exists():
+        for entry in json.loads(manifest.read_text())["outputs"]:
+            data = (out / entry["name"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"], entry["name"]
+
+
+@pytest.mark.parametrize("task, fmt", [(t, "csv") for t in TASK_CONFIGS] + [("bands", "json")])
+def test_replay_writes_what_the_cold_run_wrote(tmp_path, monkeypatch, task, fmt):
+    """Data files byte-identical; manifests differ only in cached and timing_s."""
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    written = []
+    for side in ("cold", "replay"):
+        cfg = normalize({"alpha": "1/3", **TASK_CONFIGS[task], "output": {"format": fmt}})
+        cfg.out_dir = str(tmp_path / side)
+        run(cfg)
+        files = {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+        del files[LOCK_NAME]
+        manifest = json.loads(files.pop(runner.MANIFEST_NAME))
+        written.append((files, manifest))
+    (cold, cold_manifest), (replay, replay_manifest) = written
+    assert cold == replay and cold
+    assert all(name.endswith(f".{fmt}") for name in cold)
+    assert (cold_manifest.pop("cached"), replay_manifest.pop("cached")) == (False, True)
+    del cold_manifest["timing_s"], replay_manifest["timing_s"]
+    assert cold_manifest == replay_manifest
+
+
 def test_corrupted_cache_file_is_recomputed_not_replayed(tmp_path, monkeypatch):
     monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
     cfg = normalize(BANDS_CFG)
@@ -771,7 +827,7 @@ def test_phase_map_bytes_independent_of_threads(tmp_path, monkeypatch):
         {"beta": 0.16666666666666666, "lambda": 0.0, "route": "wilson",
          "phase": "topological"}
     ]
-    assert isinstance(meta["blas_pinned"], int) and meta["blas_pinned"] >= 0
+    assert isinstance(meta["blas_pinned"], bool)
 
 
 def test_rwa_check_task(tmp_path, monkeypatch):
