@@ -12,19 +12,22 @@ gamma:
 * qubit dephasing  sigma^z restricted to the subspace: -1 on the vacuum and
   on other sites' excitations, and a spin flip |up> <-> |down> on the site.
 
-Because every dressed excitation carries mean photon and qubit occupation
-1/2 and dephasing conserves excitation, the total excited population decays
-exactly as exp(-gamma*t).  Every jump operator carries a factor sqrt(gamma),
-so the Liouvillian is linear in the rate: L(gamma) = L_H + gamma*D, with L_H
-the Hamiltonian part and D the dissipator at unit rate.  Both are sparse and
-built once per scan, L_H + gamma*D then costs one sparse sum per rate.  The
-master equation is time independent, so rho(t) = exp(t L) rho0, applied to
-vec(rho) as a Chebyshev series in L (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984); for open systems Huisinga, Pesce, Kosloff & Saalfrank,
-J. Chem. Phys. 110, 5538 (1999)).  Its degree comes from a truncation bound
-on an ellipse that holds the numerical range of L, through the
-Crouzeix-Palencia theorem (see :func:`_series_plan`); the decay law above is
-a test of that propagation.
+Summed over the sites, the loss jumps' J^dag J is the identity on the
+excited states, and dephasing conserves excitation.  A state without
+coherence between the vacuum and the excitations keeps none, so the
+2*nx*ny excited block evolves on its own:
+
+    rho_exc(t) = exp(t L) rho_exc(0),   L = L_H + gamma*(D_phi - I),
+
+with L_H the Hamiltonian part and D_phi the dephasing dissipator at unit
+rate; the vacuum population is 1 - tr rho_exc.  The -gamma*I is the loss,
+so tr rho_exc decays exactly as exp(-gamma*t), and every snapshot is
+checked against that.  L_H and D_phi are sparse and built once per scan.
+exp(t L) is applied to vec(rho_exc) as a Chebyshev series in L (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967 (1984); for open systems Huisinga, Pesce,
+Kosloff & Saalfrank, J. Chem. Phys. 110, 5538 (1999)).  Its degree comes
+from a truncation bound on an ellipse that holds the numerical range of L,
+through the Crouzeix-Palencia theorem (see :func:`_series_plan`).
 """
 
 from __future__ import annotations
@@ -91,20 +94,6 @@ def _checked_rate(gamma: float) -> float:
     return gamma
 
 
-def embed_excited_hamiltonian(h, basis: SubspaceBasis) -> np.ndarray:
-    """Excited-block Hamiltonian -> full subspace matrix (vacuum row/col zero)."""
-    # np.asarray of a sparse matrix is a 0-d object array
-    h = h.toarray() if sp.issparse(h) else np.asarray(h)
-    nexc = basis.dim - 1
-    if h.shape != (nexc, nexc):
-        raise ParameterError(
-            f"Hamiltonian shape {h.shape} is not the excited block ({nexc}, {nexc})"
-        )
-    full = np.zeros((basis.dim, basis.dim), dtype=complex)
-    full[1:, 1:] = h
-    return full
-
-
 def validate_density_matrix(rho: np.ndarray) -> Tuple[float, float]:
     """Enforce finiteness / Hermiticity / unit trace / positivity tolerances.
 
@@ -124,79 +113,44 @@ def validate_density_matrix(rho: np.ndarray) -> Tuple[float, float]:
     return abs(tr - 1.0), evmin
 
 
-def hamiltonian_liouvillian(h_full) -> sp.csr_matrix:
+def hamiltonian_liouvillian(h) -> sp.csr_matrix:
     """Sparse L_H with ``L_H @ rho.ravel() == (-i(H rho - rho H)).ravel()``.
 
     Vectorized row-major: vec(A X B) = (A kron B^T) vec(X).
     """
-    h = sp.csr_matrix(h_full)
+    h = sp.csr_matrix(h)
     eye = sp.identity(h.shape[0], format="csr")
     return (sp.kron(-1j * h, eye) + sp.kron(eye, 1j * h.T)).tocsr()
 
 
-#: sum of J^dag J of the unit-rate photon-loss and qubit-loss jumps on one
-#: site's (up, down) pair; their J kron J^* map that pair's coherences onto
-#: the vacuum population with the same four entries.
-_LOSS_BLOCK = (
-    0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    + 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
-)
+def dephasing_dissipator(basis: SubspaceBasis) -> sp.csr_matrix:
+    """D_phi, the dephasing dissipator at unit rate on the excited block.
 
-
-def unit_dissipator(basis: SubspaceBasis) -> sp.csr_matrix:
-    """Dissipator D of the three channels at unit rate.
-
-    The dissipator at rate gamma is gamma * D.
-    D = sum_k J_k kron J_k^* - (K kron I + I kron K^T)/2 with
-    K = sum_k J_k^dag J_k, in the vectorization of
-    :func:`hamiltonian_liouvillian`, assembled in one COO pass from closed
-    forms.  The dephasing jump of site s is J_s = -I + B_s, with B_s the
-    all-ones block on the site's (up, down) pair, so J_s^dag J_s = I and
-    sum_s J_s kron J_s = N I kron I - I kron B - B kron I + sum_s B_s kron B_s
-    (B = sum_s B_s); the N I kron I cancels against -(K kron I + I kron K)/2.
-    With M = K_loss/2 + B, real symmetric with the same 2x2 block on every
-    site, D = sum_loss J kron J + sum_s B_s kron B_s - M kron I - I kron M.
+    D_phi = sum_s B_s kron B_s - B kron I - I kron B, in the vectorization
+    of :func:`hamiltonian_liouvillian`, with B_s the all-ones block on site
+    s's (up, down) pair and B = sum_s B_s.  On the excited block the
+    dephasing jump of site s is J_s = -I + B_s, so J_s^dag J_s = I (B_s^2 =
+    2 B_s) and sum_s J_s kron J_s^* = N I kron I - I kron B - B kron I +
+    sum_s B_s kron B_s, whose N I kron I cancels against
+    -(K kron I + I kron K^T)/2, K = N I.
     """
-    n = basis.dim
-    block = 0.5 * _LOSS_BLOCK + 1.0
-    pairs = basis.site_pairs()
-    a = np.repeat(pairs, 2, axis=1).ravel()  # row a and column b of every
-    b = np.tile(pairs, 2).ravel()  # entry (a, b) of a site block
-    every = np.arange(n)[:, None]
-    blocks = np.tile(block.ravel(), len(pairs))
-    # the last terms are B_s kron B_s: rows (a, a') and columns (b, b')
-    # inside one site
-    rows = [a * n + every, every * n + a, np.zeros_like(a),
-            a[:, None] * n + a.reshape(-1, 4).repeat(4, axis=0)]
-    cols = [b * n + every, every * n + b, a * n + b,
-            b[:, None] * n + b.reshape(-1, 4).repeat(4, axis=0)]
-    vals = [
-        np.broadcast_to(-blocks, (n, a.size)),
-        np.broadcast_to(-blocks, (n, a.size)),
-        np.tile(_LOSS_BLOCK.ravel(), len(pairs)),
-        np.ones((a.size, 4)),
-    ]
-    d = sp.coo_matrix(
-        (
-            np.concatenate([v.ravel() for v in vals]),
-            (
-                np.concatenate([r.ravel() for r in rows]),
-                np.concatenate([c.ravel() for c in cols]),
-            ),
-        ),
-        shape=(n * n, n * n),
-    ).tocsr()
-    d.eliminate_zeros()
-    return d
+    n = basis.dim - 1
+    eye = sp.identity(n, format="csr")
+    b = sp.kron(sp.identity(n // 2), np.ones((2, 2)), format="csr")
+    # B_s kron B_s: ones at rows (a, a') and columns (c, c') inside site s,
+    # indexed on the excited block, which drops the vacuum
+    pairs = basis.site_pairs() - 1
+    inside = (pairs[:, :, None] * n + pairs[:, None, :]).reshape(-1, 4)
+    rows = np.repeat(inside, 4, axis=1).ravel()
+    cols = np.tile(inside, 4).ravel()
+    same_site = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * n, n * n))
+    return (same_site - sp.kron(b, eye) - sp.kron(eye, b)).tocsr()
 
 
 #: bound on one sub-step's truncation error, relative to the norm of vec(rho)
 SERIES_TOL = 2.0 ** -53
 #: most tau*b per sub-step: no series term exceeds 2 e^STEP_EXPONENT on E_rho
 STEP_EXPONENT = 16.0
-#: the spectrum of D0, the real symmetric part of the unit dissipator
-#: D = D0 + F, is [D0_MIN, 0] (see :func:`_series_plan`)
-D0_MIN = -5.0
 
 
 def _bessel_j(x: float, n: int) -> np.ndarray:
@@ -236,23 +190,21 @@ class _Series(NamedTuple):
         return len(self.coef) - 1
 
 
-def _series_plan(spread: float, gamma: float, dim: int, interval: float) -> _Series:
-    """The sub-steps and the series of exp(L * interval), L = L_H + gamma*D.
+def _series_plan(spread: float, gamma: float, interval: float) -> _Series:
+    """The sub-steps and the series of exp(L * interval),
+    L = L_H + gamma*(D_phi - I).
 
     Numerical range.  L_H is skew-Hermitian with eigenvalues i(E_a - E_b),
     so its numerical range is within i[-w, w], w = ``spread`` = E_max - E_min
-    of the full subspace Hamiltonian.  The unit dissipator is D = D0 + F:
-    D0 = sum_s B_s kron B_s - M kron I - I kron M is real symmetric with
-    spectrum in [-5, 0] (M has eigenvalues 0, 1/2 and 5/2; on a site's own
-    (up, down)^2 block, B kron B turns -(1 + b + b') into
-    -1 - b - b' + b b' in {-1, -3} for the eigenvalues b, b' in {0, 2} of
-    B), and F = e_vac 1_exc^T, the loss jumps' feed of every excited
-    population into the vacuum population, is rank one with e_vac
-    orthogonal to 1_exc, so its numerical range is the disc of radius
-    ||1_exc|| / 2 = sqrt(dim - 1) / 2.  Numerical ranges add, so with the
-    centre c = gamma * D0_MIN / 2 the numerical range of L - c lies within
-    delta = gamma * (5/2 + sqrt(dim - 1) / 2) of i[-w, w] (at 6x6,
-    delta = 6.74 gamma, against gamma * ||D||_2 = 8.54 gamma).
+    of the excited-block Hamiltonian.  D_phi is real symmetric with
+    spectrum in [-4, 0]: B kron I, I kron B and every B_s kron B_s commute
+    (B_s B = B_s^2 = 2 B_s), so each product of eigenvectors of B, with
+    eigenvalues b, b' in {0, 2}, is an eigenvector of D_phi with eigenvalue
+    -b - b' in {0, -2, -4} when they lie on different sites and
+    -b - b' + b b' in {0, -2} on one site.  So with the centre c = -3 gamma,
+    L - c = L_H + gamma*(D_phi + 2I) is L_H plus a Hermitian part with
+    spectrum in [-2 gamma, 2 gamma].  Numerical ranges add, so that of
+    L - c lies within delta = 2 gamma of i[-w, w].
 
     Ellipse.  X = (L - c) / (i s), s = w (delta when w = 0), has its
     numerical range within eps = delta / s of [-1, 1].  Every point of the
@@ -283,8 +235,8 @@ def _series_plan(spread: float, gamma: float, dim: int, interval: float) -> _Ser
     The interval is split into the fewest equal sub-steps with
     tau b <= STEP_EXPONENT; at gamma = 0, b = 0 and one series spans it.
     """
-    radius = gamma * (-0.5 * D0_MIN + 0.5 * math.sqrt(dim - 1))
-    centre = 0.5 * D0_MIN * gamma
+    radius = 2.0 * gamma
+    centre = -3.0 * gamma
     scale = spread if spread > 0 else (radius or 1.0)
     a = 1.0 + radius / scale
     b = math.sqrt(a * a - 1.0)
@@ -322,7 +274,8 @@ class Trajectory(NamedTuple):
     #: Chebyshev degree and sub-steps per sampling interval
     degree: int
     substeps: int
-    #: trace defect and smallest eigenvalue of the last snapshot
+    #: of the last snapshot: |tr rho_exc - e^(-gamma t) tr rho_exc(0)| and
+    #: the smallest eigenvalue
     final_checks: Tuple[float, float]
 
 
@@ -342,9 +295,9 @@ def _apply_series(x2: sp.csr_matrix, series: _Series, vec: np.ndarray) -> np.nda
     return out
 
 
-def _spread(h_full: np.ndarray) -> float:
-    """E_max - E_min of a Hermitian subspace Hamiltonian."""
-    energies = np.linalg.eigvalsh(h_full)
+def _spread(h: sp.csr_matrix) -> float:
+    """E_max - E_min of a Hermitian excited-block Hamiltonian."""
+    energies = np.linalg.eigvalsh(h.toarray())
     return float(energies[-1] - energies[0])
 
 
@@ -357,25 +310,42 @@ def _propagate(
     t_final: float,
     sample_count: int,
 ) -> Trajectory:
-    """rho(t) = exp(L t) rho0, L = lh + gamma*d, at ``sample_count`` equally
-    spaced times.
+    """rho(t) from a subspace rho0 without vacuum coherence, at
+    ``sample_count`` equally spaced times.
 
-    ``spread`` is E_max - E_min of the subspace Hamiltonian behind ``lh``.
-    Each sampling interval takes the sub-steps and series of
-    :func:`_series_plan`; every snapshot after t=0 is validated.
+    The excited block propagates as exp(L t), L = lh + gamma*(d - I), and
+    the vacuum population is 1 - tr rho_exc.  ``spread`` is E_max - E_min
+    of the excited-block Hamiltonian behind ``lh``.  Each sampling interval
+    takes the sub-steps and series of :func:`_series_plan`.  Every snapshot
+    after t=0 must keep tr rho_exc = e^(-gamma t) tr rho_exc(0) within
+    TRACE_TOL, which the series meets only if it propagates the loss right,
+    and is validated as a density matrix.
     """
     times = np.linspace(0.0, t_final, max(2, sample_count))
-    n = rho0.shape[0]
-    series = _series_plan(spread, gamma, n, t_final / (len(times) - 1))
-    lv = lh + gamma * d
-    x2 = (lv - series.centre * sp.identity(n * n, format="csr")) * (-2j / series.scale)
-    vec = rho0.ravel()
+    series = _series_plan(spread, gamma, t_final / (len(times) - 1))
+    eye = sp.identity(lh.shape[0], format="csr")
+    lv = lh + gamma * (d - eye)
+    x2 = (lv - series.centre * eye) * (-2j / series.scale)
+    exc0 = rho0[1:, 1:]
+    trace0 = float(exc0.trace().real)
+    vec = exc0.ravel()
     rhos = [rho0]
-    for _ in times[1:]:
+    for t in times[1:]:
         for _ in range(series.substeps):
             vec = _apply_series(x2, series, vec)
-        rho = vec.reshape(rho0.shape)
-        checks = validate_density_matrix(rho)
+        exc = vec.reshape(exc0.shape)
+        trace = float(exc.trace().real)
+        expected = math.exp(-gamma * t) * trace0
+        defect = abs(trace - expected)
+        if defect > TRACE_TOL:
+            raise ParameterError(
+                f"excited-state trace {trace} deviates from "
+                f"e^(-gamma t) tr rho0 = {expected}"
+            )
+        rho = np.zeros_like(rho0)
+        rho[0, 0] = 1.0 - trace
+        rho[1:, 1:] = exc
+        checks = (defect, validate_density_matrix(rho)[1])
         rhos.append(rho)
     return Trajectory(times, np.array(rhos), series.degree, series.substeps, checks)
 
@@ -391,21 +361,32 @@ def lindblad_evolve(
 ) -> Trajectory:
     """Exact propagation of the master equation: rho(t) = exp(L t) rho0.
 
-    All three channels act at the rate ``gamma``.  Returns the
-    :class:`Trajectory` of ``sample_count`` equally spaced snapshots
-    including t=0 and t_final; density-matrix invariants are validated at
-    every snapshot.  ``dt`` is deprecated and ignored: the propagation has
-    no time step.
+    ``rho0`` is a subspace density matrix without coherence between the
+    vacuum and the excited states, ``h_eff`` the excited-block Hamiltonian,
+    dense or sparse.  All three channels act at the rate ``gamma``.
+    Returns the :class:`Trajectory` of ``sample_count`` equally spaced
+    subspace snapshots including t=0 and t_final (see :func:`_propagate`
+    for the checks at every snapshot).  ``dt`` is deprecated and ignored:
+    the propagation has no time step.
     """
     gamma = _checked_rate(gamma)
     if not math.isfinite(t_final) or t_final < 0:
         raise ParameterError(f"t_final must be finite and nonnegative, got {t_final}")
     rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (basis.dim, basis.dim):
+        raise ParameterError(f"rho0 shape {rho0.shape} is not ({basis.dim}, {basis.dim})")
     validate_density_matrix(rho0)
-    h_full = embed_excited_hamiltonian(h_eff, basis)
+    if np.any(rho0[0, 1:]) or np.any(rho0[1:, 0]):
+        raise ParameterError("rho0 has coherence between the vacuum and the excited states")
+    h = sp.csr_matrix(h_eff)
+    nexc = basis.dim - 1
+    if h.shape != (nexc, nexc):
+        raise ParameterError(
+            f"Hamiltonian shape {h.shape} is not the excited block ({nexc}, {nexc})"
+        )
     return _propagate(
-        hamiltonian_liouvillian(h_full), unit_dissipator(basis), gamma,
-        _spread(h_full), rho0, t_final, sample_count,
+        hamiltonian_liouvillian(h), dephasing_dissipator(basis), gamma, _spread(h),
+        rho0, t_final, sample_count,
     )
 
 
@@ -457,18 +438,18 @@ def decay_scan(
     """Final edge/inner/total populations after ``t_us`` for each decay rate.
 
     Protocol: the open ``params`` lattice, initial |up> excitation at the
-    (1,1) corner site, all three channels on.  L_H and the unit dissipator D
-    are built once per scan; each rate propagates L_H + gamma*D.
+    (1,1) corner site, all three channels on.  L_H and D_phi are built once
+    per scan; each rate propagates L_H + gamma*(D_phi - I).
     """
     rates = [_checked_rate(g) for g in gammas]
     t_final = duration_from_us(t_us)
     if params.nx * params.ny > MAX_SITES:
         raise ParameterError(f"master-equation lattice capped at {MAX_SITES} sites (8x8)")
     basis = SubspaceBasis(params.nx, params.ny)
-    h_full = embed_excited_hamiltonian(open_hamiltonian(params), basis)
-    lh = hamiltonian_liouvillian(h_full)
-    spread = _spread(h_full)
-    d = unit_dissipator(basis)
+    h = open_hamiltonian(params)
+    lh = hamiltonian_liouvillian(h)
+    spread = _spread(h)
+    d = dephasing_dissipator(basis)
     rho0 = corner_up_state(basis)
     rows = []
     for gamma in rates:

@@ -17,14 +17,13 @@ from qshsim.dynamics import (
     SubspaceBasis,
     corner_up_state,
     decay_scan,
+    dephasing_dissipator,
     duration_from_us,
     edge_site_mask,
-    embed_excited_hamiltonian,
     gamma_to_khz,
     hamiltonian_liouvillian,
     lindblad_evolve,
     populations,
-    unit_dissipator,
     validate_density_matrix,
 )
 from qshsim.errors import ParameterError
@@ -59,6 +58,69 @@ def subspace_jump_operators(basis, gamma):
             np.concatenate([np.full(rest.size, -root), [root, root]]),
         ))
     return ops
+
+
+def embed_excited_hamiltonian(h, basis):
+    """Excited-block Hamiltonian -> full subspace matrix (vacuum row/col zero)."""
+    full = np.zeros((basis.dim, basis.dim), dtype=complex)
+    full[1:, 1:] = h.toarray() if sp.issparse(h) else h
+    return full
+
+
+#: sum of J^dag J of the unit-rate photon-loss and qubit-loss jumps on one
+#: site's (up, down) pair; their J kron J^* map that pair's coherences onto
+#: the vacuum population with the same four entries.
+_LOSS_BLOCK = (
+    0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    + 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
+)
+
+
+def unit_dissipator(basis):
+    """Dissipator D of the three channels at unit rate on the full subspace,
+    vacuum included: the oracle of the excited-block propagation.
+
+    D = sum_k J_k kron J_k^* - (K kron I + I kron K^T)/2 with
+    K = sum_k J_k^dag J_k, in the vectorization of
+    :func:`hamiltonian_liouvillian`, assembled in one COO pass from closed
+    forms.  The dephasing jump of site s is J_s = -I + B_s, with B_s the
+    all-ones block on the site's (up, down) pair, so J_s^dag J_s = I and
+    sum_s J_s kron J_s = N I kron I - I kron B - B kron I + sum_s B_s kron B_s
+    (B = sum_s B_s); the N I kron I cancels against -(K kron I + I kron K)/2.
+    With M = K_loss/2 + B, real symmetric with the same 2x2 block on every
+    site, D = sum_loss J kron J + sum_s B_s kron B_s - M kron I - I kron M.
+    """
+    n = basis.dim
+    block = 0.5 * _LOSS_BLOCK + 1.0
+    pairs = basis.site_pairs()
+    a = np.repeat(pairs, 2, axis=1).ravel()  # row a and column b of every
+    b = np.tile(pairs, 2).ravel()  # entry (a, b) of a site block
+    every = np.arange(n)[:, None]
+    blocks = np.tile(block.ravel(), len(pairs))
+    # the last terms are B_s kron B_s: rows (a, a') and columns (b, b')
+    # inside one site
+    rows = [a * n + every, every * n + a, np.zeros_like(a),
+            a[:, None] * n + a.reshape(-1, 4).repeat(4, axis=0)]
+    cols = [b * n + every, every * n + b, a * n + b,
+            b[:, None] * n + b.reshape(-1, 4).repeat(4, axis=0)]
+    vals = [
+        np.broadcast_to(-blocks, (n, a.size)),
+        np.broadcast_to(-blocks, (n, a.size)),
+        np.tile(_LOSS_BLOCK.ravel(), len(pairs)),
+        np.ones((a.size, 4)),
+    ]
+    d = sp.coo_matrix(
+        (
+            np.concatenate([v.ravel() for v in vals]),
+            (
+                np.concatenate([r.ravel() for r in rows]),
+                np.concatenate([c.ravel() for c in cols]),
+            ),
+        ),
+        shape=(n * n, n * n),
+    ).tocsr()
+    d.eliminate_zeros()
+    return d
 
 
 def _lindblad_rhs_reference(rho, h_full, jump_ops):
@@ -123,11 +185,16 @@ def test_liouvillian_matches_reference():
     rho /= rho.trace()
     lh = hamiltonian_liouvillian(h)
     d = unit_dissipator(basis)
+    # the excited block of the right-hand side depends on rho's excited block
+    lh_exc = hamiltonian_liouvillian(h[1:, 1:])
+    d_exc = dephasing_dissipator(basis) - sp.identity(64)
     for gamma in (0.0, 1.0 / 600.0, 0.37, 1.0):
         ops = subspace_jump_operators(basis, gamma)
         ref = _lindblad_rhs_reference(rho, h, [op.toarray() for op in ops])
         fast = ((lh + gamma * d) @ rho.ravel()).reshape(rho.shape)
         assert np.max(np.abs(fast - ref)) < 1e-12
+        block = ((lh_exc + gamma * d_exc) @ rho[1:, 1:].ravel()).reshape(8, 8)
+        assert np.max(np.abs(block - ref[1:, 1:])) < 1e-12
 
 
 #: Al-Mohy & Higham (2011), eq. (3.13): for one vector expm_multiply takes
@@ -267,10 +334,12 @@ def test_trace_and_positivity_along_trajectory():
     for rho in run.rhos:
         assert abs(np.trace(rho).real - 1.0) < 1e-8
         assert np.linalg.eigvalsh(rho).min() >= -1e-8
-    # the checks of the last snapshot, as its validation computed them
+    # the checks of the last snapshot: the excited-state trace against the
+    # decay law, and the smallest eigenvalue as its validation computed it
     rho = run.rhos[-1]
     assert run.final_checks == (
-        abs(float(rho.trace().real) - 1.0), float(np.linalg.eigvalsh(rho).min())
+        abs(float(rho[1:, 1:].trace().real) - math.exp(-0.08 * 8.0)),
+        float(np.linalg.eigvalsh(rho).min()),
     )
 
 
@@ -331,7 +400,29 @@ def test_snapshot_validation_raises():
         lindblad_evolve(2.0 * corner_up_state(basis), h, 0.0, basis, 1.0)
     # the Hamiltonian is the excited block alone, never the full subspace
     with pytest.raises(ParameterError, match="excited block"):
-        embed_excited_hamiltonian(np.eye(basis.dim), basis)
+        lindblad_evolve(corner_up_state(basis), np.eye(basis.dim), 0.0, basis, 1.0)
+    with pytest.raises(ParameterError, match="rho0 shape"):
+        lindblad_evolve(np.eye(3) / 3, h, 0.0, basis, 1.0)
+
+
+def test_vacuum_coherence_rejected():
+    # the excited block evolves on its own only without vacuum coherence
+    basis = SubspaceBasis(1, 1)
+    rho0 = np.zeros((3, 3), dtype=complex)
+    rho0[:2, :2] = 0.5  # (|0> + |up>)(<0| + <up|) / 2
+    validate_density_matrix(rho0)
+    with pytest.raises(ParameterError, match="coherence between the vacuum"):
+        lindblad_evolve(rho0, np.zeros((2, 2)), 0.1, basis, 1.0)
+
+
+def test_trace_check_can_fail(monkeypatch):
+    # series coefficients 0.1 % off: the excited-state trace misses the
+    # decay law at every rate, and the scan must say so
+    bessel = dynamics._bessel_j
+    monkeypatch.setattr(dynamics, "_bessel_j", lambda x, n: 1.001 * bessel(x, n))
+    for gamma in (0.0, 1.0 / 300.0):
+        with pytest.raises(ParameterError, match="trace"):
+            decay_scan([gamma], PROTOCOL, t_us=2.0)
 
 
 def test_decay_scan_bit_identical_under_global_rng():
@@ -430,25 +521,20 @@ def test_bessel_values_match_scipy(x):
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (2, 2), (2, 3)])
-def test_dissipator_numerical_range_bound(nx, ny):
-    # D = D0 + F: D0 real symmetric with spectrum in [D0_MIN, 0], F the rank-one
-    # feed of the excited populations into the vacuum population
+def test_dephasing_dissipator_is_the_excited_block(nx, ny):
+    # on the excited block the full unit dissipator is D_phi - I: the loss
+    # jumps' J^dag J sum to the identity there, and their feed leaves it
     basis = SubspaceBasis(nx, ny)
-    d = unit_dissipator(basis).toarray()
-    feed = np.zeros_like(d)
-    exc = [i * basis.dim + i for i in range(1, basis.dim)]
-    feed[0, exc] = 1.0
-    d0 = d - feed
-    assert np.array_equal(d0, d0.T)
-    spectrum = np.linalg.eigvalsh(d0)
-    assert spectrum[0] >= dynamics.D0_MIN - 1e-12 and spectrum[-1] <= 1e-12
-    # so W(D - D0_MIN/2) lies in the disc of radius 5/2 + sqrt(dim - 1)/2:
-    # check its support function in 64 directions
-    radius = -0.5 * dynamics.D0_MIN + 0.5 * math.sqrt(basis.dim - 1)
-    centred = d - 0.5 * dynamics.D0_MIN * np.eye(len(d))
-    for phi in np.linspace(0.0, 2 * math.pi, 64, endpoint=False):
-        rotated = np.exp(1j * phi) * centred
-        assert np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))[-1] <= radius + 1e-12
+    states = np.arange(1, basis.dim)
+    exc = (states[:, None] * basis.dim + states).ravel()  # entries of vec(rho)
+    full = unit_dissipator(basis).toarray()[np.ix_(exc, exc)]
+    d_phi = dephasing_dissipator(basis).toarray()
+    assert np.array_equal(full, d_phi - np.eye(len(d_phi)))
+    # D_phi real symmetric with spectrum in [-4, 0], as _series_plan's radius
+    # 2 gamma about the centre -3 gamma assumes
+    assert d_phi.dtype.kind == "f" and np.array_equal(d_phi, d_phi.T)
+    spectrum = np.linalg.eigvalsh(d_phi)
+    assert spectrum[0] >= -4.0 - 1e-12 and spectrum[-1] <= 1e-12
 
 
 def test_decay_scan_lattice_guard():

@@ -256,6 +256,43 @@ def test_map_gaps_equal_the_full_quarter_scan(tier1_map):
     assert len(solved) >= 200 and np.mean(solved) < 0.3
 
 
+def test_labels_keep_the_model_symmetries(tier1_map):
+    # lambda -> -lambda (a translation by q rows, q odd) and beta -> -beta
+    # (sigma_z on every site) map the model to a unitarily equivalent one,
+    # so no label may change.  First the symmetries themselves, numerically
+    rng = np.random.default_rng(14)
+    kxs = rng.uniform(-math.pi, math.pi, 8)
+    kys = rng.uniform(-math.pi / 6, math.pi / 6, 8)
+    for beta, lam in rng.uniform((-0.25, -2.0), (0.25, 2.0), (6, 2)):
+        base, neg_lam, neg_beta = (
+            np.linalg.eigvalsh(bloch_stack(ModelParams(A13, b, l), kxs, kys))
+            for b, l in ((beta, lam), (beta, -lam), (-beta, lam))
+        )
+        assert np.max(np.abs(neg_lam - base)) <= 1e-12
+        assert np.max(np.abs(neg_beta - base)) <= 1e-12
+
+    def labels(points):
+        return [(pt.phase, pt.nu) for pt in points]
+
+    mirror = phase_diagram(A13, **{**MAP_SETTINGS, "lambda_range": (0.0, -2.0)}, threads=2)
+    assert np.array_equal(mirror.lambda_grid, -tier1_map.lambda_grid)
+    assert [labels(row) for row in mirror.points] == [
+        labels(row) for row in tier1_map.points
+    ]
+    # under beta -> -beta: the first row at beta > 0 that holds two labels
+    i = next(
+        i for i, row in enumerate(tier1_map.points)
+        if tier1_map.beta_grid[i] > 0 and len({pt.phase for pt in row}) > 1
+    )
+    row = [
+        ModelParams(A13, -tier1_map.beta_grid[i], lam) for lam in tier1_map.lambda_grid
+    ]
+    flipped = topology._classify_row(
+        row, DEFAULT_WINDOW, BULK_GRID, NY_RIBBON, KX_POINTS, GAP_THRESHOLD
+    )
+    assert labels(flipped) == labels(tier1_map.points[i])
+
+
 def test_phase_diagram_resolution_guard():
     with pytest.raises(ParameterError):
         phase_diagram(A13, **{**MAP_SETTINGS, "resolution": (8, 8)}, threads=1)
