@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="phase-diagram worker threads (other tasks run single-threaded)",
+            help="phase-diagram worker threads; BLAS runs one thread per "
+            "worker in every task, so the outputs do not depend on it",
         )
         sp.add_argument(
             "--force", action="store_true", help="recompute even on a cache hit"

@@ -131,11 +131,7 @@ def _task_phase_diagram(cfg: RunConfig):
             errors.append({"beta": beta, "lambda": lam, "error": pt.error})
         if pt.route:
             settled.append({"beta": beta, "lambda": lam, "route": pt.route, "phase": pt.phase})
-    meta = {
-        "point_errors": errors,
-        "bulk_fallback": settled,
-        "blas_pinned": pmap.blas_pinned,
-    }
+    meta = {"point_errors": errors, "bulk_fallback": settled}
     cols = [betas, lams, [pt.phase for pt in points], [pt.nu for pt in points]]
     return {"phase_map": (("beta", "lambda", "phase", "nu"), cols)}, meta
 
@@ -320,11 +316,17 @@ def _publish_cache(cfg: RunConfig, cache: Path):
     """Run the task and publish its cache entry; returns ``({name: (bytes,
     sha256)}, meta)``, as :func:`_read_cache` does.
 
-    The tables are written into a temporary directory beside the entry's
-    place, which is then renamed into place: a run stopped part way leaves
-    only a temporary directory behind, never a partial entry under the key.
+    The task runs with every loaded OpenBLAS at one thread on the calling
+    thread (:func:`qshsim.topology.single_blas_thread`), so its bits do not
+    depend on the thread count OpenBLAS starts with; its meta records
+    whether any was pinned (``blas_pinned``).  The tables are written into
+    a temporary directory beside the entry's place, which is then renamed
+    into place: a run stopped part way leaves only a temporary directory
+    behind, never a partial entry under the key.
     """
-    tables, meta = _TASK_FN[cfg.task](cfg)
+    with topology.single_blas_thread() as pinned:
+        tables, meta = _TASK_FN[cfg.task](cfg)
+    meta = {**meta, "blas_pinned": pinned}
     cache.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=f".{cache.name}.", dir=cache.parent))
     files = {}

@@ -381,10 +381,25 @@ def ribbon_bands(params: ModelParams, ny: int, kx_count: int) -> BandData:
     The localization tag of each state is the probability weight inside the
     outermost ``EDGE_ROWS`` rows, reported separately for the bottom and the
     top edge.
+
+    Only the momenta of [-pi, 0] are solved, the first half of the grid and
+    its middle point; (0, pi) follows by time reversal.  Let U = [[0, 1],
+    [-1, 0]] act on the spin of every row.  In the real gauge of
+    :func:`ribbon_stack` the diagonal holds -2 t0 cos(kx + theta_n) + eps_n
+    for spin up and -2 t0 cos(kx - theta_n) + eps_n for spin down; U swaps
+    the two and cos is even, so U maps the diagonal at kx to the one at -kx.
+    Each y bond -t0 [[c, -s], [s, c]] commutes with the rotation U.  Hence
+    U H(kx) U^T = H(-kx), entry for entry: the levels at -kx are those at
+    kx, and an eigenvector v at kx gives U v at -kx, with the same weight on
+    every row.  The grid point kx_i > 0 takes the levels of kx_{n-i}, which
+    is -kx_i to within the rounding of the grid (a few 1e-16).
     """
     check_ribbon_grid(params, ny, kx_count)
     kxs = momentum_grid(kx_count)
-    energies, w = ribbon_states(params, ny, kxs)
+    mid = kxs.size // 2  # the index of kx = 0
+    energies, w = ribbon_states(params, ny, kxs[: mid + 1])
+    mirror = np.r_[: mid + 1, mid - 1 : 0 : -1]
+    energies, w = energies[mirror], w[mirror]
     bottom = w[:, :EDGE_ROWS].sum(axis=1)
     top = w[:, -EDGE_ROWS:].sum(axis=1)
     localization = np.stack([bottom, top], axis=-1)

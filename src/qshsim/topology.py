@@ -32,7 +32,9 @@ The classifier's settings default to ``BULK_GRID``, ``NY_RIBBON`` and
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -114,8 +116,6 @@ class PhaseMap:
     beta_grid: np.ndarray
     lambda_grid: np.ndarray
     points: list  # row-major: points[i][j] at (beta_grid[i], lambda_grid[j])
-    #: whether the pool workers pinned OpenBLAS to one thread
-    blas_pinned: bool
 
 
 def _band_stack(params: ModelParams, nkx: int, nky: int, spin: Optional[int]):
@@ -398,30 +398,47 @@ def _vote_from_counts(params, ny_ribbon, kxs, candidates, counts, failed) -> int
     Band j crosses E between two momenta exactly when j lies between their
     two counts, so the ribbon is diagonalized only at the ends of the
     intervals whose count changes, and at the kx whose factorization failed.
+    The first two energies are counted first: when both resolve and agree,
+    their parity is the majority whatever the third gives, and the third's
+    intervals are never solved.
     """
-    # solve both ends of every interval whose count changes, and of every
-    # interval next to a failed kx, whose counts the dense solve supplies
     counts = counts.copy()
-    opened = (counts[:, 1:] != counts[:, :-1]).any(axis=0) | failed[:-1] | failed[1:]
-    solve = np.zeros_like(failed)
-    solve[:-1] |= opened
-    solve[1:] |= opened
-    at = np.flatnonzero(solve)
-    slot = np.cumsum(solve) - 1  # row of each solved kx in the slab
-    vals, bottom = _ribbon_slab(params, ny_ribbon, kxs[at])
+    vals = np.empty((kxs.size, 2 * ny_ribbon))
+    bottom = np.empty_like(vals)
+    solved = np.zeros(kxs.size, dtype=bool)
+
+    def solve_ends(opened):
+        """Diagonalize both ends of every ``opened`` interval not yet solved."""
+        ends = np.zeros_like(solved)
+        ends[:-1] |= opened
+        ends[1:] |= opened
+        at = np.flatnonzero(ends & ~solved)
+        if at.size:
+            vals[at], bottom[at] = _ribbon_slab(params, ny_ribbon, kxs[at])
+            solved[at] = True
+
+    def parity(ef, count):
+        crossings = 0
+        for i in np.flatnonzero(count[1:] != count[:-1]):
+            crossings += _count_bottom_crossings(
+                params, ny_ribbon, ef, kxs[i], kxs[i + 1],
+                vals[i], vals[i + 1], bottom[i], bottom[i + 1], 0,
+            )
+        return crossings % 2
+
+    # the intervals next to a failed kx are solved with the first two
+    # energies; the dense solve there supplies every energy's count
+    solve_ends((counts[:2, 1:] != counts[:2, :-1]).any(axis=0) | failed[:-1] | failed[1:])
     levels = np.asarray(candidates)[:, None, None]
-    counts[:, failed] = (vals[slot[failed]] < levels).sum(axis=-1)
+    counts[:, failed] = (vals[failed] < levels).sum(axis=-1)
     parities, failure = [], None
-    for ef, count in zip(candidates, counts):
+    for k, (ef, count) in enumerate(zip(candidates, counts)):
+        if k == 2:
+            if len(parities) == 2 and parities[0] == parities[1]:
+                break
+            solve_ends(count[1:] != count[:-1])
         try:
-            crossings = 0
-            for i in np.flatnonzero(count[1:] != count[:-1]):
-                lo, hi = slot[i], slot[i + 1]
-                crossings += _count_bottom_crossings(
-                    params, ny_ribbon, ef, kxs[i], kxs[i + 1],
-                    vals[lo], vals[hi], bottom[lo], bottom[hi], 0,
-                )
-            parities.append(crossings % 2)
+            parities.append(parity(ef, count))
         except DegeneracyError as exc:
             failure = exc
     if not parities or (len(parities) == 2 and parities[0] != parities[1]):
@@ -613,6 +630,20 @@ def _label_point(params, report, vote, window, bulk_grid, gap_threshold) -> Phas
     return _labelled(params, nu, report)
 
 
+@functools.cache
+def _openblas_setter(path: str):
+    """``openblas_set_num_threads_local`` of the OpenBLAS at ``path``; None
+    where the library cannot be loaded or lacks the symbol.  Each path is
+    opened once per process."""
+    try:
+        set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = ctypes.c_int
+    return set_threads
+
+
 def _openblas_thread_setters() -> list:
     """``openblas_set_num_threads_local`` of every OpenBLAS loaded right now.
 
@@ -627,22 +658,33 @@ def _openblas_thread_setters() -> list:
             fields = [line.split(maxsplit=5) for line in maps if "openblas" in line]
     except OSError:
         return []
-    setters = []
-    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
-        try:
-            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = ctypes.c_int
-        setters.append(set_threads)
-    return setters
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6})
+    return [s for s in map(_openblas_setter, paths) if s is not None]
 
 
-def _pin_blas(setters) -> None:
-    """Pool initializer: one BLAS thread for the calling worker thread only."""
-    for set_threads in setters:
-        set_threads(1)
+def _pin_blas(setters) -> list:
+    """One BLAS thread for the calling thread only, in every library of
+    ``setters``; returns the counts they held before.  The initializer of
+    the :func:`phase_diagram` pool, whose threads end with it, and the
+    entry of :func:`single_blas_thread`."""
+    return [set_threads(1) for set_threads in setters]
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread on the calling
+    thread; yields whether any was pinned.
+
+    On leaving, also by an exception, each library gets back the count its
+    setter returned.  Other threads keep their own counts.
+    """
+    setters = _openblas_thread_setters()
+    before = _pin_blas(setters)
+    try:
+        yield bool(setters)
+    finally:
+        for set_threads, count in zip(setters, before):
+            set_threads(count)
 
 
 def phase_diagram(
@@ -689,6 +731,4 @@ def phase_diagram(
         max_workers=threads, initializer=_pin_blas, initargs=(setters,)
     ) as pool:
         points = list(pool.map(work, betas))
-    return PhaseMap(
-        beta_grid=betas, lambda_grid=lams, points=points, blas_pinned=bool(setters)
-    )
+    return PhaseMap(beta_grid=betas, lambda_grid=lams, points=points)

@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshsim import config, runner
+from qshsim import config, runner, topology
 from qshsim.cli import main
 from qshsim.config import normalize, parse_config
 from qshsim.errors import ConfigError, QshError
@@ -636,6 +637,87 @@ def test_replay_writes_what_the_cold_run_wrote(tmp_path, monkeypatch, task, fmt)
     assert (cold_manifest.pop("cached"), replay_manifest.pop("cached")) == (False, True)
     del cold_manifest["timing_s"], replay_manifest["timing_s"]
     assert cold_manifest == replay_manifest
+    assert isinstance(cold_manifest["meta"]["blas_pinned"], bool)
+
+
+def test_cold_runs_pin_blas_and_restore_it(tmp_path, monkeypatch):
+    monkeypatch.setenv("QSH_CACHE_DIR", str(tmp_path / "cache"))
+    calls = []
+
+    def fake_setter(name, held):
+        def set_threads(count):
+            calls.append((name, count))
+            return held
+        return set_threads
+
+    monkeypatch.setattr(
+        topology, "_openblas_thread_setters",
+        lambda: [fake_setter("numpy", 2), fake_setter("scipy", 4)],
+    )
+    tones = runner._TASK_FN["tones"]
+    during = []
+
+    def recorded(cfg):
+        during.append(list(calls))
+        return tones(cfg)
+
+    monkeypatch.setitem(runner._TASK_FN, "tones", recorded)
+    cfg = normalize({"alpha": "1/3", "tones": {}})
+    cfg.out_dir = str(tmp_path / "cold")
+    manifest = run(cfg)
+    pinned = [("numpy", 1), ("scipy", 1)]
+    assert during == [pinned]
+    assert calls == pinned + [("numpy", 2), ("scipy", 4)]
+    assert manifest["meta"]["blas_pinned"] is True
+
+    calls.clear()  # a replay runs no task and calls no setter
+    cfg.out_dir = str(tmp_path / "replay")
+    replay = run(cfg)
+    assert replay["cached"] and calls == [] and replay["meta"]["blas_pinned"] is True
+
+    def failing(cfg):
+        raise QshError("the task failed")
+
+    monkeypatch.setitem(runner._TASK_FN, "tones", failing)
+    with pytest.raises(QshError, match="the task failed"):
+        run(cfg, force=True)
+    assert calls == pinned + [("numpy", 2), ("scipy", 4)]
+
+    # no OpenBLAS with the per-thread setter: the run records it
+    monkeypatch.setitem(runner._TASK_FN, "tones", tones)
+    monkeypatch.setattr(topology, "_openblas_thread_setters", lambda: [])
+    assert run(cfg, force=True)["meta"]["blas_pinned"] is False
+
+
+def test_setter_handles_are_opened_once(monkeypatch):
+    first = topology._openblas_thread_setters()
+    opened = []
+    monkeypatch.setattr(topology.ctypes, "CDLL", lambda path: opened.append(path))
+    assert topology._openblas_thread_setters() == first
+    assert opened == []
+
+
+def test_edge_state_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the benchmark's task-mix model at seed 1, on the 36 x 36 lattice that
+    # takes the shift-invert path; OpenBLAS sizes its pool from the variable
+    rng = random.Random(1)
+    model = {"alpha": "1/3", "beta": rng.uniform(0.0, 0.05),
+             "lambda": rng.uniform(0.0, 0.5), "nx": 36, "ny": 36}
+    path = write_config(tmp_path, {**model, "edge_states": {"count": 1}})
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]),
+            QSH_CACHE_DIR=str(tmp_path / f"cache{threads}"), OPENBLAS_NUM_THREADS=threads,
+        )
+        out = tmp_path / f"out{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "qshsim.cli", "edge-states", "--config", path,
+             "--out", str(out)],
+            env=env, capture_output=True, timeout=300, check=True,
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert outputs[0] == outputs[1] and "density_000.csv" in outputs[0]
 
 
 def test_corrupted_cache_file_is_recomputed_not_replayed(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from qshsim.spectra import (
     quarter_zone_bands,
     quarter_zone_gap,
     ribbon_bands,
+    ribbon_states,
 )
 
 A13 = Fraction(1, 3)
@@ -173,6 +174,59 @@ def test_ribbon_spin_branches_mirror_at_beta_zero():
         up = np.linalg.eigvalsh(ribbon_stack(p, ny, [kx])[0][0::2, 0::2])
         dn = np.linalg.eigvalsh(ribbon_stack(p, ny, [-kx])[0][1::2, 1::2])
         assert np.allclose(up, dn, atol=1e-10)
+
+
+#: levels closer than this form one cluster, whose summed edge weights the
+#: half-zone and full-zone ribbons must share to ``WEIGHT_TOL``: a state's
+#: own weights turn by about (perturbation / gap), and two solves of
+#: matrices a few 1e-16 apart in kx differ by up to ~1e-13 in backward error
+CLUSTER_GAP = 1e-4
+WEIGHT_TOL = 1e-8
+
+
+def _cluster_weights(energies, localization):
+    """(bottom, top) weights summed over each cluster of ascending levels
+    closer than ``CLUSTER_GAP``, at the cluster's first level; zero elsewhere."""
+    nk, nb = energies.shape
+    ids = np.zeros((nk, nb), dtype=int)
+    ids[:, 1:] = np.cumsum(np.diff(energies, axis=1) > CLUSTER_GAP, axis=1)
+    sums = np.zeros((nk, nb, 2))
+    np.add.at(sums, (np.arange(nk)[:, None], ids), localization)
+    return sums
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=st.sampled_from([A13, Fraction(1, 4), Fraction(1, 5), Fraction(2, 5)]),
+    beta=st.floats(-0.25, 0.25),
+    lam=st.floats(-2.0, 2.0),
+    cells=st.integers(2, 4),
+    extra_rows=st.integers(0, 3),
+    kx_count=st.integers(101, 140),
+)
+@example(alpha=A13, beta=0.0, lam=0.0, cells=7, extra_rows=0, kx_count=102)
+def test_half_zone_ribbon_matches_the_full_zone_solve(
+    alpha, beta, lam, cells, extra_rows, kx_count
+):
+    # the time-reversal image U H(kx) U^T = H(-kx), U = [[0, 1], [-1, 0]] on
+    # the spin of every row, holds entry for entry in the real gauge
+    params = ModelParams(alpha=alpha, beta=beta, lam=lam)
+    ny = cells * params.magnetic_height + extra_rows
+    kxs = momentum_grid(kx_count)  # odd counts round up: 102 to 140 points
+    u = np.kron(np.eye(ny), [[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(u @ ribbon_stack(params, ny, kxs) @ u.T,
+                          ribbon_stack(params, ny, -kxs))
+
+    half = ribbon_bands(params, ny, kx_count)
+    energies, w = ribbon_states(params, ny, kxs)  # every momentum solved
+    full = np.stack([w[:, :2].sum(axis=1), w[:, -2:].sum(axis=1)], axis=-1)
+    assert np.array_equal(half.kx, kxs)
+    assert np.max(np.abs(half.energies - energies)) <= 1e-12
+    assert np.max(np.abs(_cluster_weights(energies, half.localization)
+                         - _cluster_weights(energies, full))) <= WEIGHT_TOL
+    # the solved half, [-pi, 0], is the full solve's bit for bit
+    mid = kxs.size // 2
+    assert np.array_equal(half.energies[: mid + 1], energies[: mid + 1])
 
 
 def test_ribbon_preconditions():

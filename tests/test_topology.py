@@ -651,3 +651,72 @@ def test_counted_vote_matches_all_kx_vote():
         assert got == want, (params, e_f, solver)
         outcomes.add(got)
     assert outcomes == {0, 1, DegeneracyError, GaplessError}
+
+
+def _three_energy_vote(params, ny_ribbon, kxs, candidates, counts, failed) -> int:
+    """Test oracle: :func:`topology._vote_from_counts` with the intervals of
+    all three vote energies solved before any parity is counted."""
+    counts = counts.copy()
+    opened = (counts[:, 1:] != counts[:, :-1]).any(axis=0) | failed[:-1] | failed[1:]
+    solve = np.zeros_like(failed)
+    solve[:-1] |= opened
+    solve[1:] |= opened
+    at = np.flatnonzero(solve)
+    slot = np.cumsum(solve) - 1
+    vals, bottom = topology._ribbon_slab(params, ny_ribbon, kxs[at])
+    counts[:, failed] = (vals[slot[failed]] < np.asarray(candidates)[:, None, None]).sum(-1)
+    parities, failure = [], None
+    for ef, count in zip(candidates, counts):
+        try:
+            crossings = 0
+            for i in np.flatnonzero(count[1:] != count[:-1]):
+                lo, hi = slot[i], slot[i + 1]
+                crossings += topology._count_bottom_crossings(
+                    params, ny_ribbon, ef, kxs[i], kxs[i + 1],
+                    vals[lo], vals[hi], bottom[lo], bottom[hi], 0,
+                )
+            parities.append(crossings % 2)
+        except DegeneracyError as exc:
+            failure = exc
+    if not parities or (len(parities) == 2 and parities[0] != parities[1]):
+        raise failure or DegeneracyError("edge-crossing count unresolved")
+    return int(round(np.median(parities)))
+
+
+def test_two_agreeing_energies_settle_the_vote(tier1_map, monkeypatch):
+    # every vote of the Tier-1 map, from the same gap scan and count pass as
+    # the map's rows, against the oracle that solves all three energies
+    solved = []
+    slab = topology._ribbon_slab
+
+    def counting_slab(params, ny, kxs):
+        solved[-1] += len(kxs)
+        return slab(params, ny, kxs)
+
+    monkeypatch.setattr(topology, "_ribbon_slab", counting_slab)
+    totals = {}
+    outcomes = set()
+    for beta in tier1_map.beta_grid:
+        row = [ModelParams(A13, float(beta), float(lam)) for lam in tier1_map.lambda_grid]
+        reports = topology.quarter_zone_gap(row, BULK_GRID, DEFAULT_WINDOW, GAP_THRESHOLD)
+        gapped = [(p, r.gap) for p, r in zip(row, reports) if r.is_gapped]
+        if not gapped:
+            continue
+        energies = [
+            topology._vote_energies(topology._fermi_level(DEFAULT_WINDOW, gap), gap)
+            for _, gap in gapped
+        ]
+        votes = topology._ribbon_votes(
+            [p for p, _ in gapped], NY_RIBBON, KX_POINTS, energies
+        )
+        for (params, _), vote in zip(gapped, votes):
+            got = {}
+            for name, fn in (("early", topology._vote_from_counts),
+                             ("oracle", _three_energy_vote)):
+                solved.append(0)
+                got[name] = _outcome(fn, params, *vote)
+                totals[name] = totals.get(name, 0) + solved.pop()
+            assert got["early"] == got["oracle"], (params.beta, params.lam)
+            outcomes.add(got["early"])
+    assert outcomes == {1}  # the map's gapped points are all topological
+    assert totals["early"] < 0.9 * totals["oracle"]
